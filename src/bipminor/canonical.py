@@ -1,12 +1,37 @@
-"""Exact canonical forms and isomorphism tests for small graphs.
+"""Exact canonical forms, automorphisms and isomorphism tests for small graphs.
 
 The canonical form of a graph is the lexicographically minimal
 upper-triangular adjacency bit sequence over all vertex orderings, read
 column by column (the same bit order graph6 uses).  It is computed by
-branch and bound over partial orderings: placing a vertex at position j
-fixes column j, columns have fixed width, so candidates whose column
-exceeds the node minimum can never win and are cut, and the incumbent
-prunes everything that falls behind its prefix.
+branch and bound over partial orderings.  Placing a vertex at position j
+fixes column j: its adjacency to the j vertices placed before it, first
+placed most significant.
+
+- **Cells.**  The unplaced vertices are held as an ordered list of
+  ``(column value, vertex mask)`` cells, one per distinct running column,
+  in increasing column order.  Placing ``u`` splits every cell by
+  ``masks[u]`` (non-neighbours first), which keeps the list sorted.
+  Columns have fixed width, so only the vertices of the first cell can
+  reach the optimum; they are tried in increasing vertex order.
+- **Incumbent.**  A node whose prefix equals the best leaf's prefix is
+  cut when its column exceeds the best's column at that depth.  A node
+  whose prefix is already smaller is not compared, until a leaf below it
+  becomes the new best; from then on its remaining children are compared
+  against that best too (the re-tie).
+- **Automorphisms.**  A leaf whose bits equal the best leaf's gives the
+  automorphism mapping the best ordering onto it (McKay, *Practical graph
+  isomorphism*, 1981).  The search then backjumps to the node where the
+  two orderings part, since the subtree it left is the image of one
+  already searched.  At every node, a candidate is skipped when an
+  automorphism found so far that fixes the node's prefix pointwise maps
+  an already tried sibling onto it.  The transpositions of twin vertices
+  (vertices that agree off each other) seed the list of automorphisms.
+
+Pruning never removes a subtree whose minimum was not reached elsewhere,
+so the result is the exact minimum.  The automorphisms found generate the
+full automorphism group, and ``automorphism_generators`` returns them, so
+a caller can act on orbits (``relations._moves`` emits one successor move
+per orbit).
 """
 
 from __future__ import annotations
@@ -17,7 +42,10 @@ from .graph_core import Graph, GraphError, SizeCapExceeded, normalize_edge
 
 DEFAULT_CANON_CAP = 16
 
-_cache: dict[Graph, "CanonicalForm"] = {}
+# A permutation ``p`` of the vertices maps vertex ``v`` to ``p[v]``.
+Perm = tuple[int, ...]
+
+_cache: dict[Graph, tuple["CanonicalForm", tuple[Perm, ...]]] = {}
 
 
 @dataclass(frozen=True, order=True)
@@ -51,13 +79,25 @@ class CanonicalForm:
 
 def canonical_form(g: Graph, cap: int = DEFAULT_CANON_CAP) -> CanonicalForm:
     """Canonical form of ``g``; rejects graphs above the size cap."""
+    return _labelling(g, cap)[0]
+
+
+def automorphism_generators(g: Graph, cap: int = DEFAULT_CANON_CAP) -> tuple[Perm, ...]:
+    """Permutations of ``g``'s vertices that generate its automorphism
+    group (empty when the group is trivial); computed with, and cached
+    beside, the canonical form."""
+    return _labelling(g, cap)[1]
+
+
+def _labelling(g: Graph, cap: int) -> tuple[CanonicalForm, tuple[Perm, ...]]:
     if g.vertex_count > cap:
         raise SizeCapExceeded(
             f"graph has {g.vertex_count} vertices, canonicalization cap is {cap}"
         )
     cached = _cache.get(g)
     if cached is None:
-        cached = CanonicalForm(g.vertex_count, _minimal_bits(g))
+        bits, generators = _minimal_bits(g)
+        cached = (CanonicalForm(g.vertex_count, bits), generators)
         _cache[g] = cached
     return cached
 
@@ -80,71 +120,155 @@ def _degree_profile(g: Graph) -> tuple:
     return tuple(per_vertex)
 
 
-def _minimal_bits(g: Graph) -> int:
-    n = g.vertex_count
-    if n <= 1:
-        return 0
-    masks = g.neighbor_masks
+def _orbit(mask: int, generators: list[Perm] | tuple[Perm, ...]) -> int:
+    """The union of the orbits of the vertices in ``mask``, as a mask."""
+    covered = frontier = mask
+    while frontier:
+        image = 0
+        for p in generators:
+            f = frontier
+            while f:
+                low = f & -f
+                image |= 1 << p[low.bit_length() - 1]
+                f ^= low
+        frontier = image & ~covered
+        covered |= frontier
+    return covered
 
-    # twin_mask[u]: vertices whose transposition with u is an automorphism
-    # (they agree off each other); at any node only one of a twin pair
-    # needs exploring.
-    twin_mask = [0] * n
+
+def _twin_transpositions(masks: tuple[int, ...]) -> list[Perm]:
+    """Transpositions of consecutive members of each twin class.  Twins
+    agree off each other, so swapping them is an automorphism; being
+    twins is an equivalence relation."""
+    n = len(masks)
+    out: list[Perm] = []
+    classed = 0
     for u in range(n):
+        if (classed >> u) & 1:
+            continue
+        prev = u
         for v in range(u + 1, n):
             if masks[u] & ~(1 << v) == masks[v] & ~(1 << u):
-                twin_mask[u] |= 1 << v
-                twin_mask[v] |= 1 << u
+                classed |= 1 << v
+                p = list(range(n))
+                p[prev], p[v] = v, prev
+                out.append(tuple(p))
+                prev = v
+    return out
 
-    best: list[int] | None = None
-    cols = [0] * n  # running column value of each unplaced candidate
-    chosen: list[int] = []
 
-    def extend(depth: int, used: int, tied: bool) -> None:
-        nonlocal best
-        if depth == n:
-            if best is None or chosen < best:
-                best = chosen.copy()
-            return
+def _place(cells: list, bit: int, mu: int) -> list:
+    """The cells after placing the vertex ``bit`` with neighbour mask
+    ``mu``: each cell loses it and splits into non-neighbours (column bit
+    0) and neighbours (column bit 1), which keeps the cells sorted."""
+    out = []
+    for c, m in cells:
+        m &= ~bit
+        if m:
+            hi = m & mu
+            if m != hi:
+                out.append((c << 1, m ^ hi))
+            if hi:
+                out.append((c << 1 | 1, hi))
+    return out
 
-        # Columns have fixed width, so only candidates achieving the node
-        # minimum can reach the optimum.
-        min_col = 1 << 60
-        for u in range(n):
-            if not (used >> u) & 1 and cols[u] < min_col:
-                min_col = cols[u]
 
-        next_tied = tied
-        if tied and best is not None:
-            ref = best[depth]
-            if min_col > ref:
-                return
-            next_tied = min_col == ref
+def _minimal_bits(g: Graph) -> tuple[int, tuple[Perm, ...]]:
+    n = g.vertex_count
+    if n <= 1:
+        return 0, ()
+    masks = g.neighbor_masks
 
+    generators = _twin_transpositions(masks)
+    # fixed[i]: the vertices that generators[i] maps to themselves.
+    fixed = [sum(1 << v for v in range(n) if p[v] == v) for p in generators]
+
+    best_cols: list[int] = []
+    best_order: list[int] = []
+    improvements = 0  # how often best has changed
+    cols: list[int] = []  # column chosen at each depth of the current path
+    order: list[int] = []  # vertex placed at each depth of the current path
+
+    def extend(depth: int, placed: int, cells: list, tied: bool) -> int:
+        """Search below the current path; ``tied`` says its columns equal
+        the best leaf's so far.  Returns the depth of the node the search
+        resumes at: ``n`` to go on normally, less to backjump.  Appends to
+        ``cols`` and ``order``, which the caller truncates."""
+        nonlocal improvements
+        while True:
+            if not cells:
+                if tied:
+                    perm = [0] * n
+                    for b, o in zip(best_order, order):
+                        perm[b] = o
+                    generators.append(tuple(perm))
+                    fixed.append(sum(1 << v for v in range(n) if perm[v] == v))
+                    k = 0
+                    while best_order[k] == order[k]:
+                        k += 1
+                    return k
+                best_cols[:] = cols
+                best_order[:] = order
+                improvements += 1
+                return n
+            min_col, candidates = cells[0]
+            if tied:
+                ref = best_cols[depth]
+                if min_col > ref:
+                    return n
+                tied = min_col == ref
+            if candidates & (candidates - 1):
+                break
+            # A lone candidate is placed without branching.
+            cells = _place(cells, candidates, masks[candidates.bit_length() - 1])
+            cols.append(min_col)
+            order.append(candidates.bit_length() - 1)
+            placed |= candidates
+            depth += 1
+
+        child_tied = tied
+        entry_improvements = improvements
         tried = 0
-        for u in range(n):
-            if (used >> u) & 1 or cols[u] != min_col or twin_mask[u] & tried:
+        # pruned: the orbit of the tried candidates under the automorphisms
+        # fixing the prefix, recomputed when an automorphism is found.
+        pruned = 0
+        stabiliser: list[Perm] = []
+        known = -1
+        rest = candidates
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if pruned & bit:
                 continue
-            tried |= 1 << u
-            new_used = used | (1 << u)
-            mu = masks[u]
-            for w in range(n):
-                if not (new_used >> w) & 1:
-                    cols[w] = (cols[w] << 1) | ((mu >> w) & 1)
-            chosen.append(min_col)
-            extend(depth + 1, new_used, next_tied)
-            chosen.pop()
-            for w in range(n):
-                if not (new_used >> w) & 1:
-                    cols[w] >>= 1
+            u = bit.bit_length() - 1
+            cols.append(min_col)
+            order.append(u)
+            jump = extend(depth + 1, placed | bit, _place(cells, bit, masks[u]), child_tied)
+            del cols[depth:]
+            del order[depth:]
+            if jump < depth:
+                return jump
+            if improvements != entry_improvements:
+                # A new best lies below this node, so its prefix is ours.
+                child_tied = True
+            tried |= bit
+            if rest and generators:
+                if len(generators) != known:
+                    known = len(generators)
+                    stabiliser = [
+                        p for p, fx in zip(generators, fixed) if not placed & ~fx
+                    ]
+                    pruned = _orbit(tried, stabiliser)
+                elif stabiliser:
+                    pruned |= _orbit(bit, stabiliser)
+        return n
 
-    extend(0, 0, True)
-    assert best is not None
+    extend(0, 0, [(0, (1 << n) - 1)], False)
 
     bits = 0
-    for j, col in enumerate(best):
+    for j, col in enumerate(best_cols):
         bits = (bits << j) | col
-    return bits
+    return bits, tuple(generators)
 
 
 def permute(g: Graph, order: list[int] | tuple[int, ...]) -> Graph:

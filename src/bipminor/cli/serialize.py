@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from ..canonical import are_isomorphic
-from ..graph_core import Edge, Graph, GraphError, normalize_edge
+from ..graph_core import Edge, Graph, GraphError, normalize_edge, resolve_size_cap
 from ..relations import (
     AdmissibleContraction,
     EdgeDeletion,
@@ -198,7 +198,7 @@ def validate_witness(doc: Mapping) -> bool:
             raise GraphError("bipartite_minor witness steps must be a list")
         trace = OpTrace(tuple(_step_from_json(s) for s in steps))
         final = trace.replay(source)
-        if not are_isomorphic(final, target):
+        if not are_isomorphic(final, target, resolve_size_cap()):
             raise GraphError("trace replay does not reach the target graph")
         return True
 

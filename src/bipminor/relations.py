@@ -20,9 +20,9 @@ reachable, up to isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .canonical import CanonicalForm, are_isomorphic, canonical_form
+from .canonical import CanonicalForm, Perm, automorphism_generators, canonical_form
 from .graph_core import (
     Graph,
     GraphError,
@@ -30,6 +30,8 @@ from .graph_core import (
     contract_set,
     delete_edge,
     delete_vertex,
+    normalize_edge,
+    resolve_size_cap,
 )
 from .structure import (
     Cycle,
@@ -116,7 +118,9 @@ class AdmissibleContraction:
     w: int
 
 
-Step = Union[VertexDeletion, EdgeDeletion, AdmissibleContraction]
+# A ``|`` union, not ``typing.Union``: typing caches every Union it builds,
+# which would keep the classes of each fresh import of the package alive.
+Step = VertexDeletion | EdgeDeletion | AdmissibleContraction
 
 
 @dataclass(frozen=True)
@@ -156,28 +160,66 @@ def _cycle_rank(g: Graph) -> int:
     return g.edge_count - g.vertex_count + component_count(g)
 
 
-def _moves(g: Graph, cap: int | None) -> Iterator[tuple[Step, Graph]]:
-    """All single-operation successors, contractions first, in a fixed
-    order."""
-    for p in admissible_pairs(g, cap):
-        yield AdmissibleContraction(p.u, p.v, p.w), contract_set(g, {p.u, p.v})
-    for v in g.vertices:
+def _moves(g: Graph, cap: int) -> Iterator[tuple[Step, Graph]]:
+    """Single-operation successors, contractions first, in a fixed order.
+
+    Moves that an automorphism of ``g`` maps onto each other give
+    isomorphic children, so only the first move of each orbit is yielded.
+    A search that skips children it has already seen keeps the same
+    states and the same witness steps as with every move yielded."""
+    gens = automorphism_generators(g, cap)
+    pairs = {(p.u, p.v): p for p in admissible_pairs(g, cap)}
+    for u, v in _orbit_firsts(pairs, gens, _act_on_pair):
+        p = pairs[(u, v)]
+        yield AdmissibleContraction(u, v, p.w), contract_set(g, {u, v})
+    for v in _orbit_firsts(g.vertices, gens, _act_on_vertex):
         yield VertexDeletion(v), delete_vertex(g, v)
-    for u, v in sorted(g.edges):
+    for u, v in _orbit_firsts(sorted(g.edges), gens, _act_on_pair):
         yield EdgeDeletion(u, v), delete_edge(g, u, v)
+
+
+def _act_on_vertex(p: Perm, v: int) -> int:
+    return p[v]
+
+
+def _act_on_pair(p: Perm, pair: tuple[int, int]) -> tuple[int, int]:
+    return normalize_edge(p[pair[0]], p[pair[1]])
+
+
+def _orbit_firsts(items: Iterable, gens: tuple[Perm, ...], act: Callable) -> Iterator:
+    """The items, in order, whose orbit under ``gens`` holds no earlier
+    item; ``items`` must be closed under the action."""
+    if not gens:
+        yield from items
+        return
+    covered: set = set()
+    for x in items:
+        if x in covered:
+            continue
+        covered.add(x)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for p in gens:
+                z = act(p, y)
+                if z not in covered:
+                    covered.add(z)
+                    stack.append(z)
+        yield x
 
 
 def bipartite_minor_trace(h: Graph, g: Graph, cap: int | None = None) -> OpTrace | None:
     """A replayable witness that ``h`` is a bipartite minor of ``g``, or
     ``None``.  The search is exhaustive within the cap, so ``None`` is a
     definite negative."""
-    check_size_cap(g, cap)
+    limit = resolve_size_cap(cap)
+    check_size_cap(g, limit)
     if h.vertex_count > g.vertex_count or h.edge_count > g.edge_count:
         return None
 
-    target = canonical_form(h)
+    target = canonical_form(h, limit)
     rank_floor = _cycle_rank(h)
-    start = canonical_form(g)
+    start = canonical_form(g, limit)
     if start == target:
         return OpTrace(())
 
@@ -202,14 +244,14 @@ def bipartite_minor_trace(h: Graph, g: Graph, cap: int | None = None) -> OpTrace
         next_frontier: list[CanonicalForm] = []
         for cf in frontier:
             state = seen[cf][0]
-            for step, child in _moves(state, cap):
+            for step, child in _moves(state, limit):
                 if (
                     child.vertex_count < h.vertex_count
                     or child.edge_count < h.edge_count
                     or _cycle_rank(child) < rank_floor
                 ):
                     continue
-                ccf = canonical_form(child)
+                ccf = canonical_form(child, limit)
                 if ccf in seen:
                     continue
                 seen[ccf] = (child, cf, step)
@@ -233,8 +275,9 @@ _closure_cache: dict[CanonicalForm, frozenset[CanonicalForm]] = {}
 def bipartite_minor_closure(g: Graph, cap: int | None = None) -> frozenset[CanonicalForm]:
     """Every graph (up to isomorphism, including ``g`` itself) reachable by
     deletions and admissible contractions."""
-    check_size_cap(g, cap)
-    start = canonical_form(g)
+    limit = resolve_size_cap(cap)
+    check_size_cap(g, limit)
+    start = canonical_form(g, limit)
     cached = _closure_cache.get(start)
     if cached is not None:
         return cached
@@ -244,8 +287,8 @@ def bipartite_minor_closure(g: Graph, cap: int | None = None) -> frozenset[Canon
     while frontier:
         next_frontier: list[CanonicalForm] = []
         for cf in frontier:
-            for _, child in _moves(seen[cf], cap):
-                ccf = canonical_form(child)
+            for _, child in _moves(seen[cf], limit):
+                ccf = canonical_form(child, limit)
                 if ccf not in seen:
                     seen[ccf] = child
                     next_frontier.append(ccf)

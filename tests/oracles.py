@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
+import networkx as nx
+
 from bipminor.canonical import canonical_form
 from bipminor.graph_core import (
     Graph,
@@ -221,6 +223,49 @@ def bipminor_by_unpruned_search(h: Graph, g: Graph) -> bool:
                 nxt.append(child)
         frontier = nxt
     return False
+
+
+def closure_by_isomorphism_test(g: Graph) -> list[Graph]:
+    """Reference bipartite-minor closure: one representative per
+    isomorphism class reachable from ``g``, found breadth-first over every
+    deletion and every admissible contraction of the cycle-scan oracle, and
+    deduplicated with ``networkx.is_isomorphic``."""
+
+    def nx_graph(x: Graph) -> nx.Graph:
+        out = nx.Graph()
+        out.add_nodes_from(x.vertices)
+        out.add_edges_from(x.edges)
+        return out
+
+    def invariant(x: Graph) -> tuple:
+        return x.vertex_count, x.edge_count, tuple(sorted(len(a) for a in x.adjacency))
+
+    buckets: dict[tuple, list[nx.Graph]] = {}
+    members: list[Graph] = []
+
+    def add(x: Graph) -> bool:
+        bucket = buckets.setdefault(invariant(x), [])
+        xg = nx_graph(x)
+        if any(nx.is_isomorphic(xg, other) for other in bucket):
+            return False
+        bucket.append(xg)
+        members.append(x)
+        return True
+
+    add(g)
+    frontier = [g]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            children = [delete_vertex(state, v) for v in state.vertices]
+            children += [delete_edge(state, u, v) for u, v in sorted(state.edges)]
+            children += [
+                contract_set(state, {u, v})
+                for u, v in sorted(brute_admissible_pairs(state))
+            ]
+            nxt += [child for child in children if add(child)]
+        frontier = nxt
+    return members
 
 
 def minor_by_operations(h: Graph, g: Graph) -> bool:

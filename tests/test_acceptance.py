@@ -19,22 +19,9 @@ from bipminor.relations import (
     validate_minor_model,
 )
 from bipminor.structure import is_k_connected, is_subgraph, subgraph_embedding
-from bipminor.cli.harness import verify_harness
+from bipminor.cli.harness import BULL_CASES, DOG_CASES, verify_harness
 
 from oracles import random_graph
-
-BULL_CASES = [
-    (snout, horn)
-    for snout in (3, 4, 5, 6)
-    for horn in (1, 2)
-    if snout + 2 * horn <= 10
-]
-
-DOG_CASES = [
-    (snout, stretch, ears)
-    for (snout, stretch) in ((5, 1), (5, 2), (6, 1), (6, 2))
-    for ears in ((3, 3), (4, 4))
-]
 
 
 @contextmanager

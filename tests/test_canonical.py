@@ -3,16 +3,20 @@ import random
 
 import pytest
 
+import networkx as nx
+from networkx.algorithms.isomorphism import GraphMatcher
+
 from bipminor.canonical import (
     CanonicalForm,
     are_isomorphic,
+    automorphism_generators,
     canonical_form,
     permute,
 )
 from bipminor.families import bull, cycle, dog, path
-from bipminor.graph_core import SizeCapExceeded, build, contract_set
+from bipminor.graph_core import SizeCapExceeded, build, contract_set, normalize_edge
 
-from oracles import brute_isomorphic, brute_min_bits, random_graph
+from oracles import brute_isomorphic, brute_min_bits, random_graph, random_sparse_connected
 
 
 def shuffled(g, rng):
@@ -26,6 +30,14 @@ class TestCanonicalForm:
         rng = random.Random(101)
         for _ in range(250):
             g = random_graph(rng, 6)
+            assert canonical_form(g).canonical_bits == brute_min_bits(g)
+
+    def test_matches_brute_force_on_seven_vertices(self):
+        rng = random.Random(108)
+        graphs = [cycle(7), bull(5, [2]), bull(4, [1, 2]), dog(5, [4]), dog(5, [3, 3])]
+        graphs = [shuffled(g, rng) for g in graphs for _ in range(2)]
+        graphs += [random_sparse_connected(rng, 7, extra=3) for _ in range(8)]
+        for g in graphs:
             assert canonical_form(g).canonical_bits == brute_min_bits(g)
 
     def test_invariant_under_relabeling(self):
@@ -61,6 +73,60 @@ class TestCanonicalForm:
         with pytest.raises(SizeCapExceeded):
             canonical_form(build(17, []))
         assert canonical_form(build(17, []), cap=17).vertex_count == 17
+
+
+def _networkx_orbits(g):
+    """Vertex and edge orbits of the full automorphism group."""
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices)
+    G.add_edges_from(g.edges)
+    vertex = {v: {v} for v in g.vertices}
+    edge = {e: {e} for e in g.edges}
+    for iso in GraphMatcher(G, G).isomorphisms_iter():
+        for v in g.vertices:
+            vertex[v].add(iso[v])
+        for u, v in g.edges:
+            edge[(u, v)].add(normalize_edge(iso[u], iso[v]))
+    return vertex, edge
+
+
+def _generated_orbit(x, gens, act):
+    seen = {x}
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        for p in gens:
+            image = act(p, y)
+            if image not in seen:
+                seen.add(image)
+                stack.append(image)
+    return seen
+
+
+class TestAutomorphisms:
+    def test_generators_map_edges_onto_edges(self):
+        rng = random.Random(109)
+        graphs = [cycle(9), dog(6, [4, 4]), bull(5, [1, 1]), build(6, [])]
+        graphs += [random_graph(rng, 9) for _ in range(150)]
+        for g in graphs:
+            for p in automorphism_generators(g):
+                assert sorted(p) == list(g.vertices)
+                assert {normalize_edge(p[u], p[v]) for u, v in g.edges} == g.edges
+
+    def test_orbits_match_full_group(self):
+        rng = random.Random(110)
+        graphs = [cycle(8), dog(4, [3, 3]), build(5, []), build(4, [(0, 1), (2, 3)])]
+        graphs += [random_graph(rng, 8) for _ in range(120)]
+        graphs += [random_sparse_connected(rng, 8, extra=2) for _ in range(80)]
+        for g in graphs:
+            gens = automorphism_generators(g)
+            vertex, edge = _networkx_orbits(g)
+            for v in g.vertices:
+                got = _generated_orbit(v, gens, lambda p, w: p[w])
+                assert got == vertex[v], (g, v)
+            for e in g.edges:
+                got = _generated_orbit(e, gens, lambda p, f: normalize_edge(p[f[0]], p[f[1]]))
+                assert got == edge[e], (g, e)
 
 
 class TestAreIsomorphic:

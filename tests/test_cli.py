@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -116,7 +117,22 @@ class TestAdmissible:
         assert capsys.readouterr().out == ""
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 class TestClosure:
+    @pytest.mark.parametrize(
+        "family, golden",
+        [(["cycle", "8"], "closure_C8.g6"), (["dog", "6", "4"], "closure_D6_4.g6")],
+    )
+    def test_output_matches_golden_file(self, tmp_path, capsys, family, golden):
+        # Any change to canonical forms or to the closure shows up here.
+        assert run_cli(["gen", *family]) == 0
+        host = tmp_path / "g.g6"
+        host.write_text(capsys.readouterr().out)
+        assert run_cli(["closure", str(host)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
     def test_closure_lines_parse_and_match(self, tmp_path, capsys):
         g = write_g6(tmp_path, "g.g6", cycle(6))
         assert run_cli(["closure", g]) == 0

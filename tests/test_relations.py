@@ -8,13 +8,18 @@ from bipminor.graph_core import (
     GraphError,
     SizeCapExceeded,
     build,
+    contract_set,
+    delete_edge,
+    delete_vertex,
     is_bipartite,
 )
 from bipminor.relations import (
     AdmissibleContraction,
+    EdgeDeletion,
     MinorModel,
     OpTrace,
     VertexDeletion,
+    _moves,
     admissible_contract,
     admissible_pairs,
     bipartite_minor_closure,
@@ -30,6 +35,7 @@ from bipminor.structure import is_k_connected, is_subgraph
 from oracles import (
     bipminor_by_unpruned_search,
     brute_admissible_pairs,
+    closure_by_isomorphism_test,
     minor_by_operations,
     random_graph,
     random_sparse_connected,
@@ -138,6 +144,27 @@ class TestBipartiteMinor:
             negatives += not want
         assert positives > 5 and negatives > 5
 
+    def test_moves_keep_the_first_move_to_each_child(self):
+        # Orbit pruning may drop a move only when an earlier move already
+        # reaches an isomorphic child; otherwise the searches' witnesses
+        # would change.
+        rng = random.Random(44)
+        hosts = [cycle(8), dog(6, [4]), bull(4, [1, 1]), build(5, [])]
+        hosts += [random_sparse_connected(rng, 8, extra=3) for _ in range(20)]
+        for g in hosts:
+            every = [
+                (AdmissibleContraction(p.u, p.v, p.w), contract_set(g, {p.u, p.v}))
+                for p in admissible_pairs(g)
+            ]
+            every += [(VertexDeletion(v), delete_vertex(g, v)) for v in g.vertices]
+            every += [(EdgeDeletion(u, v), delete_edge(g, u, v)) for u, v in sorted(g.edges)]
+            firsts: dict = {}
+            for step, child in every:
+                firsts.setdefault(canonical_form(child), (step, child))
+            got = list(_moves(g, 14))
+            assert [m for m in every if m in got] == got
+            assert set(firsts.values()) <= set(got)
+
     def test_every_positive_trace_replays(self):
         rng = random.Random(33)
         replayed = 0
@@ -173,6 +200,13 @@ class TestBipartiteMinor:
         with pytest.raises(SizeCapExceeded):
             is_bipartite_minor(cycle(3), cycle(15))
         assert is_bipartite_minor(build(3, []), build(15, []), cap=15)
+
+    def test_search_cap_reaches_canonical_forms(self, monkeypatch):
+        # The canonical forms inside the search obey the search cap, so a
+        # raised cap admits hosts above the canonical default of 16.
+        monkeypatch.setenv("BIPMINOR_SIZE_CAP", "20")
+        trace = bipartite_minor_trace(build(16, []), build(17, []))
+        assert trace is not None and len(trace) == 1
 
 
 class TestTraceReplay:
@@ -302,6 +336,18 @@ class TestClosure:
             assert is_bipartite(g) is not None
             for cf in bipartite_minor_closure(g):
                 assert is_bipartite(cf.to_graph()) is not None
+
+    def test_matches_isomorphism_test_oracle(self):
+        # The oracle expands every move and dedupes with networkx, so it
+        # shares neither the canonical forms nor the orbit pruning of moves.
+        rng = random.Random(39)
+        hosts = [cycle(6), bull(4, [2]), dog(5, [4]), dog(4, [3, 3])]
+        hosts += [random_sparse_connected(rng, 7, extra=3) for _ in range(6)]
+        for g in hosts:
+            want = closure_by_isomorphism_test(g)
+            got = bipartite_minor_closure(g)
+            assert len(got) == len(want)
+            assert {canonical_form(x) for x in want} == got
 
     def test_closure_agrees_with_decision_procedure(self):
         rng = random.Random(38)
