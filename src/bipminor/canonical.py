@@ -38,9 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import Graph, GraphError, SizeCapExceeded, normalize_edge
-
-DEFAULT_CANON_CAP = 16
+from .graph_core import Graph, GraphError, build, check_size_cap
 
 # A permutation ``p`` of the vertices maps vertex ``v`` to ``p[v]``.
 Perm = tuple[int, ...]
@@ -66,34 +64,26 @@ class CanonicalForm:
     def to_graph(self) -> Graph:
         """Rebuild the canonically labelled representative graph."""
         n = self.vertex_count
-        total = self.bit_length()
-        edges = []
-        pos = 0
-        for j in range(1, n):
-            for i in range(j):
-                if (self.canonical_bits >> (total - 1 - pos)) & 1:
-                    edges.append((i, j))
-                pos += 1
-        return Graph(n, frozenset(edges))
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        bits = format(self.canonical_bits, f"0{len(pairs)}b")
+        return build(n, [pair for pair, bit in zip(pairs, bits) if bit == "1"])
 
 
-def canonical_form(g: Graph, cap: int = DEFAULT_CANON_CAP) -> CanonicalForm:
-    """Canonical form of ``g``; rejects graphs above the size cap."""
+def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
+    """Canonical form of ``g``; rejects graphs above the size cap
+    (``graph_core.resolve_size_cap``)."""
     return _labelling(g, cap)[0]
 
 
-def automorphism_generators(g: Graph, cap: int = DEFAULT_CANON_CAP) -> tuple[Perm, ...]:
+def automorphism_generators(g: Graph, cap: int | None = None) -> tuple[Perm, ...]:
     """Permutations of ``g``'s vertices that generate its automorphism
     group (empty when the group is trivial); computed with, and cached
     beside, the canonical form."""
     return _labelling(g, cap)[1]
 
 
-def _labelling(g: Graph, cap: int) -> tuple[CanonicalForm, tuple[Perm, ...]]:
-    if g.vertex_count > cap:
-        raise SizeCapExceeded(
-            f"graph has {g.vertex_count} vertices, canonicalization cap is {cap}"
-        )
+def _labelling(g: Graph, cap: int | None) -> tuple[CanonicalForm, tuple[Perm, ...]]:
+    check_size_cap(g, cap)
     cached = _cache.get(g)
     if cached is None:
         bits, generators = _minimal_bits(g)
@@ -102,7 +92,7 @@ def _labelling(g: Graph, cap: int) -> tuple[CanonicalForm, tuple[Perm, ...]]:
     return cached
 
 
-def are_isomorphic(g: Graph, h: Graph, cap: int = DEFAULT_CANON_CAP) -> bool:
+def are_isomorphic(g: Graph, h: Graph, cap: int | None = None) -> bool:
     """True iff an edge-preserving vertex bijection exists."""
     if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
         return False
@@ -276,7 +266,4 @@ def permute(g: Graph, order: list[int] | tuple[int, ...]) -> Graph:
     if sorted(order) != list(g.vertices):
         raise GraphError("order must be a permutation of the vertices")
     pos = {v: i for i, v in enumerate(order)}
-    return Graph(
-        g.vertex_count,
-        frozenset(normalize_edge(pos[u], pos[v]) for u, v in g.edges),
-    )
+    return build(g.vertex_count, [(pos[u], pos[v]) for u, v in g.edges])

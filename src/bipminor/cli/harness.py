@@ -196,14 +196,8 @@ def _is_one_eared_dog(g: Graph) -> bool:
     return False
 
 
-_K2_FORM = None
-
-
-def _k2_form() -> CanonicalForm:
-    global _K2_FORM
-    if _K2_FORM is None:
-        _K2_FORM = canonical_form(build(2, [(0, 1)]))
-    return _K2_FORM
+# The canonical form of K_2: two vertices, its one bit set.
+_K2_FORM = CanonicalForm(2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +514,7 @@ def _claim_corollary_cycle() -> tuple[str, str]:
     if std != wanted:
         got = sorted((cf.vertex_count, cf.to_graph().edge_count) for cf in std)
         return f"unexpected standard-mode members: {got}", ""
-    if extras != {_k2_form()}:
+    if extras != {_K2_FORM}:
         return f"unexpected paper-mode extras: {sorted(extras)}", ""
     return (
         "standard members are C_4, C_6, C_8; paper-mode extra is K_2",
@@ -541,7 +535,7 @@ def _claim_corollary_one_eared_dog() -> tuple[str, str]:
     if stray:
         got = sorted((cf.vertex_count, cf.to_graph().edge_count) for cf in stray)
         return f"members that are neither cycles nor one-eared dogs: {got}", ""
-    if extras != {_k2_form()}:
+    if extras != {_K2_FORM}:
         return f"unexpected paper-mode extras: {sorted(extras)}", ""
     return (
         "standard members are cycles or one-eared dogs; paper-mode extra is K_2",

@@ -13,7 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-from ..canonical import canonical_form
 from ..families import FamilySpec
 from ..graph_core import Graph, GraphError
 from ..relations import (

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from ..canonical import are_isomorphic
-from ..graph_core import Edge, Graph, GraphError, normalize_edge, resolve_size_cap
+from ..graph_core import Edge, Graph, GraphError, build, normalize_edge
 from ..relations import (
     AdmissibleContraction,
     EdgeDeletion,
@@ -81,14 +81,8 @@ def parse_graph6(text: str) -> Graph:
     if any(bits[bits_needed:]):
         raise GraphError("nonzero padding bits in graph6 value")
 
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                edges.append((i, j))
-            pos += 1
-    return Graph(n, frozenset(edges))
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return build(n, [pair for pair, bit in zip(pairs, bits) if bit])
 
 
 def emit_dot(
@@ -198,7 +192,7 @@ def validate_witness(doc: Mapping) -> bool:
             raise GraphError("bipartite_minor witness steps must be a list")
         trace = OpTrace(tuple(_step_from_json(s) for s in steps))
         final = trace.replay(source)
-        if not are_isomorphic(final, target, resolve_size_cap()):
+        if not are_isomorphic(final, target):
             raise GraphError("trace replay does not reach the target graph")
         return True
 

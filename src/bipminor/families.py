@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .graph_core import Edge, Graph, GraphError
+from .graph_core import Edge, Graph, GraphError, build
 
 FAMILY_KINDS = ("cycle", "path", "bull", "dog", "h_tree")
 
@@ -19,14 +19,14 @@ def cycle(k: int) -> Graph:
     """The cycle on k vertices, k >= 3."""
     if k < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got {k}")
-    return Graph(k, frozenset((i, i + 1) for i in range(k - 1)) | {(0, k - 1)})
+    return build(k, [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)])
 
 
 def path(k: int) -> Graph:
     """The path on k vertices, k >= 1."""
     if k < 1:
         raise GraphError(f"path needs at least 1 vertex, got {k}")
-    return Graph(k, frozenset((i, i + 1) for i in range(k - 1)))
+    return build(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def bull(snout: int, horns: Sequence[int]) -> Graph:
@@ -51,7 +51,7 @@ def bull(snout: int, horns: Sequence[int]) -> Graph:
         for j in range(h - 1):
             edges.add((nxt + j, nxt + j + 1))
         nxt += h
-    return Graph(nxt, frozenset(edges))
+    return build(nxt, edges)
 
 
 def dog(snout: int, ears: Sequence[int]) -> Graph:
@@ -77,10 +77,9 @@ def dog(snout: int, ears: Sequence[int]) -> Graph:
     for i, e in enumerate(ears):
         inner = list(range(nxt, nxt + e - 2))
         chain = [2 * i + 1] + inner + [2 * i]
-        for a, b in zip(chain, chain[1:]):
-            edges.add((a, b) if a < b else (b, a))
+        edges.update(zip(chain, chain[1:]))
         nxt += e - 2
-    return Graph(nxt, frozenset(edges))
+    return build(nxt, edges)
 
 
 def h_tree(connector: int, arm_vertices: int = 3) -> Graph:
@@ -107,7 +106,7 @@ def h_tree(connector: int, arm_vertices: int = 3) -> Graph:
         if arm_vertices == 4:
             edges.add((nxt + 1, nxt + 2))
         nxt += arm_vertices - 1
-    return Graph(nxt, frozenset(edges))
+    return build(nxt, edges)
 
 
 @dataclass(frozen=True)

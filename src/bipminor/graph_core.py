@@ -1,8 +1,10 @@
 """Immutable simple graphs and the elementary operations on them.
 
-Vertices are the dense integers ``0..vertex_count-1``.  Every operation
-returns a fresh graph, relabelled compactly, so a recorded sequence of
-operations replays to the same labelled graph on every run.
+Vertices are the dense integers ``0..vertex_count-1``, and a graph is its
+vertex count plus one neighbour bitmask per vertex; the edge set and the
+adjacency sets are derived from the masks.  Every operation works on the
+masks and returns a fresh graph, relabelled compactly, so a recorded
+sequence of operations replays to the same labelled graph on every run.
 """
 
 from __future__ import annotations
@@ -51,27 +53,57 @@ def check_size_cap(g: "Graph", cap: int | None = None) -> None:
 class Graph:
     """A finite simple undirected graph on vertices ``0..vertex_count-1``.
 
-    Edges are stored as normalized pairs ``(u, v)`` with ``u < v``.
-    Instances are immutable, hashable, and safe to share between workers.
+    ``neighbor_masks[v]`` has bit ``w`` set iff ``vw`` is an edge; the masks
+    are the graph's only data, and ``edges``, ``adjacency`` and
+    ``edge_count`` are views derived from them.  Construction rejects masks
+    of the wrong length, bits at or above ``vertex_count``, loops, and
+    edges recorded at one end only.  Instances are immutable and hashable.
     """
 
     vertex_count: int
-    edges: frozenset[Edge]
+    neighbor_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+        n = self.vertex_count
+        masks = self.neighbor_masks
+        if n < 0:
             raise GraphError("vertex_count must be nonnegative")
-        for u, v in self.edges:
-            if u == v:
-                raise GraphError(f"loop edge at vertex {u}")
-            if u > v:
-                raise GraphError(f"edge not normalized: ({u}, {v})")
-            if not 0 <= u < self.vertex_count or not 0 <= v < self.vertex_count:
-                raise GraphError(f"edge endpoint out of range: ({u}, {v})")
+        if len(masks) != n:
+            raise GraphError(f"expected {n} neighbor masks, got {len(masks)}")
+        upper = 0  # edges vw with v < w, each checked at both ends
+        for v, m in enumerate(masks):
+            if m >> n:
+                raise GraphError(f"neighbor mask of vertex {v} has a bit at or above {n}")
+            if (m >> v) & 1:
+                raise GraphError(f"loop edge at vertex {v}")
+            m >>= v + 1
+            upper += m.bit_count()
+            while m:
+                low = m & -m
+                w = v + low.bit_length()
+                if not (masks[w] >> v) & 1:
+                    raise GraphError(f"edge ({v}, {w}) recorded at one end only")
+                m ^= low
+        # Each upper bit has its lower partner, so equal counts leave no
+        # lower bit without one.
+        if sum(map(int.bit_count, masks)) != 2 * upper:
+            raise GraphError("an edge is recorded at one end only")
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The edges as normalized pairs ``(u, v)`` with ``u < v``."""
+        out = []
+        for u, m in enumerate(self.neighbor_masks):
+            m >>= u + 1
+            while m:
+                low = m & -m
+                out.append((u, u + low.bit_length()))
+                m ^= low
+        return frozenset(out)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self.neighbor_masks)) >> 1
 
     @property
     def vertices(self) -> range:
@@ -79,20 +111,10 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Adjacency as bitmasks; the workhorse of the search modules."""
-        masks = [0] * self.vertex_count
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+        n = self.vertex_count
+        return tuple(
+            frozenset(w for w in range(n) if (m >> w) & 1) for m in self.neighbor_masks
+        )
 
     def neighbors(self, v: int) -> frozenset[int]:
         self.check_vertex(v)
@@ -100,10 +122,11 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self.check_vertex(v)
-        return len(self.adjacency[v])
+        return self.neighbor_masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges if u != v else False
+        n = self.vertex_count
+        return 0 <= u < n and 0 <= v < n and bool((self.neighbor_masks[u] >> v) & 1)
 
     def check_vertex(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
@@ -124,31 +147,45 @@ def build(vertex_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     out-of-range endpoints with distinct diagnostics."""
     if vertex_count < 0:
         raise GraphError("vertex_count must be nonnegative")
-    seen: set[Edge] = set()
+    masks = [0] * vertex_count
     for pair in edge_list:
         u, v = pair
         if u == v:
             raise GraphError(f"loop edge at vertex {u}")
         if not 0 <= u < vertex_count or not 0 <= v < vertex_count:
             raise GraphError(f"edge endpoint out of range: ({u}, {v})")
-        e = normalize_edge(u, v)
-        if e in seen:
+        if (masks[u] >> v) & 1:
             raise GraphError(f"duplicate edge: ({u}, {v})")
-        seen.add(e)
-    return Graph(vertex_count, frozenset(seen))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph(vertex_count, tuple(masks))
+
+
+def _drop(masks: Sequence[int], removed: int) -> tuple[int, ...]:
+    """The masks of the vertices outside ``removed``, with those vertices
+    taken out and the rest relabelled compactly in their old order."""
+    # One cut per removed vertex, highest first, so that the positions
+    # still to cut stay put: a cut keeps the bits below it and shifts the
+    # bits above it down by one.
+    cuts = []
+    r = removed
+    while r:
+        top = r.bit_length() - 1
+        cuts.append((1 << top) - 1)
+        r ^= 1 << top
+    out = []
+    for x, m in enumerate(masks):
+        if not (removed >> x) & 1:
+            for below in cuts:
+                m = (m & below) | ((m >> 1) & ~below)
+            out.append(m)
+    return tuple(out)
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Remove ``v`` and its incident edges; labels above ``v`` shift down."""
     g.check_vertex(v)
-
-    def relabel(x: int) -> int:
-        return x if x < v else x - 1
-
-    edges = frozenset(
-        normalize_edge(relabel(a), relabel(b)) for a, b in g.edges if v not in (a, b)
-    )
-    return Graph(g.vertex_count - 1, edges)
+    return Graph(g.vertex_count - 1, _drop(g.neighbor_masks, 1 << v))
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
@@ -157,7 +194,10 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     g.check_vertex(v)
     if not g.has_edge(u, v):
         raise GraphError(f"not an edge: ({u}, {v})")
-    return Graph(g.vertex_count, g.edges - {normalize_edge(u, v)})
+    masks = list(g.neighbor_masks)
+    masks[u] ^= 1 << v
+    masks[v] ^= 1 << u
+    return Graph(g.vertex_count, tuple(masks))
 
 
 def contract_set(g: Graph, vertex_set: Iterable[int]) -> Graph:
@@ -171,28 +211,20 @@ def contract_set(g: Graph, vertex_set: Iterable[int]) -> Graph:
     members = set(vertex_set)
     if not members:
         raise GraphError("cannot contract an empty vertex set")
+    masks = list(g.neighbor_masks)
+    inside = merged = 0
     for v in members:
         g.check_vertex(v)
-
+        inside |= 1 << v
+        merged |= masks[v]
     anchor = min(members)
-    survivors = [v for v in g.vertices if v not in members]
-    # The merged vertex stands at anchor's slot in the compact relabeling.
-    order = sorted(survivors + [anchor])
-    new_label = {v: i for i, v in enumerate(order)}
-    merged = new_label[anchor]
-
-    edges: set[Edge] = set()
-    for a, b in g.edges:
-        a_in, b_in = a in members, b in members
-        if a_in and b_in:
-            continue
-        if a_in:
-            edges.add(normalize_edge(merged, new_label[b]))
-        elif b_in:
-            edges.add(normalize_edge(merged, new_label[a]))
-        else:
-            edges.add(normalize_edge(new_label[a], new_label[b]))
-    return Graph(g.vertex_count - len(members) + 1, frozenset(edges))
+    for x, m in enumerate(masks):
+        if m & inside:
+            masks[x] = m | (1 << anchor)
+    # The merged vertex stands at anchor's slot; the other members and
+    # their bits go.
+    masks[anchor] = merged & ~inside
+    return Graph(g.vertex_count - len(members) + 1, _drop(masks, inside ^ (1 << anchor)))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .structure import (
     component_count,
     is_subgraph,
     peripheral_cycles,
+    reach,
 )
 
 RELATION_NAMES = ("bipartite_minor", "minor", "subgraph")
@@ -87,7 +88,7 @@ def admissible_contract(g: Graph, u: int, v: int, cap: int | None = None) -> Gra
         raise GraphError("cannot contract a vertex with itself")
     pair = (u, v) if u < v else (v, u)
     if not any(p.u == pair[0] and p.v == pair[1] for p in admissible_pairs(g, cap)):
-        if not g.adjacency[u] & g.adjacency[v]:
+        if not g.neighbor_masks[u] & g.neighbor_masks[v]:
             raise GraphError(f"pair ({u}, {v}) has no common neighbor")
         raise GraphError(
             f"no induced non-separating cycle passes through ({u}, w, {v}) "
@@ -312,48 +313,35 @@ class MinorModel:
 
 def validate_minor_model(model: MinorModel, h: Graph, g: Graph) -> None:
     """Raise GraphError unless the model proves h is a minor of g."""
-    sets = model.branch_sets
-    if len(sets) != h.vertex_count:
+    if len(model.branch_sets) != h.vertex_count:
         raise GraphError("model must have one branch set per target vertex")
-    taken: set[int] = set()
-    for i, bs in enumerate(sets):
+    taken = 0
+    sets: list[int] = []  # the branch sets as masks
+    for i, bs in enumerate(model.branch_sets):
         if not bs:
             raise GraphError(f"branch set {i} is empty")
+        mask = 0
         for v in bs:
             g.check_vertex(v)
-            if v in taken:
+            if (taken >> v) & 1:
                 raise GraphError(f"branch sets overlap at source vertex {v}")
-            taken.add(v)
-        if not _mask_connected(g, bs):
+            taken |= 1 << v
+            mask |= 1 << v
+        if reach(g, mask & -mask, mask) != mask:
             raise GraphError(f"branch set {i} is not connected in the source")
+        sets.append(mask)
     for a, b in h.edges:
-        if not _sets_adjacent(g, sets[a], sets[b]):
+        if not any(g.neighbor_masks[v] & sets[b] for v in model.branch_sets[a]):
             raise GraphError(f"target edge ({a}, {b}) has no source edge behind it")
 
 
-def _mask_connected(g: Graph, vs: frozenset[int]) -> bool:
-    first = min(vs)
-    seen = {first}
-    stack = [first]
-    while stack:
-        v = stack.pop()
-        for w in g.adjacency[v]:
-            if w in vs and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vs)
-
-
-def _sets_adjacent(g: Graph, a: frozenset[int], b: frozenset[int]) -> bool:
-    return any(g.adjacency[v] & b for v in a)
-
-
-def _connected_subsets(g: Graph) -> list[tuple[int, int]]:
+def _connected_subsets(g: Graph) -> list[tuple[int, int, int]]:
     """All vertex subsets inducing a connected subgraph, as (mask,
-    neighborhood-mask) pairs, each subset enumerated exactly once."""
+    neighborhood-mask, size) triples sorted by size, each subset
+    enumerated exactly once."""
     n = g.vertex_count
     masks = g.neighbor_masks
-    out: list[tuple[int, int]] = []
+    out: list[tuple[int, int, int]] = []
 
     def nbr_of(mask: int) -> int:
         acc = 0
@@ -365,7 +353,7 @@ def _connected_subsets(g: Graph) -> list[tuple[int, int]]:
         return acc & ~mask
 
     def grow(cur: int, banned: int) -> None:
-        out.append((cur, nbr_of(cur)))
+        out.append((cur, nbr_of(cur), cur.bit_count()))
         ext = nbr_of(cur) & ~banned
         taken = banned
         while ext:
@@ -377,7 +365,7 @@ def _connected_subsets(g: Graph) -> list[tuple[int, int]]:
         # Subsets whose minimum vertex is v: never grow below v.
         below = (1 << v) - 1
         grow(1 << v, below)
-    out.sort(key=lambda t: (bin(t[0]).count("1"), t[0]))
+    out.sort(key=lambda t: (t[2], t[0]))
     return out
 
 
@@ -417,10 +405,9 @@ def minor_model(h: Graph, g: Graph, cap: int | None = None) -> MinorModel | None
         v = order[i]
         anchors = [w for w in h.adjacency[v] if w in chosen_mask]
         remaining_after = len(order) - i - 1
-        for mask, nbr in subsets:
-            size = bin(mask).count("1")
+        for mask, nbr, size in subsets:
             if size > budget - remaining_after:
-                continue
+                break  # the subsets come by size, so the rest are too big
             if mask & used:
                 continue
             if any(not chosen_nbr[w] & mask for w in anchors):

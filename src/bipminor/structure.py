@@ -5,7 +5,9 @@ Two notions of k-connectivity are provided.  The default ("paper") asks
 that removing any vertex set of size at most k-1 leaves a connected graph,
 so the single edge counts as 2-connected.  The "standard" mode additionally
 requires at least k+1 vertices.  A graph with exactly one component is
-connected; the empty graph has zero components and is not.
+connected; the empty graph has zero components and is not.  Every
+connectivity question here and in ``relations`` is answered by ``reach``
+on neighbour masks.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .graph_core import (
     Edge,
     Graph,
     GraphError,
+    build,
     check_size_cap,
     normalize_edge,
 )
@@ -26,54 +29,46 @@ Cycle = tuple[int, ...]
 KCONN_MODES = ("paper", "standard")
 
 
+def reach(g: Graph, seed: int, within: int) -> int:
+    """The vertices joined to ``seed`` by paths inside ``within``, as a
+    mask; ``seed`` is a mask of vertices inside ``within``."""
+    masks = g.neighbor_masks
+    seen = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = masks[low.bit_length() - 1] & within & ~seen
+        seen |= new
+        frontier |= new
+    return seen
+
+
+def _count_components(g: Graph, within: int) -> int:
+    """Components of the subgraph induced on the mask ``within``."""
+    count = 0
+    while within:
+        within &= ~reach(g, within & -within, within)
+        count += 1
+    return count
+
+
 def components(g: Graph) -> tuple[frozenset[int], ...]:
     """Maximal connected vertex sets, ordered by smallest member."""
-    seen = [False] * g.vertex_count
-    adj = g.adjacency
+    left = (1 << g.vertex_count) - 1
     parts: list[frozenset[int]] = []
-    for start in g.vertices:
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        parts.append(frozenset(comp))
+    while left:
+        comp = reach(g, left & -left, left)
+        left ^= comp
+        parts.append(frozenset(v for v in g.vertices if (comp >> v) & 1))
     return tuple(parts)
 
 
 def component_count(g: Graph) -> int:
-    return len(components(g))
+    return _count_components(g, (1 << g.vertex_count) - 1)
 
 
 def is_connected(g: Graph) -> bool:
     return component_count(g) == 1
-
-
-def _component_count_excluding(g: Graph, removed: set[int]) -> int:
-    """Components of g minus a vertex set, without building a new graph."""
-    adj = g.adjacency
-    seen = set(removed)
-    count = 0
-    for start in g.vertices:
-        if start in seen:
-            continue
-        count += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return count
 
 
 def is_k_connected(g: Graph, k: int, mode: str = "paper") -> bool:
@@ -87,9 +82,11 @@ def is_k_connected(g: Graph, k: int, mode: str = "paper") -> bool:
         return False
     if not is_connected(g):
         return False
+    full = (1 << g.vertex_count) - 1
+    bits = [1 << v for v in g.vertices]
     for size in range(1, min(k, g.vertex_count + 1)):
-        for removed in combinations(g.vertices, size):
-            if _component_count_excluding(g, set(removed)) != 1:
+        for removed in combinations(bits, size):
+            if _count_components(g, full ^ sum(removed)) != 1:
                 return False
     return True
 
@@ -109,10 +106,7 @@ class Block:
         """The block as a standalone compactly relabelled graph."""
         order = sorted(self.vertices)
         label = {v: i for i, v in enumerate(order)}
-        return Graph(
-            len(order),
-            frozenset(normalize_edge(label[u], label[v]) for u, v in self.edges),
-        )
+        return build(len(order), [(label[u], label[v]) for u, v in self.edges])
 
 
 @dataclass(frozen=True)
@@ -216,22 +210,23 @@ def is_induced_cycle(g: Graph, seq: Cycle) -> bool:
 
 def is_nonseparating(g: Graph, vertex_set) -> bool:
     """Deleting the set does not increase the number of components."""
-    removed = set(vertex_set)
-    for v in removed:
+    rest = (1 << g.vertex_count) - 1
+    for v in vertex_set:
         g.check_vertex(v)
-    return _component_count_excluding(g, removed) <= component_count(g)
+        rest &= ~(1 << v)
+    return _count_components(g, rest) <= component_count(g)
 
 
-def _induced_cycles(g: Graph) -> list[Cycle]:
-    """All chordless cycles as canonical tuples: smallest vertex first,
-    oriented toward its smaller cycle neighbor.
+def _induced_cycles(g: Graph) -> list[tuple[Cycle, int]]:
+    """All chordless cycles as canonical tuples, each with its vertex mask:
+    smallest vertex first, oriented toward its smaller cycle neighbor.
 
     Grows induced paths from each start s using only vertices above s; a
     candidate adjacent to s closes a cycle and never extends the path.
     """
     n = g.vertex_count
     masks = g.neighbor_masks
-    out: list[Cycle] = []
+    out: list[tuple[Cycle, int]] = []
 
     def extend(s: int, path: list[int], path_mask: int) -> None:
         last = path[-1]
@@ -245,16 +240,18 @@ def _induced_cycles(g: Graph) -> list[Cycle]:
                 continue
             if (mw >> s) & 1:
                 if w > second:
-                    out.append(tuple(path) + (w,))
+                    out.append((tuple(path) + (w,), path_mask | (1 << w)))
             else:
                 path.append(w)
                 extend(s, path, path_mask | (1 << w))
                 path.pop()
 
     for s in range(n):
-        for a in sorted(g.adjacency[s]):
-            if a > s:
-                extend(s, [s, a], (1 << s) | (1 << a))
+        above = masks[s] >> (s + 1) << (s + 1)
+        while above:
+            low = above & -above
+            above ^= low
+            extend(s, [s, low.bit_length() - 1], (1 << s) | low)
     return out
 
 
@@ -263,10 +260,9 @@ def peripheral_cycles(g: Graph, cap: int | None = None) -> tuple[Cycle, ...]:
     rotation and reflection, sorted by length then lexicographically."""
     check_size_cap(g, cap)
     base = component_count(g)
+    full = (1 << g.vertex_count) - 1
     found = [
-        c
-        for c in _induced_cycles(g)
-        if _component_count_excluding(g, set(c)) <= base
+        c for c, mask in _induced_cycles(g) if _count_components(g, full ^ mask) <= base
     ]
     return tuple(sorted(found, key=lambda c: (len(c), c)))
 

@@ -1,9 +1,10 @@
 """Brute-force oracles used to pin expected values.
 
-Everything here is deliberately naive: permutations for isomorphism,
-injective maps for subgraph containment, exhaustive cycle enumeration for
-chordless / non-separating / block questions, and an operation-sequence
-search for the classical minor relation.  These stay independent of the
+Everything here is deliberately naive: vertex deletion, edge deletion
+and contraction on edge sets, permutations for isomorphism, injective
+maps for subgraph containment, exhaustive cycle enumeration for
+chordless / non-separating / block questions, and operation-sequence
+searches for the two minor relations.  These stay independent of the
 library's production search paths.
 """
 
@@ -13,16 +14,73 @@ import itertools
 from typing import Iterable
 
 import networkx as nx
+from hypothesis import strategies as st
 
 from bipminor.canonical import canonical_form
-from bipminor.graph_core import (
-    Graph,
-    build,
-    contract_set,
-    delete_edge,
-    delete_vertex,
-    normalize_edge,
-)
+from bipminor.graph_core import Graph, GraphError, build, normalize_edge
+
+
+# ---------------------------------------------------------------------------
+# reference graph operations on edge sets, sharing no code with the
+# neighbour-mask operations of ``graph_core``
+
+
+def delete_vertex(g: Graph, v: int) -> Graph:
+    """Remove ``v`` and its incident edges; labels above ``v`` shift down."""
+    g.check_vertex(v)
+
+    def relabel(x: int) -> int:
+        return x if x < v else x - 1
+
+    return build(
+        g.vertex_count - 1,
+        [(relabel(a), relabel(b)) for a, b in g.edges if v not in (a, b)],
+    )
+
+
+def delete_edge(g: Graph, u: int, v: int) -> Graph:
+    """Remove the edge ``uv``; the vertex set is unchanged."""
+    g.check_vertex(u)
+    g.check_vertex(v)
+    if normalize_edge(u, v) not in g.edges:
+        raise GraphError(f"not an edge: ({u}, {v})")
+    return build(g.vertex_count, g.edges - {normalize_edge(u, v)})
+
+
+def contract_set(g: Graph, vertex_set: Iterable[int]) -> Graph:
+    """Contract a vertex set to one vertex at the slot of its smallest
+    member; the other survivors keep their relative order."""
+    members = set(vertex_set)
+    if not members:
+        raise GraphError("cannot contract an empty vertex set")
+    for v in members:
+        g.check_vertex(v)
+
+    anchor = min(members)
+    order = sorted([v for v in g.vertices if v not in members] + [anchor])
+    new_label = {v: i for i, v in enumerate(order)}
+    merged = new_label[anchor]
+
+    edges: set[tuple[int, int]] = set()
+    for a, b in g.edges:
+        a_in, b_in = a in members, b in members
+        if a_in and b_in:
+            continue
+        if a_in:
+            edges.add(normalize_edge(merged, new_label[b]))
+        elif b_in:
+            edges.add(normalize_edge(merged, new_label[a]))
+        else:
+            edges.add(normalize_edge(new_label[a], new_label[b]))
+    return build(len(order), edges)
+
+
+@st.composite
+def graphs(draw, max_vertices=8):
+    n = draw(st.integers(0, max_vertices))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build(n, edges)
 
 
 def random_graph(rng, max_vertices: int, min_vertices: int = 0) -> Graph:

@@ -3,6 +3,7 @@ printing a pass/fail line (run pytest with -s to see them live)."""
 
 import random
 from contextlib import contextmanager
+from pathlib import Path
 from time import perf_counter
 
 from bipminor.canonical import are_isomorphic, canonical_form, permute
@@ -197,7 +198,9 @@ def test_criterion_11_property_suites():
                     assert rel(a, c)
 
 
-def test_full_harness_through_cli():
+def test_full_harness_through_cli(capsys):
     from bipminor.cli.main import run_cli
 
     assert run_cli(["verify", "all"]) == 0
+    golden = Path(__file__).parent / "golden" / "verify_all.txt"
+    assert capsys.readouterr().out == golden.read_text()

@@ -74,6 +74,13 @@ class TestCanonicalForm:
             canonical_form(build(17, []))
         assert canonical_form(build(17, []), cap=17).vertex_count == 17
 
+    def test_size_cap_is_the_search_cap(self, monkeypatch):
+        monkeypatch.delenv("BIPMINOR_SIZE_CAP", raising=False)
+        with pytest.raises(SizeCapExceeded, match="size cap is 14"):
+            canonical_form(build(15, []))
+        monkeypatch.setenv("BIPMINOR_SIZE_CAP", "16")
+        assert canonical_form(build(15, [])).vertex_count == 15
+
 
 def _networkx_orbits(g):
     """Vertex and edge orbits of the full automorphism group."""

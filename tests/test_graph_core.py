@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -16,15 +17,8 @@ from bipminor.graph_core import (
     is_bipartite,
 )
 
-from oracles import has_odd_cycle, random_graph
-
-
-@st.composite
-def graphs(draw, max_vertices=8):
-    n = draw(st.integers(0, max_vertices))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return build(n, edges)
+import oracles
+from oracles import graphs, has_odd_cycle, random_graph
 
 
 class TestBuild:
@@ -56,6 +50,58 @@ class TestBuild:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError, match="out of range"):
             build(3, [(0, 3)])
+
+
+class TestMasks:
+    def test_masks_are_the_only_data(self):
+        assert [f.name for f in fields(Graph)] == ["vertex_count", "neighbor_masks"]
+        assert build(3, [(0, 1), (1, 2)]).neighbor_masks == (0b010, 0b101, 0b010)
+
+    @pytest.mark.parametrize(
+        "n, masks, message",
+        [
+            (-1, (), "nonnegative"),
+            (3, (0b010, 0b001), "expected 3"),
+            (2, (0b110, 0b001, 0b001), "expected 2"),
+            (2, (0b110, 0b001), "at or above 2"),
+            (2, (-1, 0b001), "at or above 2"),
+            (3, (0b001, 0b000, 0b000), "loop"),
+            (3, (0b010, 0b000, 0b000), "one end only"),
+            (3, (0b000, 0b001, 0b000), "one end only"),
+        ],
+    )
+    def test_bad_masks_rejected(self, n, masks, message):
+        with pytest.raises(GraphError, match=message):
+            Graph(n, masks)
+
+    def test_has_edge_outside_the_graph(self):
+        g = cycle(4)
+        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        assert not g.has_edge(0, 2)
+        assert not g.has_edge(1, 1)
+        assert not g.has_edge(-1, 0) and not g.has_edge(0, -3)
+        assert not g.has_edge(3, 4) and not g.has_edge(9, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_vertices=10))
+    def test_views_agree_with_masks(self, g):
+        assert build(g.vertex_count, g.edges) == g
+        assert g.edge_count == len(g.edges)
+        for v in g.vertices:
+            assert g.degree(v) == len(g.adjacency[v])
+            assert all(g.has_edge(v, w) for w in g.adjacency[v])
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
+    def test_operations_match_edge_set_reference(self, g, rng):
+        for v in g.vertices:
+            assert delete_vertex(g, v) == oracles.delete_vertex(g, v)
+        for u, v in sorted(g.edges):
+            assert delete_edge(g, u, v) == oracles.delete_edge(g, u, v)
+            assert contract_set(g, (u, v)) == oracles.contract_set(g, (u, v))
+        for _ in range(5 if g.vertex_count else 0):
+            members = rng.sample(g.vertices, rng.randint(1, g.vertex_count))
+            assert contract_set(g, members) == oracles.contract_set(g, members)
 
 
 class TestDeleteVertex:

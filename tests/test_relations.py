@@ -19,6 +19,7 @@ from bipminor.relations import (
     MinorModel,
     OpTrace,
     VertexDeletion,
+    _connected_subsets,
     _moves,
     admissible_contract,
     admissible_pairs,
@@ -203,7 +204,7 @@ class TestBipartiteMinor:
 
     def test_search_cap_reaches_canonical_forms(self, monkeypatch):
         # The canonical forms inside the search obey the search cap, so a
-        # raised cap admits hosts above the canonical default of 16.
+        # raised cap admits hosts above the default cap of 14.
         monkeypatch.setenv("BIPMINOR_SIZE_CAP", "20")
         trace = bipartite_minor_trace(build(16, []), build(17, []))
         assert trace is not None and len(trace) == 1
@@ -283,6 +284,17 @@ class TestMinor:
 
     def test_empty_target(self):
         assert is_minor(build(0, []), cycle(5))
+
+    def test_connected_subsets_come_by_size(self):
+        # minor_model stops scanning at the first subset over its budget,
+        # which relies on the sizes being popcounts in nondecreasing order.
+        rng = random.Random(37)
+        pool = [dog(6, [4, 4]), h_tree(3)] + [random_graph(rng, 8) for _ in range(20)]
+        for g in pool:
+            subsets = _connected_subsets(g)
+            assert all(size == bin(mask).count("1") for mask, _, size in subsets)
+            sizes = [size for _, _, size in subsets]
+            assert sizes == sorted(sizes)
 
 
 class TestClosure:

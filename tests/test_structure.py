@@ -1,9 +1,12 @@
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipminor.families import bull, cycle, dog, h_tree, path
-from bipminor.graph_core import GraphError, SizeCapExceeded, build
+from bipminor.graph_core import GraphError, SizeCapExceeded, build, normalize_edge
 from bipminor.structure import (
     blocks,
     component_count,
@@ -19,6 +22,7 @@ from bipminor.structure import (
 
 from oracles import (
     brute_blocks,
+    graphs,
     brute_peripheral,
     brute_subgraph,
     random_graph,
@@ -37,6 +41,55 @@ class TestComponents:
     def test_empty_graph_has_zero_components(self):
         assert components(build(0, [])) == ()
         assert not is_connected(build(0, []))
+
+
+def _nx(g):
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices)
+    G.add_edges_from(g.edges)
+    return G
+
+
+class TestAgainstNetworkx:
+    """Cross-checks of the mask-based connectivity against networkx."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=10))
+    def test_components(self, g):
+        want = sorted(nx.connected_components(_nx(g)), key=min)
+        assert components(g) == tuple(frozenset(c) for c in want)
+        assert component_count(g) == len(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=10))
+    def test_standard_k_connectivity(self, g):
+        G = _nx(g)
+        for k in (1, 2, 3):
+            want = g.vertex_count >= k + 1 and nx.node_connectivity(G) >= k
+            assert is_k_connected(g, k, "standard") == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
+    def test_nonseparating(self, g, rng):
+        G = _nx(g)
+        base = nx.number_connected_components(G)
+        for size in range(g.vertex_count + 1):
+            removed = rng.sample(range(g.vertex_count), size)
+            rest = G.subgraph(set(g.vertices) - set(removed))
+            want = nx.number_connected_components(rest) <= base
+            assert is_nonseparating(g, removed) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=10))
+    def test_blocks(self, g):
+        G = _nx(g)
+        want = {
+            frozenset(normalize_edge(u, v) for u, v in edges)
+            for edges in nx.biconnected_component_edges(G)
+        }
+        got = blocks(g)
+        assert {b.edges for b in got.blocks} == want
+        assert got.cut_vertices == set(nx.articulation_points(G))
 
 
 class TestKConnectivity:
