@@ -118,16 +118,25 @@ def _step_to_json(step: Step) -> dict:
     raise GraphError(f"unknown trace step: {step!r}")
 
 
+def _vertex(x: object) -> int:
+    """A vertex label from a witness document: a JSON integer."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise GraphError(f"witness vertex is not an integer: {x!r}")
+    return x
+
+
 def _step_from_json(obj: Mapping) -> Step:
     try:
         op = obj["op"]
         if op == "delete_vertex":
-            return VertexDeletion(int(obj["v"]))
+            return VertexDeletion(_vertex(obj["v"]))
         if op == "delete_edge":
-            return EdgeDeletion(int(obj["u"]), int(obj["v"]))
+            return EdgeDeletion(_vertex(obj["u"]), _vertex(obj["v"]))
         if op == "admissible_contract":
-            return AdmissibleContraction(int(obj["u"]), int(obj["v"]), int(obj["w"]))
-    except (KeyError, TypeError, ValueError) as exc:
+            return AdmissibleContraction(
+                _vertex(obj["u"]), _vertex(obj["v"]), _vertex(obj["w"])
+            )
+    except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed witness step: {obj!r}") from exc
     raise GraphError(f"unknown witness op: {op!r}")
 
@@ -173,14 +182,18 @@ def validate_witness(doc: Mapping) -> bool:
     try:
         relation = doc["relation"]
         holds = doc["holds"]
-        source = parse_graph6(doc["source"])
-        target = parse_graph6(doc["target"])
+        texts = doc["source"], doc["target"]
         convention = doc["labeling_convention"]
         steps = doc["steps"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed witness document: missing field ({exc})") from exc
     if convention != LABELING_CONVENTION:
         raise GraphError(f"unknown labeling convention: {convention!r}")
+    if not isinstance(holds, bool):
+        raise GraphError(f"holds must be true or false, not {holds!r}")
+    if not all(isinstance(t, str) for t in texts):
+        raise GraphError("source and target must be graph6 strings")
+    source, target = (parse_graph6(t) for t in texts)
 
     if not holds:
         if steps is not None:
@@ -202,9 +215,9 @@ def validate_witness(doc: Mapping) -> bool:
         sets = []
         for i in range(target.vertex_count):
             members = steps.get(str(i))
-            if members is None:
-                raise GraphError(f"branch set missing for target vertex {i}")
-            sets.append(frozenset(int(x) for x in members))
+            if not isinstance(members, list):
+                raise GraphError(f"branch set {i} is missing or not a list")
+            sets.append(frozenset(_vertex(x) for x in members))
         validate_minor_model(MinorModel(tuple(sets)), target, source)
         return True
 
@@ -214,9 +227,9 @@ def validate_witness(doc: Mapping) -> bool:
         image = {}
         for i in range(target.vertex_count):
             members = steps.get(str(i))
-            if not members or len(members) != 1:
-                raise GraphError(f"embedding image missing for target vertex {i}")
-            image[i] = int(members[0])
+            if not isinstance(members, list) or len(members) != 1:
+                raise GraphError(f"image of target vertex {i} is not one vertex")
+            image[i] = _vertex(members[0])
         if len(set(image.values())) != len(image):
             raise GraphError("embedding is not injective")
         for v in image.values():

@@ -2,19 +2,21 @@
 
 ``is_bipartite_minor`` decides reachability from a host graph via vertex
 deletion, edge deletion, and admissible contraction (contracting a pair
-with a common neighbor on an induced non-separating cycle).  The search is
-a breadth-first walk over the operation graph, memoized on canonical
-forms; every operation strictly shrinks |V|+|E| and never increases the
-cycle rank |E|-|V|+(components), so states below the target on any of
-those measures are pruned.  Frontier states are expanded in canonical-form
-order, which makes returned witnesses reproducible.
+with a common neighbor on an induced non-separating cycle).  One
+breadth-first walk over the operation graph, ``_walk``, serves both
+bipartite-minor questions.  It is memoized on canonical forms and expands
+each frontier in canonical-form order, which makes returned witnesses
+reproducible.  The trace walks toward the target's form; every operation
+strictly shrinks |V|+|E| and never increases the cycle rank
+|E|-|V|+(components), so children below the target on any of those
+measures are pruned, and the witness is read back from the parent links.
+``bipartite_minor_closure`` is the same walk with no target and no
+pruning: everything reachable, up to isomorphism.
 
 ``is_minor`` uses the equivalent branch-set formulation: disjoint
 connected sets in the host, one per target vertex, with a host edge behind
-every target edge.
-
-``bipartite_minor_closure`` is the same walk with no target: everything
-reachable, up to isomorphism.
+every target edge.  It is ``structure``'s branch-set search run over the
+host's connected vertex sets.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from .graph_core import (
 )
 from .structure import (
     Cycle,
+    _branch_sets,
+    _connected_subsets,
+    _members,
     component_count,
     is_subgraph,
     peripheral_cycles,
@@ -86,8 +91,7 @@ def admissible_contract(g: Graph, u: int, v: int, cap: int | None = None) -> Gra
     g.check_vertex(v)
     if u == v:
         raise GraphError("cannot contract a vertex with itself")
-    pair = (u, v) if u < v else (v, u)
-    if not any(p.u == pair[0] and p.v == pair[1] for p in admissible_pairs(g, cap)):
+    if not _middles(g, u, v, cap):
         if not g.neighbor_masks[u] & g.neighbor_masks[v]:
             raise GraphError(f"pair ({u}, {v}) has no common neighbor")
         raise GraphError(
@@ -95,6 +99,18 @@ def admissible_contract(g: Graph, u: int, v: int, cap: int | None = None) -> Gra
             "for any common neighbor w"
         )
     return contract_set(g, {u, v})
+
+
+def _middles(g: Graph, u: int, v: int, cap: int | None) -> set[int]:
+    """Every w such that u, w, v lie consecutively on an induced
+    non-separating cycle of ``g``."""
+    out = set()
+    for cyc in peripheral_cycles(g, cap):
+        m = len(cyc)
+        for i in range(m):
+            if {cyc[i - 1], cyc[(i + 1) % m]} == {u, v}:
+                out.add(cyc[i])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +151,9 @@ class OpTrace:
         return len(self.steps)
 
     def replay(self, source: Graph) -> Graph:
-        """Apply the steps to ``source``, re-checking admissibility of every
-        contraction; raises if any step is illegal."""
+        """Apply the steps to ``source``, re-checking that every
+        contraction's u, w, v lie consecutively on an induced
+        non-separating cycle; raises if any step is illegal."""
         g = source
         for step in self.steps:
             if isinstance(step, VertexDeletion):
@@ -144,7 +161,13 @@ class OpTrace:
             elif isinstance(step, EdgeDeletion):
                 g = delete_edge(g, step.u, step.v)
             elif isinstance(step, AdmissibleContraction):
-                g = admissible_contract(g, step.u, step.v, cap=g.vertex_count)
+                u, v, w = step.u, step.v, step.w
+                if w not in _middles(g, u, v, g.vertex_count):
+                    raise GraphError(
+                        f"({u}, {w}, {v}) lie consecutively on no induced "
+                        "non-separating cycle"
+                    )
+                g = contract_set(g, {u, v})
             else:
                 raise GraphError(f"unknown trace step: {step!r}")
         return g
@@ -209,6 +232,40 @@ def _orbit_firsts(items: Iterable, gens: tuple[Perm, ...], act: Callable) -> Ite
         yield x
 
 
+Walk = dict[CanonicalForm, tuple[Graph, CanonicalForm | None, Step | None]]
+
+
+def _walk(
+    g: Graph,
+    start: CanonicalForm,
+    limit: int,
+    target: CanonicalForm | None = None,
+    keep: Callable[[Graph], bool] | None = None,
+) -> Walk:
+    """Breadth-first walk from ``g`` (whose form is ``start``) over the
+    children that ``keep`` accepts, each frontier in canonical order.  Maps
+    every form reached to its first labelled graph, parent form and step
+    from the parent; stops as soon as ``target`` is reached."""
+    seen: Walk = {start: (g, None, None)}
+    frontier = [] if start == target else [start]
+    while frontier:
+        frontier.sort()
+        next_frontier: list[CanonicalForm] = []
+        for cf in frontier:
+            for step, child in _moves(seen[cf][0], limit):
+                if keep is not None and not keep(child):
+                    continue
+                ccf = canonical_form(child, limit)
+                if ccf in seen:
+                    continue
+                seen[ccf] = (child, cf, step)
+                if ccf == target:
+                    return seen
+                next_frontier.append(ccf)
+        frontier = next_frontier
+    return seen
+
+
 def bipartite_minor_trace(h: Graph, g: Graph, cap: int | None = None) -> OpTrace | None:
     """A replayable witness that ``h`` is a bipartite minor of ``g``, or
     ``None``.  The search is exhaustive within the cap, so ``None`` is a
@@ -217,50 +274,25 @@ def bipartite_minor_trace(h: Graph, g: Graph, cap: int | None = None) -> OpTrace
     check_size_cap(g, limit)
     if h.vertex_count > g.vertex_count or h.edge_count > g.edge_count:
         return None
-
     target = canonical_form(h, limit)
     rank_floor = _cycle_rank(h)
-    start = canonical_form(g, limit)
-    if start == target:
-        return OpTrace(())
 
-    # canonical form -> (labelled graph, parent form, step from the parent)
-    seen: dict[CanonicalForm, tuple[Graph, CanonicalForm | None, Step | None]] = {
-        start: (g, None, None)
-    }
+    def keep(child: Graph) -> bool:
+        return (
+            child.vertex_count >= h.vertex_count
+            and child.edge_count >= h.edge_count
+            and _cycle_rank(child) >= rank_floor
+        )
 
-    def trace_back(cf: CanonicalForm) -> OpTrace:
-        steps: list[Step] = []
-        while True:
-            _, parent, step = seen[cf]
-            if parent is None:
-                break
-            steps.append(step)
-            cf = parent
-        return OpTrace(tuple(reversed(steps)))
-
-    frontier = [start]
-    while frontier:
-        frontier.sort()
-        next_frontier: list[CanonicalForm] = []
-        for cf in frontier:
-            state = seen[cf][0]
-            for step, child in _moves(state, limit):
-                if (
-                    child.vertex_count < h.vertex_count
-                    or child.edge_count < h.edge_count
-                    or _cycle_rank(child) < rank_floor
-                ):
-                    continue
-                ccf = canonical_form(child, limit)
-                if ccf in seen:
-                    continue
-                seen[ccf] = (child, cf, step)
-                if ccf == target:
-                    return trace_back(ccf)
-                next_frontier.append(ccf)
-        frontier = next_frontier
-    return None
+    seen = _walk(g, canonical_form(g, limit), limit, target, keep)
+    if target not in seen:
+        return None
+    steps: list[Step] = []
+    _, parent, step = seen[target]
+    while parent is not None:
+        steps.append(step)
+        _, parent, step = seen[parent]
+    return OpTrace(tuple(reversed(steps)))
 
 
 def is_bipartite_minor(h: Graph, g: Graph, cap: int | None = None) -> bool:
@@ -280,23 +312,9 @@ def bipartite_minor_closure(g: Graph, cap: int | None = None) -> frozenset[Canon
     check_size_cap(g, limit)
     start = canonical_form(g, limit)
     cached = _closure_cache.get(start)
-    if cached is not None:
-        return cached
-
-    seen: dict[CanonicalForm, Graph] = {start: g}
-    frontier = [start]
-    while frontier:
-        next_frontier: list[CanonicalForm] = []
-        for cf in frontier:
-            for _, child in _moves(seen[cf], limit):
-                ccf = canonical_form(child, limit)
-                if ccf not in seen:
-                    seen[ccf] = child
-                    next_frontier.append(ccf)
-        frontier = next_frontier
-    result = frozenset(seen)
-    _closure_cache[start] = result
-    return result
+    if cached is None:
+        cached = _closure_cache[start] = frozenset(_walk(g, start, limit))
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -335,98 +353,13 @@ def validate_minor_model(model: MinorModel, h: Graph, g: Graph) -> None:
             raise GraphError(f"target edge ({a}, {b}) has no source edge behind it")
 
 
-def _connected_subsets(g: Graph) -> list[tuple[int, int, int]]:
-    """All vertex subsets inducing a connected subgraph, as (mask,
-    neighborhood-mask, size) triples sorted by size, each subset
-    enumerated exactly once."""
-    n = g.vertex_count
-    masks = g.neighbor_masks
-    out: list[tuple[int, int, int]] = []
-
-    def nbr_of(mask: int) -> int:
-        acc = 0
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            acc |= masks[v]
-            m &= m - 1
-        return acc & ~mask
-
-    def grow(cur: int, banned: int) -> None:
-        out.append((cur, nbr_of(cur), cur.bit_count()))
-        ext = nbr_of(cur) & ~banned
-        taken = banned
-        while ext:
-            u = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            grow(cur | (1 << u), taken)
-            taken |= 1 << u
-    for v in range(n):
-        # Subsets whose minimum vertex is v: never grow below v.
-        below = (1 << v) - 1
-        grow(1 << v, below)
-    out.sort(key=lambda t: (t[2], t[0]))
-    return out
-
-
 def minor_model(h: Graph, g: Graph, cap: int | None = None) -> MinorModel | None:
-    """A branch-set witness that ``h`` is a minor of ``g``, or ``None``."""
-    check_size_cap(h, cap)
-    check_size_cap(g, cap)
-    if h.vertex_count > g.vertex_count or h.edge_count > g.edge_count:
+    """A branch-set witness that ``h`` is a minor of ``g``, or ``None``: the
+    branch-set search over connected sets."""
+    sets = _branch_sets(h, g, cap, _connected_subsets)
+    if sets is None:
         return None
-    if h.vertex_count == 0:
-        return MinorModel(())
-
-    subsets = _connected_subsets(g)
-
-    # Assign high-degree target vertices first, then whatever is most
-    # anchored to already-assigned neighbors.
-    order: list[int] = []
-    placed: set[int] = set()
-    while len(order) < h.vertex_count:
-        pick = max(
-            (v for v in h.vertices if v not in placed),
-            key=lambda v: (
-                sum(w in placed for w in h.adjacency[v]),
-                h.degree(v),
-                -v,
-            ),
-        )
-        order.append(pick)
-        placed.add(pick)
-
-    chosen_mask: dict[int, int] = {}
-    chosen_nbr: dict[int, int] = {}
-
-    def assign(i: int, used: int, budget: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        anchors = [w for w in h.adjacency[v] if w in chosen_mask]
-        remaining_after = len(order) - i - 1
-        for mask, nbr, size in subsets:
-            if size > budget - remaining_after:
-                break  # the subsets come by size, so the rest are too big
-            if mask & used:
-                continue
-            if any(not chosen_nbr[w] & mask for w in anchors):
-                continue
-            chosen_mask[v] = mask
-            chosen_nbr[v] = nbr
-            if assign(i + 1, used | mask, budget - size):
-                return True
-            del chosen_mask[v]
-            del chosen_nbr[v]
-        return False
-
-    if not assign(0, 0, g.vertex_count):
-        return None
-    sets = []
-    for v in h.vertices:
-        mask = chosen_mask[v]
-        sets.append(frozenset(i for i in range(g.vertex_count) if (mask >> i) & 1))
-    model = MinorModel(tuple(sets))
+    model = MinorModel(tuple(_members(g, mask) for mask in sets))
     validate_minor_model(model, h, g)
     return model
 

@@ -6,14 +6,19 @@ that removing any vertex set of size at most k-1 leaves a connected graph,
 so the single edge counts as 2-connected.  The "standard" mode additionally
 requires at least k+1 vertices.  A graph with exactly one component is
 connected; the empty graph has zero components and is not.  Every
-connectivity question here and in ``relations`` is answered by ``reach``
-on neighbour masks.
+connectivity question here and in ``relations``, blocks and cut vertices
+included, is answered by ``reach`` on neighbour masks.
+
+One backtracking search, ``_branch_sets``, places a vertex set of the host
+for each target vertex.  Over singletons it finds subgraph embeddings;
+``relations`` runs it over connected sets for minor models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .graph_core import (
     Edge,
@@ -21,7 +26,6 @@ from .graph_core import (
     GraphError,
     build,
     check_size_cap,
-    normalize_edge,
 )
 
 Cycle = tuple[int, ...]
@@ -59,8 +63,12 @@ def components(g: Graph) -> tuple[frozenset[int], ...]:
     while left:
         comp = reach(g, left & -left, left)
         left ^= comp
-        parts.append(frozenset(v for v in g.vertices if (comp >> v) & 1))
+        parts.append(_members(g, comp))
     return tuple(parts)
+
+
+def _members(g: Graph, mask: int) -> frozenset[int]:
+    return frozenset(v for v in g.vertices if (mask >> v) & 1)
 
 
 def component_count(g: Graph) -> int:
@@ -119,68 +127,31 @@ def blocks(g: Graph) -> BlockDecomposition:
     """Biconnected components, ordered by smallest contained vertex.
 
     The blocks partition the edge set; isolated vertices belong to no block.
+    A cut vertex is one whose deletion adds a component.  A vertex x lies
+    in the block of the edge uv iff, for every cut vertex c other than x,
+    x is still joined to {u, v} - c once c is deleted (the block minus c
+    stays connected, and a cut vertex of the block-cut tree separates
+    every other vertex from it).
     """
-    n = g.vertex_count
-    adj = [sorted(g.adjacency[v]) for v in range(n)]
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    edge_stack: list[Edge] = []
-    raw_blocks: list[list[Edge]] = []
-    cut: set[int] = set()
-
-    def settle(v: int, w: int) -> None:
-        stop = normalize_edge(v, w)
-        piece: list[Edge] = []
-        while True:
-            e = edge_stack.pop()
-            piece.append(e)
-            if e == stop:
-                break
-        raw_blocks.append(piece)
-
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        stack: list[list[int]] = [[root, -1, 0]]
-        while stack:
-            frame = stack[-1]
-            v, parent, idx = frame
-            if idx < len(adj[v]):
-                frame[2] += 1
-                w = adj[v][idx]
-                if disc[w] == -1:
-                    if v == root:
-                        root_children += 1
-                    edge_stack.append(normalize_edge(v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append([w, v, 0])
-                elif w != parent and disc[w] < disc[v]:
-                    edge_stack.append(normalize_edge(v, w))
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] >= disc[pv]:
-                        # One block per subtree that cannot reach above pv.
-                        if pv != root:
-                            cut.add(pv)
-                        settle(pv, v)
-        if root_children > 1:
-            cut.add(root)
-
+    full = (1 << g.vertex_count) - 1
+    base = _count_components(g, full)
+    cuts = [1 << c for c in g.vertices if _count_components(g, full ^ (1 << c)) > base]
+    edges = sorted(g.edges)
     out = []
-    for piece in raw_blocks:
-        verts = frozenset(x for e in piece for x in e)
-        out.append(Block(verts, frozenset(piece)))
+    covered: set[Edge] = set()
+    for u, v in edges:
+        if (u, v) in covered:
+            continue
+        ends = (1 << u) | (1 << v)
+        mask = reach(g, ends, full)
+        for c in cuts:
+            mask &= reach(g, ends & ~c, full ^ c) | c
+        piece = frozenset(e for e in edges if (mask >> e[0]) & 1 and (mask >> e[1]) & 1)
+        covered |= piece
+        out.append(Block(_members(g, mask), piece))
     out.sort(key=lambda b: (min(b.vertices), sorted(b.vertices), sorted(b.edges)))
-    return BlockDecomposition(tuple(out), frozenset(cut))
+    cut_vertices = frozenset(c.bit_length() - 1 for c in cuts)
+    return BlockDecomposition(tuple(out), cut_vertices)
 
 
 def is_cycle(g: Graph, seq: Cycle) -> bool:
@@ -267,55 +238,114 @@ def peripheral_cycles(g: Graph, cap: int | None = None) -> tuple[Cycle, ...]:
     return tuple(sorted(found, key=lambda c: (len(c), c)))
 
 
-def subgraph_embedding(
-    h: Graph, g: Graph, cap: int | None = None
-) -> dict[int, int] | None:
-    """An injective map sending every edge of ``h`` onto an edge of ``g``,
-    or ``None`` if no such map exists."""
+Candidates = list[tuple[int, int, int]]
+
+
+def _branch_sets(
+    h: Graph, g: Graph, cap: int | None, candidates: Callable[[Graph], Candidates]
+) -> list[int] | None:
+    """Disjoint vertex sets of ``g``, one per vertex of ``h`` (as masks
+    indexed by it), with an edge of ``g`` between the two sets of every
+    edge of ``h``; ``None`` if there are none.
+
+    ``candidates(g)`` lists the sets a vertex may take as (mask,
+    neighbourhood mask, size) triples sorted by size: singletons give
+    subgraph embeddings, connected sets minor models.  The vertices of
+    ``h`` are placed most-anchored first, then by degree.  Each takes the
+    first candidate that avoids the sets placed, touches the set of every
+    placed neighbour, and has at least as many neighbours as the vertex
+    has; that last test is exact because the neighbours' sets are disjoint.
+    """
     check_size_cap(h, cap)
     check_size_cap(g, cap)
     if h.vertex_count > g.vertex_count or h.edge_count > g.edge_count:
         return None
-    if h.vertex_count == 0:
-        return {}
-
-    deg_h = [h.degree(v) for v in h.vertices]
-    deg_g = [g.degree(v) for v in g.vertices]
-
-    # Order h's vertices so each one (after the first of a component) has a
-    # previously placed neighbor: failures surface early.
+    hm = h.neighbor_masks
+    degree = [m.bit_count() for m in hm]
     order: list[int] = []
-    placed: set[int] = set()
-    while len(order) < h.vertex_count:
+    placed = 0
+    for _ in h.vertices:
         pick = max(
-            (v for v in h.vertices if v not in placed),
-            key=lambda v: (sum(w in placed for w in h.adjacency[v]), deg_h[v], -v),
+            (v for v in h.vertices if not (placed >> v) & 1),
+            key=lambda v: ((hm[v] & placed).bit_count(), degree[v], -v),
         )
         order.append(pick)
-        placed.add(pick)
+        placed |= 1 << pick
+    anchors = [[w for w in order[:i] if (hm[v] >> w) & 1] for i, v in enumerate(order)]
+    options = candidates(g)
+    sets = [0] * h.vertex_count
+    nbrs = [0] * h.vertex_count
 
-    image: dict[int, int] = {}
-    used = [False] * g.vertex_count
-
-    def assign(i: int) -> bool:
+    def assign(i: int, used: int, budget: int) -> bool:
         if i == len(order):
             return True
         v = order[i]
-        anchors = [image[w] for w in h.adjacency[v] if w in image]
-        for c in g.vertices:
-            if used[c] or deg_g[c] < deg_h[v]:
+        need = degree[v]
+        touch = [nbrs[w] for w in anchors[i]]
+        room = budget - (len(order) - i - 1)
+        for mask, nbr, size in options:
+            if size > room:
+                break  # the candidates come by size, so the rest are too big
+            if mask & used or nbr.bit_count() < need:
                 continue
-            if any(not g.has_edge(c, a) for a in anchors):
+            if any(not t & mask for t in touch):
                 continue
-            image[v] = c
-            used[c] = True
-            if assign(i + 1):
+            sets[v] = mask
+            nbrs[v] = nbr
+            if assign(i + 1, used | mask, budget - size):
                 return True
-            used[c] = False
-            del image[v]
         return False
 
-    return dict(sorted(image.items())) if assign(0) else None
+    return sets if assign(0, 0, g.vertex_count) else None
+
+
+def _singletons(g: Graph) -> Candidates:
+    return [(1 << v, m, 1) for v, m in enumerate(g.neighbor_masks)]
+
+
+def _connected_subsets(g: Graph) -> Candidates:
+    """All vertex subsets inducing a connected subgraph, as (mask,
+    neighborhood-mask, size) triples sorted by size, each subset
+    enumerated exactly once."""
+    n = g.vertex_count
+    masks = g.neighbor_masks
+    out: Candidates = []
+
+    def nbr_of(mask: int) -> int:
+        acc = 0
+        m = mask
+        while m:
+            v = (m & -m).bit_length() - 1
+            acc |= masks[v]
+            m &= m - 1
+        return acc & ~mask
+
+    def grow(cur: int, banned: int) -> None:
+        nbr = nbr_of(cur)
+        out.append((cur, nbr, cur.bit_count()))
+        ext = nbr & ~banned
+        taken = banned
+        while ext:
+            u = (ext & -ext).bit_length() - 1
+            ext &= ext - 1
+            grow(cur | (1 << u), taken)
+            taken |= 1 << u
+    for v in range(n):
+        # Subsets whose minimum vertex is v: never grow below v.
+        below = (1 << v) - 1
+        grow(1 << v, below)
+    out.sort(key=lambda t: (t[2], t[0]))
+    return out
+
+
+def subgraph_embedding(
+    h: Graph, g: Graph, cap: int | None = None
+) -> dict[int, int] | None:
+    """An injective map sending every edge of ``h`` onto an edge of ``g``,
+    or ``None`` if no such map exists: the branch-set search over
+    singleton sets."""
+    sets = _branch_sets(h, g, cap, _singletons)
+    return None if sets is None else {v: m.bit_length() - 1 for v, m in enumerate(sets)}
 
 
 def is_subgraph(h: Graph, g: Graph, cap: int | None = None) -> bool:

@@ -8,7 +8,7 @@ from time import perf_counter
 
 from bipminor.canonical import are_isomorphic, canonical_form, permute
 from bipminor.families import bull, cycle, dog, h_tree, path
-from bipminor.graph_core import build, contract_set, is_bipartite
+from bipminor.graph_core import contract_set, is_bipartite
 from bipminor.relations import (
     AdmissibleContraction,
     admissible_contract,

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from bipminor.canonical import are_isomorphic, canonical_form
+from bipminor.canonical import canonical_form
 from bipminor.families import bull, cycle, dog, h_tree
 from bipminor.graph_core import build
 from bipminor.relations import bipartite_minor_closure

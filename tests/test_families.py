@@ -2,7 +2,7 @@ import pytest
 
 from bipminor.canonical import are_isomorphic
 from bipminor.families import FamilySpec, bull, cycle, dog, h_tree, path
-from bipminor.graph_core import GraphError, build, contract_set, is_bipartite
+from bipminor.graph_core import GraphError, contract_set, is_bipartite
 from bipminor.structure import blocks, is_connected, is_k_connected
 
 

@@ -19,7 +19,6 @@ from bipminor.relations import (
     MinorModel,
     OpTrace,
     VertexDeletion,
-    _connected_subsets,
     _moves,
     admissible_contract,
     admissible_pairs,
@@ -31,7 +30,7 @@ from bipminor.relations import (
     minor_model,
     validate_minor_model,
 )
-from bipminor.structure import is_k_connected, is_subgraph
+from bipminor.structure import _connected_subsets, is_k_connected, is_subgraph
 
 from oracles import (
     bipminor_by_unpruned_search,
@@ -108,6 +107,20 @@ class TestAdmissibleContract:
     def test_self_pair_rejected(self):
         with pytest.raises(GraphError):
             admissible_contract(cycle(6), 2, 2)
+
+    def test_accepts_exactly_the_admissible_pairs(self):
+        rng = random.Random(32)
+        for _ in range(60):
+            g = random_graph(rng, 7, min_vertices=2)
+            want = brute_admissible_pairs(g)
+            for u in g.vertices:
+                for v in range(u + 1, g.vertex_count):
+                    try:
+                        admissible_contract(g, u, v)
+                        got = True
+                    except GraphError:
+                        got = False
+                    assert got == ((u, v) in want)
 
 
 class TestBipartiteMinor:
@@ -221,6 +234,15 @@ class TestTraceReplay:
         with pytest.raises(GraphError):
             trace.replay(cycle(6))
 
+    def test_any_middle_vertex_of_a_peripheral_path_replays(self):
+        # In C_4 both 1 and 3 join 0 and 2 along the cycle; in C_5 only 1
+        # does.
+        for w in (1, 3):
+            got = OpTrace((AdmissibleContraction(0, 2, w),)).replay(cycle(4))
+            assert are_isomorphic(got, path(3))
+        with pytest.raises(GraphError):
+            OpTrace((AdmissibleContraction(0, 2, 3),)).replay(cycle(5))
+
     def test_labels_refer_to_pre_step_graph(self):
         trace = OpTrace((VertexDeletion(5), VertexDeletion(4)))
         got = trace.replay(cycle(6))
@@ -286,7 +308,7 @@ class TestMinor:
         assert is_minor(build(0, []), cycle(5))
 
     def test_connected_subsets_come_by_size(self):
-        # minor_model stops scanning at the first subset over its budget,
+        # The branch-set search stops at the first subset over its budget,
         # which relies on the sizes being popcounts in nondecreasing order.
         rng = random.Random(37)
         pool = [dog(6, [4, 4]), h_tree(3)] + [random_graph(rng, 8) for _ in range(20)]

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -7,14 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipminor.canonical import are_isomorphic
-from bipminor.families import bull, cycle, dog, path
+from bipminor.families import bull, cycle, dog, h_tree, path
 from bipminor.graph_core import GraphError, build
-from bipminor.relations import (
-    MinorModel,
-    bipartite_minor_trace,
-    minor_model,
-)
+from bipminor.relations import bipartite_minor_trace, minor_model
 from bipminor.structure import subgraph_embedding
+from bipminor.cli.harness import DOG_CASES, H_FOREST_LENGTHS
 from bipminor.cli.serialize import (
     emit_dot,
     emit_graph6,
@@ -204,3 +202,98 @@ class TestWitnessDocuments:
         doc["labeling_convention"] = "dense-top"
         with pytest.raises(GraphError, match="convention"):
             validate_witness(doc)
+
+    @pytest.mark.parametrize("w", [4, 99])
+    def test_contraction_with_a_wrong_w_rejected(self, w):
+        # C_6 -> B(4,1) contracts (0, 2) through w = 1; vertex 4 is no
+        # common neighbour of 0 and 2, and 99 is no vertex at all.
+        source, target = cycle(6), bull(4, [1])
+        trace = bipartite_minor_trace(target, source)
+        doc = witness_document("bipartite_minor", True, source, target, trace)
+        assert doc["steps"] == [{"op": "admissible_contract", "u": 0, "v": 2, "w": 1}]
+        doc["steps"][0]["w"] = w
+        with pytest.raises(GraphError):
+            validate_witness(doc)
+
+
+def _minor_doc():
+    source, target = dog(6, [3, 3]), dog(5, [3, 3])
+    return witness_document("minor", True, source, target, minor_model(target, source))
+
+
+def _subgraph_doc():
+    source, target = cycle(6), path(4)
+    return witness_document(
+        "subgraph", True, source, target, subgraph_embedding(target, source)
+    )
+
+
+def _set_step(doc, value):
+    doc["steps"]["0"] = value
+    return doc
+
+
+class TestMalformedWitnessDocuments:
+    """Every malformed document raises GraphError, never another error."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            pytest.param(_set_step(_minor_doc(), 3), id="minor-set-an-integer"),
+            pytest.param(_set_step(_minor_doc(), ["a"]), id="minor-member-a-string"),
+            pytest.param(_set_step(_minor_doc(), [0.5]), id="minor-member-a-float"),
+            pytest.param(_set_step(_subgraph_doc(), {"0": 1}), id="subgraph-image-a-dict"),
+            pytest.param(_set_step(_subgraph_doc(), ["x"]), id="subgraph-image-a-string"),
+            pytest.param({**_subgraph_doc(), "source": 5}, id="source-an-integer"),
+            pytest.param({**_subgraph_doc(), "target": None}, id="target-is-null"),
+            pytest.param({**_subgraph_doc(), "holds": 1}, id="holds-an-integer"),
+            pytest.param({**_subgraph_doc(), "holds": "false"}, id="holds-a-string"),
+        ],
+    )
+    def test_rejected_with_graph_error(self, doc):
+        with pytest.raises(GraphError):
+            validate_witness(doc)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+SEARCHES = {
+    "bipartite_minor": bipartite_minor_trace,
+    "minor": minor_model,
+    "subgraph": subgraph_embedding,
+}
+
+
+def _witness_lines(pairs, relations):
+    """One JSON witness document per line, for each (target, source) pair
+    under each relation in turn."""
+    lines = []
+    for h, g in pairs:
+        for relation in relations:
+            evidence = SEARCHES[relation](h, g)
+            doc = witness_document(relation, evidence is not None, g, h, evidence)
+            lines.append(json.dumps(doc) + "\n")
+    return "".join(lines)
+
+
+class TestGoldenWitnesses:
+    """Any change to a search's witness shows up here as a diff."""
+
+    def test_harness_dog_pairs(self):
+        pairs = [
+            (dog(snout, list(ears)), dog(snout + stretch, list(ears)))
+            for snout, stretch, ears in DOG_CASES
+        ]
+        text = _witness_lines(pairs, ("minor", "bipartite_minor"))
+        assert text == (GOLDEN / "witnesses_dogs.jsonl").read_text()
+
+    def test_h_tree_pairs(self):
+        trees = [h_tree(length) for length in H_FOREST_LENGTHS]
+        pairs = [(a, b) for a in trees for b in trees]
+        text = _witness_lines(pairs, ("subgraph", "minor"))
+        assert text == (GOLDEN / "witnesses_h_trees.jsonl").read_text()
+
+    def test_golden_documents_validate(self):
+        for path in sorted(GOLDEN.glob("witnesses_*.jsonl")):
+            for line in path.read_text().splitlines():
+                assert validate_witness(json.loads(line))
+

@@ -2,6 +2,7 @@ import random
 
 import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,6 +91,17 @@ class TestAgainstNetworkx:
         got = blocks(g)
         assert {b.edges for b in got.blocks} == want
         assert got.cut_vertices == set(nx.articulation_points(G))
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=6), graphs(max_vertices=9))
+    def test_subgraph_embedding(self, h, g):
+        want = GraphMatcher(_nx(g), _nx(h)).subgraph_is_monomorphic()
+        image = subgraph_embedding(h, g)
+        assert (image is not None) == want
+        if image is not None:
+            assert sorted(image) == list(h.vertices)
+            assert len(set(image.values())) == h.vertex_count
+            assert all(g.has_edge(image[u], image[v]) for u, v in h.edges)
 
 
 class TestKConnectivity:
