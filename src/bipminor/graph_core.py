@@ -57,7 +57,9 @@ class Graph:
     are the graph's only data, and ``edges``, ``adjacency`` and
     ``edge_count`` are views derived from them.  Construction rejects masks
     of the wrong length, bits at or above ``vertex_count``, loops, and
-    edges recorded at one end only.  Instances are immutable and hashable.
+    edges recorded at one end only; the operations below skip those checks,
+    since an operation on a valid graph yields valid masks.  Instances are
+    immutable and hashable.
     """
 
     vertex_count: int
@@ -161,6 +163,15 @@ def build(vertex_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     return Graph(vertex_count, tuple(masks))
 
 
+def _derived(vertex_count: int, masks: tuple[int, ...]) -> Graph:
+    """A graph made by an operation on a valid graph, whose masks are
+    valid by construction, so the constructor's checks are skipped."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "vertex_count", vertex_count)
+    object.__setattr__(g, "neighbor_masks", masks)
+    return g
+
+
 def _drop(masks: Sequence[int], removed: int) -> tuple[int, ...]:
     """The masks of the vertices outside ``removed``, with those vertices
     taken out and the rest relabelled compactly in their old order."""
@@ -185,7 +196,7 @@ def _drop(masks: Sequence[int], removed: int) -> tuple[int, ...]:
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Remove ``v`` and its incident edges; labels above ``v`` shift down."""
     g.check_vertex(v)
-    return Graph(g.vertex_count - 1, _drop(g.neighbor_masks, 1 << v))
+    return _derived(g.vertex_count - 1, _drop(g.neighbor_masks, 1 << v))
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
@@ -197,7 +208,7 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     masks = list(g.neighbor_masks)
     masks[u] ^= 1 << v
     masks[v] ^= 1 << u
-    return Graph(g.vertex_count, tuple(masks))
+    return _derived(g.vertex_count, tuple(masks))
 
 
 def contract_set(g: Graph, vertex_set: Iterable[int]) -> Graph:
@@ -224,7 +235,7 @@ def contract_set(g: Graph, vertex_set: Iterable[int]) -> Graph:
     # The merged vertex stands at anchor's slot; the other members and
     # their bits go.
     masks[anchor] = merged & ~inside
-    return Graph(g.vertex_count - len(members) + 1, _drop(masks, inside ^ (1 << anchor)))
+    return _derived(g.vertex_count - len(members) + 1, _drop(masks, inside ^ (1 << anchor)))
 
 
 @dataclass(frozen=True)

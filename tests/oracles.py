@@ -283,17 +283,18 @@ def bipminor_by_unpruned_search(h: Graph, g: Graph) -> bool:
     return False
 
 
+def to_networkx(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(g.vertices)
+    out.add_edges_from(g.edges)
+    return out
+
+
 def closure_by_isomorphism_test(g: Graph) -> list[Graph]:
     """Reference bipartite-minor closure: one representative per
     isomorphism class reachable from ``g``, found breadth-first over every
     deletion and every admissible contraction of the cycle-scan oracle, and
     deduplicated with ``networkx.is_isomorphic``."""
-
-    def nx_graph(x: Graph) -> nx.Graph:
-        out = nx.Graph()
-        out.add_nodes_from(x.vertices)
-        out.add_edges_from(x.edges)
-        return out
 
     def invariant(x: Graph) -> tuple:
         return x.vertex_count, x.edge_count, tuple(sorted(len(a) for a in x.adjacency))
@@ -303,7 +304,7 @@ def closure_by_isomorphism_test(g: Graph) -> list[Graph]:
 
     def add(x: Graph) -> bool:
         bucket = buckets.setdefault(invariant(x), [])
-        xg = nx_graph(x)
+        xg = to_networkx(x)
         if any(nx.is_isomorphic(xg, other) for other in bucket):
             return False
         bucket.append(xg)

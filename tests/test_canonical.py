@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import networkx as nx
 from networkx.algorithms.isomorphism import GraphMatcher
@@ -15,7 +17,14 @@ from bipminor.canonical import (
 from bipminor.families import bull, cycle, dog, path
 from bipminor.graph_core import SizeCapExceeded, build, contract_set, normalize_edge
 
-from oracles import brute_isomorphic, brute_min_bits, random_graph, random_sparse_connected
+from oracles import (
+    brute_isomorphic,
+    brute_min_bits,
+    graphs,
+    random_graph,
+    random_sparse_connected,
+    to_networkx,
+)
 
 
 def shuffled(g, rng):
@@ -83,9 +92,7 @@ class TestCanonicalForm:
 
 def _networkx_orbits(g):
     """Vertex and edge orbits of the full automorphism group."""
-    G = nx.Graph()
-    G.add_nodes_from(g.vertices)
-    G.add_edges_from(g.edges)
+    G = to_networkx(g)
     vertex = {v: {v} for v in g.vertices}
     edge = {e: {e} for e in g.edges}
     for iso in GraphMatcher(G, G).isomorphisms_iter():
@@ -178,6 +185,19 @@ class TestAreIsomorphic:
             assert are_isomorphic(a, b) == are_isomorphic(b, a)
             if are_isomorphic(a, b) and are_isomorphic(b, c):
                 assert are_isomorphic(a, c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
+    def test_matches_networkx(self, g, rng):
+        # Closures key their shared store by form, so form equality must be
+        # isomorphism.  The second graph has g's vertex and edge counts, so
+        # the cheap count checks do not decide the negatives.
+        pairs = [(i, j) for i in range(g.vertex_count) for j in range(i + 1, g.vertex_count)]
+        other = build(g.vertex_count, rng.sample(pairs, g.edge_count))
+        for h in (shuffled(g, rng), other):
+            want = nx.is_isomorphic(to_networkx(g), to_networkx(h))
+            assert are_isomorphic(g, h) == want
+            assert (canonical_form(g) == canonical_form(h)) == want
 
     def test_same_degree_sequence_not_enough(self):
         # C_6 versus two triangles: all degrees 2, not isomorphic.

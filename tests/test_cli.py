@@ -123,7 +123,11 @@ GOLDEN = Path(__file__).parent / "golden"
 class TestClosure:
     @pytest.mark.parametrize(
         "family, golden",
-        [(["cycle", "8"], "closure_C8.g6"), (["dog", "6", "4"], "closure_D6_4.g6")],
+        [
+            (["cycle", "8"], "closure_C8.g6"),
+            (["dog", "6", "4"], "closure_D6_4.g6"),
+            (["cycle", "10"], "closure_C10.g6"),
+        ],
     )
     def test_output_matches_golden_file(self, tmp_path, capsys, family, golden):
         # Any change to canonical forms or to the closure shows up here.

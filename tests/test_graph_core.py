@@ -103,6 +103,19 @@ class TestMasks:
             members = rng.sample(g.vertices, rng.randint(1, g.vertex_count))
             assert contract_set(g, members) == oracles.contract_set(g, members)
 
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
+    def test_operation_results_pass_the_constructor(self, g, rng):
+        # The operations skip the constructor's checks, so their masks
+        # must be valid by construction.
+        results = [delete_vertex(g, v) for v in g.vertices]
+        for u, v in sorted(g.edges):
+            results += [delete_edge(g, u, v), contract_set(g, (u, v))]
+        for _ in range(5 if g.vertex_count else 0):
+            results.append(contract_set(g, rng.sample(g.vertices, rng.randint(1, g.vertex_count))))
+        for r in results:
+            assert Graph(r.vertex_count, r.neighbor_masks) == r
+
 
 class TestDeleteVertex:
     def test_cycle_becomes_path(self):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from bipminor import relations
 from bipminor.canonical import are_isomorphic, canonical_form
+from bipminor.cli.harness import random_connected_graphs
 from bipminor.families import bull, cycle, dog, h_tree, path
 from bipminor.graph_core import (
     GraphError,
@@ -30,7 +32,7 @@ from bipminor.relations import (
     minor_model,
     validate_minor_model,
 )
-from bipminor.structure import _connected_subsets, is_k_connected, is_subgraph
+from bipminor.structure import _connected_subsets, blocks, is_k_connected, is_subgraph
 
 from oracles import (
     bipminor_by_unpruned_search,
@@ -390,6 +392,70 @@ class TestClosure:
         for _ in range(30):
             h = random_graph(rng, 5)
             assert (canonical_form(h) in closure) == is_bipartite_minor(h, g)
+
+
+def _hosts_and_blocks() -> list:
+    """Twelve random connected hosts, each followed by its blocks."""
+    out = []
+    for g in random_connected_graphs(12, 8, 2718):
+        out.append(g)
+        out += [b.to_graph() for b in blocks(g).blocks]
+    return out
+
+
+class TestClosureStore:
+    """Closures share one operation graph keyed by canonical form."""
+
+    def test_order_and_sharing_do_not_change_closures(self, monkeypatch):
+        graphs = _hosts_and_blocks()
+        monkeypatch.setattr(relations, "_store", {})
+        in_order = [bipartite_minor_closure(g) for g in graphs]
+        monkeypatch.setattr(relations, "_store", {})
+        in_reverse = [bipartite_minor_closure(g) for g in reversed(graphs)][::-1]
+        alone = []
+        for g in graphs:
+            monkeypatch.setattr(relations, "_store", {})
+            alone.append(bipartite_minor_closure(g))
+        assert in_order == in_reverse == alone
+
+    def test_block_closures_after_the_host_label_no_child(self, monkeypatch):
+        # Every block is a bipartite minor of its host, so the host's closure
+        # has expanded every form below it; a block's closure then labels
+        # only its own start graph.
+        monkeypatch.setattr(relations, "_store", {})
+        labelled = []
+
+        def counting(g, cap=None):
+            labelled.append(g)
+            return canonical_form(g, cap)
+
+        for host in random_connected_graphs(12, 8, 2718):
+            monkeypatch.setattr(relations, "canonical_form", canonical_form)
+            bipartite_minor_closure(host)
+            block_graphs = [b.to_graph() for b in blocks(host).blocks]
+            labelled.clear()
+            monkeypatch.setattr(relations, "canonical_form", counting)
+            for b in block_graphs:
+                bipartite_minor_closure(b)
+            assert labelled == block_graphs
+
+    def test_store_past_its_limit_starts_again_empty(self, monkeypatch):
+        graphs = _hosts_and_blocks()
+        monkeypatch.setattr(relations, "_store", {})
+        want = [bipartite_minor_closure(g) for g in graphs]
+        monkeypatch.setattr(relations, "_store", {})
+        monkeypatch.setattr(relations, "STORE_LIMIT", 20)
+        emptied = 0
+        for g, closure in zip(graphs, want):
+            full = len(relations._store) > 20
+            assert bipartite_minor_closure(g) == closure
+            if full:
+                # Walked from an empty store, the closure is all it holds.
+                assert set(relations._store) == closure
+                emptied += 1
+            else:
+                assert set(relations._store) >= closure
+        assert emptied > 3
 
 
 class TestCompareFamily:

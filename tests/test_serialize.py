@@ -5,7 +5,6 @@ from pathlib import Path
 import networkx as nx
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bipminor.canonical import are_isomorphic
 from bipminor.families import bull, cycle, dog, h_tree, path
@@ -21,15 +20,7 @@ from bipminor.cli.serialize import (
     witness_document,
 )
 
-from oracles import random_graph
-
-
-@st.composite
-def graphs(draw, max_vertices=20):
-    n = draw(st.integers(0, max_vertices))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return build(n, edges)
+from oracles import graphs, random_graph
 
 
 class TestGraph6:
@@ -107,7 +98,7 @@ class TestGraph6:
             parse_graph6("~??")
 
     @settings(max_examples=120, deadline=None)
-    @given(graphs())
+    @given(graphs(max_vertices=20))
     def test_round_trip_property(self, g):
         assert parse_graph6(emit_graph6(g)) == g
 

@@ -28,6 +28,7 @@ from oracles import (
     brute_subgraph,
     random_graph,
     random_sparse_connected,
+    to_networkx,
 )
 
 
@@ -44,27 +45,20 @@ class TestComponents:
         assert not is_connected(build(0, []))
 
 
-def _nx(g):
-    G = nx.Graph()
-    G.add_nodes_from(g.vertices)
-    G.add_edges_from(g.edges)
-    return G
-
-
 class TestAgainstNetworkx:
     """Cross-checks of the mask-based connectivity against networkx."""
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_vertices=10))
     def test_components(self, g):
-        want = sorted(nx.connected_components(_nx(g)), key=min)
+        want = sorted(nx.connected_components(to_networkx(g)), key=min)
         assert components(g) == tuple(frozenset(c) for c in want)
         assert component_count(g) == len(want)
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_vertices=10))
     def test_standard_k_connectivity(self, g):
-        G = _nx(g)
+        G = to_networkx(g)
         for k in (1, 2, 3):
             want = g.vertex_count >= k + 1 and nx.node_connectivity(G) >= k
             assert is_k_connected(g, k, "standard") == want
@@ -72,7 +66,7 @@ class TestAgainstNetworkx:
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
     def test_nonseparating(self, g, rng):
-        G = _nx(g)
+        G = to_networkx(g)
         base = nx.number_connected_components(G)
         for size in range(g.vertex_count + 1):
             removed = rng.sample(range(g.vertex_count), size)
@@ -83,7 +77,7 @@ class TestAgainstNetworkx:
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_vertices=10))
     def test_blocks(self, g):
-        G = _nx(g)
+        G = to_networkx(g)
         want = {
             frozenset(normalize_edge(u, v) for u, v in edges)
             for edges in nx.biconnected_component_edges(G)
@@ -95,7 +89,7 @@ class TestAgainstNetworkx:
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_vertices=6), graphs(max_vertices=9))
     def test_subgraph_embedding(self, h, g):
-        want = GraphMatcher(_nx(g), _nx(h)).subgraph_is_monomorphic()
+        want = GraphMatcher(to_networkx(g), to_networkx(h)).subgraph_is_monomorphic()
         image = subgraph_embedding(h, g)
         assert (image is not None) == want
         if image is not None:
