@@ -2,10 +2,34 @@
 
 The canonical form of a graph is the lexicographically minimal
 upper-triangular adjacency bit sequence over all vertex orderings, read
-column by column (the same bit order graph6 uses).  It is computed by
-branch and bound over partial orderings.  Placing a vertex at position j
-fixes column j: its adjacency to the j vertices placed before it, first
-placed most significant.
+column by column (the same bit order graph6 uses).  Each isomorphism
+class is labelled once per process; every other graph of the class is
+matched to the labelled one.
+
+**The class cache.**  A graph's certificate is the hash of the sorted
+colour-refinement (1-WL) signatures of every round from the all-equal
+colouring.  It is built from ints only, so it does not depend on the
+hash seed.  Under its certificate the cache keeps each class's
+representative, the first graph of the class labelled, with its stable
+colouring, form and automorphism generators.  A graph that is not itself
+a representative is refined and matched against each representative
+under its certificate by an individualisation-refinement isomorphism
+search (McKay 1981; McKay and Piperno, *Practical graph isomorphism II*,
+2014) that checks every edge at the leaf, so non-isomorphic graphs that
+share a certificate, such as ``C_6`` and two triangles, are never
+confused.  On a match ``phi`` (graph vertex ``v`` to representative
+vertex ``phi[v]``) the graph gets the representative's form and its
+generators conjugated by ``phi``, ``q[v] = inv[p[phi[v]]]``, which
+generate the graph's own automorphism group.  Only a graph that matches
+no representative is labelled, and it becomes a representative.  The
+cache starts again empty once it holds more than ``STORE_LIMIT``
+representatives, the limit that also bounds ``relations._store``; no
+result depends on what it holds.  ``are_isomorphic`` compares two
+certificates and runs the same search, and labels neither graph.
+
+**Labelling** is a branch and bound over partial orderings.  Placing a
+vertex at position j fixes column j: its adjacency to the j vertices
+placed before it, first placed most significant.
 
 - **Cells.**  The unplaced vertices are held as an ordered list of
   ``(column value, vertex mask)`` cells, one per distinct running column,
@@ -29,21 +53,30 @@ placed most significant.
 
 Pruning never removes a subtree whose minimum was not reached elsewhere,
 so the result is the exact minimum.  The automorphisms found generate the
-full automorphism group, and ``automorphism_generators`` returns them, so
-a caller can act on orbits (``relations._moves`` emits one successor move
-per orbit).
+full automorphism group, and ``automorphism_generators`` returns them (or
+their conjugates), so a caller can act on orbits (``relations._moves``
+emits one successor move per orbit); only the generating set, never the
+group, depends on which graph of the class was labelled first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graph_core import Graph, GraphError, build, check_size_cap
 
 # A permutation ``p`` of the vertices maps vertex ``v`` to ``p[v]``.
 Perm = tuple[int, ...]
 
-_cache: dict[Graph, tuple["CanonicalForm", tuple[Perm, ...]]] = {}
+# Entries a process-wide cache may hold: the class cache below and the
+# closure store in ``relations`` start again empty once past it.
+STORE_LIMIT = 20_000
+
+# The class cache: each representative maps to its stable colouring, form
+# and generators, and each certificate to its representatives.
+_reps: dict[Graph, tuple[tuple[int, ...], "CanonicalForm", tuple[Perm, ...]]] = {}
+_classes: dict[int, list[Graph]] = {}
 
 
 @dataclass(frozen=True, order=True)
@@ -77,37 +110,137 @@ def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
 
 def automorphism_generators(g: Graph, cap: int | None = None) -> tuple[Perm, ...]:
     """Permutations of ``g``'s vertices that generate its automorphism
-    group (empty when the group is trivial); computed with, and cached
-    beside, the canonical form."""
+    group (empty when the group is trivial); computed with, or conjugated
+    from, the canonical form of its class."""
     return _labelling(g, cap)[1]
 
 
 def _labelling(g: Graph, cap: int | None) -> tuple[CanonicalForm, tuple[Perm, ...]]:
     check_size_cap(g, cap)
-    cached = _cache.get(g)
-    if cached is None:
-        bits, generators = _minimal_bits(g)
-        cached = (CanonicalForm(g.vertex_count, bits), generators)
-        _cache[g] = cached
-    return cached
+    rep = _reps.get(g)
+    if rep is not None:
+        return rep[1], rep[2]
+    nbrs, colours, rounds = _stable(g)
+    key = hash((g.vertex_count, *map(tuple, rounds)))
+    for r in _classes.get(key, ()):
+        r_colours, form, generators = _reps[r]
+        phi = _isomorphism(nbrs, colours, _neighbours(r), r_colours)
+        if phi is not None:
+            inv = [0] * g.vertex_count
+            for v, w in enumerate(phi):
+                inv[w] = v
+            return form, tuple(tuple(inv[p[w]] for w in phi) for p in generators)
+    if len(_reps) > STORE_LIMIT:
+        _reps.clear()
+        _classes.clear()
+    bits, generators = _minimal_bits(g)
+    form = CanonicalForm(g.vertex_count, bits)
+    _reps[g] = (tuple(colours), form, generators)
+    _classes.setdefault(key, []).append(g)
+    return form, generators
 
 
 def are_isomorphic(g: Graph, h: Graph, cap: int | None = None) -> bool:
     """True iff an edge-preserving vertex bijection exists."""
-    if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
+    check_size_cap(g, cap)
+    check_size_cap(h, cap)
+    g_nbrs, g_colours, g_rounds = _stable(g)
+    h_nbrs, h_colours, h_rounds = _stable(h)
+    if g_rounds != h_rounds:
         return False
-    if _degree_profile(g) != _degree_profile(h):
-        return False
-    return canonical_form(g, cap) == canonical_form(h, cap)
+    return _isomorphism(g_nbrs, g_colours, h_nbrs, h_colours) is not None
 
 
-def _degree_profile(g: Graph) -> tuple:
-    adj = g.adjacency
-    degs = [len(a) for a in adj]
-    per_vertex = sorted(
-        (degs[v], tuple(sorted(degs[w] for w in adj[v]))) for v in g.vertices
-    )
-    return tuple(per_vertex)
+def _stable(g: Graph) -> tuple[list[list[int]], list[int], list[list[tuple]]]:
+    """``g``'s neighbour lists, and its stable colouring and refinement
+    rounds from the all-equal colouring (the rounds are the certificate)."""
+    nbrs = _neighbours(g)
+    return (nbrs, *_refine(nbrs, [0] * g.vertex_count))
+
+
+def _refine(nbrs: list[list[int]], colours: list[int]) -> tuple[list[int], list[list[tuple]]]:
+    """Colour refinement (1-WL) of ``colours``, which must be the integers
+    ``0..k-1``, to the coarsest stable colouring that refines it.  Each
+    round gives a vertex the signature (its colour, its neighbours' colours
+    sorted) and recolours it by the rank of its signature, so colours
+    depend on no labelling.  Returns the stable colouring and the sorted
+    signatures of every round."""
+    n = len(colours)
+    count = max(colours, default=-1) + 1
+    rounds = []
+    while count < n:
+        get = colours.__getitem__
+        sigs = [(c, *sorted(map(get, nb))) for c, nb in zip(colours, nbrs)]
+        ordered = sorted(sigs)
+        rounds.append(ordered)
+        rank = {s: i for i, s in enumerate(dict.fromkeys(ordered))}
+        if len(rank) == count:
+            break
+        colours = [rank[s] for s in sigs]
+        count = len(rank)
+    return colours, rounds
+
+
+def _neighbours(g: Graph) -> list[list[int]]:
+    """Each vertex's neighbours in increasing order."""
+    n = g.vertex_count
+    return [[w for w in range(n) if (m >> w) & 1] for m in g.neighbor_masks]
+
+
+def _isomorphism(
+    g_nbrs: list[list[int]],
+    g_colours: Sequence[int],
+    h_nbrs: list[list[int]],
+    h_colours: Sequence[int],
+) -> list[int] | None:
+    """An isomorphism ``phi`` from g onto h (``phi[v]`` is the image of
+    ``v``) that respects the two stable colourings, or ``None``.
+
+    Individualisation-refinement (McKay 1981): while h's colouring has a
+    cell of two or more vertices, the lowest vertex of the first such cell
+    gets a colour of its own and h is refined again; each vertex of g's
+    cell of that colour is tried in its place, and a branch whose
+    refinement signatures differ from h's is cut.  At a discrete colouring
+    the vertices pair up by colour, and the pairing is returned only if it
+    is a bijection that maps every neighbourhood onto its image's."""
+    n = len(g_nbrs)
+    if len(h_nbrs) != n:
+        return None
+
+    def search(gc: Sequence[int], hc: Sequence[int]) -> list[int] | None:
+        count = max(hc, default=-1) + 1
+        if count == n:
+            at = [0] * n
+            for w, c in enumerate(hc):
+                at[c] = w
+            phi = [at[c] for c in gc]
+            if len(set(phi)) != n:
+                return None
+            for v, nb in enumerate(g_nbrs):
+                if sorted([phi[w] for w in nb]) != h_nbrs[phi[v]]:
+                    return None
+            return phi
+        sizes = [0] * count
+        for c in hc:
+            sizes[c] += 1
+        cell = next(c for c, size in enumerate(sizes) if size > 1)
+        x = hc.index(cell)
+        h_split = list(hc)
+        h_split[x] = count
+        h_next, h_rounds = _refine(h_nbrs, h_split)
+        for y, c in enumerate(gc):
+            if c != cell:
+                continue
+            g_split = list(gc)
+            g_split[y] = count
+            g_next, g_rounds = _refine(g_nbrs, g_split)
+            if g_rounds == h_rounds:
+                phi = search(g_next, h_next)
+                if phi is not None:
+                    return phi
+        return None
+
+    return search(g_colours, h_colours)
 
 
 def _orbit(mask: int, generators: list[Perm] | tuple[Perm, ...]) -> int:

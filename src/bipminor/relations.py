@@ -18,8 +18,8 @@ once the form is expanded, to its distinct child forms, so each form is
 expanded and its children labelled once per process, whichever host's or
 block's closure reached it first (McKay, *Isomorph-free exhaustive
 generation*, 1998).  A closure call that finds the store above
-``STORE_LIMIT`` entries empties it first; no result depends on what the
-store holds.
+``canonical.STORE_LIMIT`` entries empties it first; no result depends on
+what the store holds.
 
 ``is_minor`` uses the equivalent branch-set formulation: disjoint
 connected sets in the host, one per target vertex, with a host edge behind
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import canonical
 from .canonical import CanonicalForm, Perm, automorphism_generators, canonical_form
 from .graph_core import (
     Graph,
@@ -314,7 +315,7 @@ def is_bipartite_minor(h: Graph, g: Graph, cap: int | None = None) -> bool:
 # reached maps to its first labelled graph and, once expanded, to the
 # distinct forms of its children.  An entry costs about 330 bytes besides
 # its graph (CPython 3.11, 64-bit), and ``verify all`` leaves about 1.7k.
-STORE_LIMIT = 20_000
+# It is bounded by ``canonical.STORE_LIMIT``, as the class cache is.
 _store: dict[CanonicalForm, tuple[Graph, tuple[CanonicalForm, ...] | None]] = {}
 
 
@@ -338,7 +339,7 @@ def bipartite_minor_closure(g: Graph, cap: int | None = None) -> frozenset[Canon
     deletions and admissible contractions."""
     limit = resolve_size_cap(cap)
     check_size_cap(g, limit)
-    if len(_store) > STORE_LIMIT:
+    if len(_store) > canonical.STORE_LIMIT:
         _store.clear()
     start = canonical_form(g, limit)
     _store.setdefault(start, (g, None))

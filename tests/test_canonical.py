@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 import networkx as nx
 from networkx.algorithms.isomorphism import GraphMatcher
 
+from bipminor import canonical, relations
 from bipminor.canonical import (
     CanonicalForm,
+    _labelling,
+    _minimal_bits,
     are_isomorphic,
     automorphism_generators,
     canonical_form,
@@ -16,6 +19,7 @@ from bipminor.canonical import (
 )
 from bipminor.families import bull, cycle, dog, path
 from bipminor.graph_core import SizeCapExceeded, build, contract_set, normalize_edge
+from bipminor.relations import bipartite_minor_closure
 
 from oracles import (
     brute_isomorphic,
@@ -31,6 +35,17 @@ def shuffled(g, rng):
     order = list(g.vertices)
     rng.shuffle(order)
     return permute(g, order)
+
+
+# Non-isomorphic pairs that colour refinement does not tell apart: C_6 and
+# two triangles (2-regular), K_{3,3} and the triangular prism (3-regular).
+SAME_CERTIFICATE = [
+    (cycle(6), build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+    (
+        build(6, [(u, v) for u in range(3) for v in range(3, 6)]),
+        build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+    ),
+]
 
 
 class TestCanonicalForm:
@@ -203,3 +218,85 @@ class TestAreIsomorphic:
         # C_6 versus two triangles: all degrees 2, not isomorphic.
         two_triangles = build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert not are_isomorphic(cycle(6), two_triangles)
+
+    def test_needs_no_labelling(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("are_isomorphic labelled a graph")
+
+        monkeypatch.setattr(canonical, "_minimal_bits", refuse)
+        rng = random.Random(111)
+        for g in [cycle(8), dog(6, [4, 4]), random_graph(rng, 9)]:
+            assert are_isomorphic(g, shuffled(g, rng))
+        assert not are_isomorphic(*SAME_CERTIFICATE[0])
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """The class cache and the closure store, emptied for one test."""
+    monkeypatch.setattr(canonical, "_reps", {})
+    monkeypatch.setattr(canonical, "_classes", {})
+    monkeypatch.setattr(relations, "_store", {})
+
+
+def _vertex_orbits(g, gens):
+    return {frozenset(_generated_orbit(v, gens, lambda p, w: p[w])) for v in g.vertices}
+
+
+class TestClassCache:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
+    def test_match_agrees_with_a_cold_labelling(self, g, rng):
+        h = shuffled(g, rng)
+        cold_bits, cold_gens = _minimal_bits(h)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(canonical, "_reps", {})
+            mp.setattr(canonical, "_classes", {})
+            _labelling(g, None)
+            form, gens = _labelling(h, None)
+            # h was matched to g, not labelled (unless it is g itself).
+            assert list(canonical._reps) == [g]
+        assert form == CanonicalForm(h.vertex_count, cold_bits)
+        for p in gens:
+            assert sorted(p) == list(h.vertices)
+            assert {normalize_edge(p[u], p[v]) for u, v in h.edges} == h.edges
+        assert _vertex_orbits(h, gens) == _vertex_orbits(h, cold_gens)
+
+    @pytest.mark.parametrize("pair", SAME_CERTIFICATE, ids=["C6-2C3", "K33-prism"])
+    def test_same_certificate_different_forms(self, pair, empty_cache):
+        g, h = pair
+        assert canonical._stable(g)[2] == canonical._stable(h)[2]
+        assert not are_isomorphic(g, h)
+        assert canonical_form(g) != canonical_form(h)
+        assert canonical_form(g).canonical_bits == brute_min_bits(g)
+        assert canonical_form(h).canonical_bits == brute_min_bits(h)
+        assert set(canonical._reps) == {g, h}
+
+    def test_leaf_checks_every_edge(self):
+        # Discrete colourings pair the vertices at once; only the edges can
+        # tell the path P_3 from the triangle.
+        p3, k3 = path(3), cycle(3)
+        nbrs = canonical._neighbours
+        assert canonical._isomorphism(nbrs(p3), [0, 1, 2], nbrs(k3), [0, 1, 2]) is None
+        assert canonical._isomorphism(nbrs(k3), [0, 1, 2], nbrs(k3), [2, 0, 1]) == [1, 2, 0]
+
+    def test_colliding_keys_give_exact_forms(self, monkeypatch, empty_cache):
+        # With every certificate hashed to one key, each graph is matched
+        # against every representative so far, of any size, before labelling.
+        monkeypatch.setattr(canonical, "hash", lambda key: 0, raising=False)
+        rng = random.Random(112)
+        for _ in range(150):
+            g = random_graph(rng, 6)
+            assert canonical_form(g).canonical_bits == brute_min_bits(g)
+            assert canonical_form(shuffled(g, rng)) == canonical_form(g)
+
+    def test_closure_labels_each_member_once(self, monkeypatch, empty_cache):
+        labelled = []
+
+        def counting(g):
+            labelled.append(g)
+            return _minimal_bits(g)
+
+        monkeypatch.setattr(canonical, "_minimal_bits", counting)
+        closure = bipartite_minor_closure(cycle(10))
+        assert len(closure) == 272
+        assert len(labelled) <= len(closure)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bipminor import relations
+from bipminor import canonical, relations
 from bipminor.canonical import are_isomorphic, canonical_form
 from bipminor.cli.harness import random_connected_graphs
 from bipminor.families import bull, cycle, dog, h_tree, path
@@ -444,7 +444,7 @@ class TestClosureStore:
         monkeypatch.setattr(relations, "_store", {})
         want = [bipartite_minor_closure(g) for g in graphs]
         monkeypatch.setattr(relations, "_store", {})
-        monkeypatch.setattr(relations, "STORE_LIMIT", 20)
+        monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
         emptied = 0
         for g, closure in zip(graphs, want):
             full = len(relations._store) > 20
@@ -456,6 +456,36 @@ class TestClosureStore:
             else:
                 assert set(relations._store) >= closure
         assert emptied > 3
+
+    def test_class_cache_past_the_limit_changes_no_result(self, monkeypatch):
+        graphs = _hosts_and_blocks()
+        rng = random.Random(39)
+        pairs = [(random_graph(rng, 5), g) for g in graphs[:12] for _ in range(3)]
+
+        def run() -> tuple[list, list]:
+            monkeypatch.setattr(relations, "_store", {})
+            monkeypatch.setattr(canonical, "_reps", {})
+            monkeypatch.setattr(canonical, "_classes", {})
+            closures = [bipartite_minor_closure(g) for g in graphs]
+            traces = [bipartite_minor_trace(h, g) for h, g in pairs]
+            return closures, traces
+
+        want = run()
+        sizes = []
+        label = canonical._minimal_bits
+
+        def recording(g):
+            sizes.append(len(canonical._reps))
+            return label(g)
+
+        monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
+        monkeypatch.setattr(canonical, "_minimal_bits", recording)
+        assert run() == want
+        # Each labelling found at most the limit in the cache, and the cache
+        # was emptied several times.
+        assert max(sizes) == 20
+        assert sum(a > b for a, b in zip(sizes, sizes[1:])) > 3
+        assert sum(trace is not None for trace in want[1]) > 5
 
 
 class TestCompareFamily:

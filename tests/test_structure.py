@@ -229,6 +229,20 @@ class TestPeripheralCycles:
             g = random_graph(rng, 8)
             assert set(peripheral_cycles(g)) == brute_peripheral(g)
 
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_vertices=10))
+    def test_matches_networkx_chordless_cycles(self, g):
+        G = to_networkx(g)
+        base = nx.number_connected_components(G)
+        want = set()
+        for c in nx.chordless_cycles(G):
+            rest = G.subgraph(set(G) - set(c))
+            if len(c) >= 3 and nx.number_connected_components(rest) <= base:
+                want.add(frozenset(c))
+        got = [frozenset(c) for c in peripheral_cycles(g)]
+        assert len(set(got)) == len(got)
+        assert set(got) == want
+
     def test_cap(self):
         with pytest.raises(SizeCapExceeded):
             peripheral_cycles(cycle(15))
