@@ -16,13 +16,12 @@ from pathlib import Path
 from ..families import FamilySpec
 from ..graph_core import Graph, GraphError
 from ..relations import (
+    WITNESS_SEARCHES,
     admissible_pairs,
     bipartite_minor_closure,
-    bipartite_minor_trace,
     compare_family,
-    minor_model,
 )
-from ..structure import blocks, is_k_connected, subgraph_embedding
+from ..structure import blocks, is_k_connected
 from .harness import SUITE_NAMES, verify_harness
 from .serialize import emit_dot, emit_graph6, parse_graph6, witness_document
 
@@ -65,11 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     anti = sub.add_parser("antichain", help="comparability matrix of a family")
     anti.add_argument("family_file", help="file with one graph6 value per line")
-    anti.add_argument(
-        "--relation",
-        choices=["bipartite_minor", "minor", "subgraph"],
-        required=True,
-    )
+    anti.add_argument("--relation", choices=list(WITNESS_SEARCHES), required=True)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", choices=list(SUITE_NAMES))
@@ -110,13 +105,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     relation = CHECK_RELATIONS[args.relation]
     target = _read_graph(args.target)
     source = _read_graph(args.source)
-
-    if relation == "bipartite_minor":
-        evidence = bipartite_minor_trace(target, source)
-    elif relation == "minor":
-        evidence = minor_model(target, source)
-    else:
-        evidence = subgraph_embedding(target, source)
+    evidence = WITNESS_SEARCHES[relation](target, source)
     holds = evidence is not None
 
     if args.witness:

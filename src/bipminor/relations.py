@@ -2,24 +2,25 @@
 
 ``is_bipartite_minor`` decides reachability from a host graph via vertex
 deletion, edge deletion, and admissible contraction (contracting a pair
-with a common neighbor on an induced non-separating cycle).  The trace is
-a breadth-first walk, ``_walk``, over its own labelled graphs, so that
-every witness step names the labels of the graph it acts on.  It walks
-toward the target's form and expands each frontier in canonical-form
-order, which makes returned witnesses reproducible; every operation
-strictly shrinks |V|+|E| and never increases the cycle rank
-|E|-|V|+(components), so children below the target on any of those
-measures are pruned, and the witness is read back from the parent links.
-
-``bipartite_minor_closure`` (everything reachable, up to isomorphism)
-walks one operation graph shared by every closure in the process.  It
-maps each canonical form reached to one labelled representative and,
+with a common neighbor on an induced non-separating cycle).  Traces and
+closures walk one operation graph shared by every search in the process.
+It maps each canonical form reached to one labelled representative and,
 once the form is expanded, to its distinct child forms, so each form is
-expanded and its children labelled once per process, whichever host's or
-block's closure reached it first (McKay, *Isomorph-free exhaustive
-generation*, 1998).  A closure call that finds the store above
-``canonical.STORE_LIMIT`` entries empties it first; no result depends on
-what the store holds.
+expanded and its children labelled once per process, whichever search
+reached it first (McKay, *Isomorph-free exhaustive generation*, 1998).
+One breadth-first loop, ``_walk``, serves both searches.  A search that
+finds the store above ``canonical.STORE_LIMIT`` entries empties it first;
+no result depends on what the store holds.
+
+``bipartite_minor_closure`` (everything reachable, up to isomorphism) is
+the set of forms the walk reaches.  ``bipartite_minor_trace`` walks toward
+the target's form: every operation strictly shrinks |V|+|E| and never
+increases the cycle rank |E|-|V|+(components), so children below the
+target on any of those measures are skipped.  It expands each frontier in
+canonical order, so its parent links, and with them its witness, do not
+depend on what earlier searches left in the store.  The stored graphs
+carry their own labels, so the trace names its steps by replay: from the
+host, it takes at each form of the path the first move reaching the next.
 
 ``is_minor`` uses the equivalent branch-set formulation: disjoint
 connected sets in the host, one per target vertex, with a host edge behind
@@ -50,12 +51,10 @@ from .structure import (
     _connected_subsets,
     _members,
     component_count,
-    is_subgraph,
     peripheral_cycles,
     reach,
+    subgraph_embedding,
 )
-
-RELATION_NAMES = ("bipartite_minor", "minor", "subgraph")
 
 
 # ---------------------------------------------------------------------------
@@ -241,40 +240,6 @@ def _orbit_firsts(items: Iterable, gens: tuple[Perm, ...], act: Callable) -> Ite
         yield x
 
 
-Walk = dict[CanonicalForm, tuple[Graph, CanonicalForm | None, Step | None]]
-
-
-def _walk(
-    g: Graph,
-    start: CanonicalForm,
-    limit: int,
-    target: CanonicalForm,
-    keep: Callable[[Graph], bool],
-) -> Walk:
-    """Breadth-first walk from ``g`` (whose form is ``start``) over the
-    children that ``keep`` accepts, each frontier in canonical order.  Maps
-    every form reached to its first labelled graph, parent form and step
-    from the parent; stops as soon as ``target`` is reached."""
-    seen: Walk = {start: (g, None, None)}
-    frontier = [] if start == target else [start]
-    while frontier:
-        frontier.sort()
-        next_frontier: list[CanonicalForm] = []
-        for cf in frontier:
-            for step, child in _moves(seen[cf][0], limit):
-                if not keep(child):
-                    continue
-                ccf = canonical_form(child, limit)
-                if ccf in seen:
-                    continue
-                seen[ccf] = (child, cf, step)
-                if ccf == target:
-                    return seen
-                next_frontier.append(ccf)
-        frontier = next_frontier
-    return seen
-
-
 def bipartite_minor_trace(h: Graph, g: Graph, cap: int | None = None) -> OpTrace | None:
     """A replayable witness that ``h`` is a bipartite minor of ``g``, or
     ``None``.  The search is exhaustive within the cap, so ``None`` is a
@@ -293,15 +258,24 @@ def bipartite_minor_trace(h: Graph, g: Graph, cap: int | None = None) -> OpTrace
             and _cycle_rank(child) >= rank_floor
         )
 
-    seen = _walk(g, canonical_form(g, limit), limit, target, keep)
-    if target not in seen:
+    parent = _walk(g, limit, keep, target)
+    if target not in parent:
         return None
+    path = [target]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    # Name each step on the host's own labels: replay the path, taking the
+    # first move of each graph that reaches the next form.
     steps: list[Step] = []
-    _, parent, step = seen[target]
-    while parent is not None:
+    cur = g
+    for nxt in reversed(path[:-1]):
+        step, cur = next(
+            (move, child)
+            for move, child in _moves(cur, limit)
+            if keep(child) and canonical_form(child, limit) == nxt
+        )
         steps.append(step)
-        _, parent, step = seen[parent]
-    return OpTrace(tuple(reversed(steps)))
+    return OpTrace(tuple(steps))
 
 
 def is_bipartite_minor(h: Graph, g: Graph, cap: int | None = None) -> bool:
@@ -309,9 +283,9 @@ def is_bipartite_minor(h: Graph, g: Graph, cap: int | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# downward closure
+# the shared operation graph
 
-# The operation graph shared by every closure in the process: each form
+# The operation graph shared by every search in the process: each form
 # reached maps to its first labelled graph and, once expanded, to the
 # distinct forms of its children.  An entry costs about 330 bytes besides
 # its graph (CPython 3.11, 64-bit), and ``verify all`` leaves about 1.7k.
@@ -334,26 +308,48 @@ def _children(cf: CanonicalForm, limit: int) -> tuple[CanonicalForm, ...]:
     return kids
 
 
+def _walk(
+    g: Graph,
+    limit: int,
+    keep: Callable[[Graph], bool] | None = None,
+    target: CanonicalForm | None = None,
+) -> dict[CanonicalForm, CanonicalForm | None]:
+    """Breadth-first walk over the store from ``g``, through the children
+    whose stored graph ``keep`` accepts.  Maps every form reached to the
+    form it was first reached from (``None`` for the start); stops as soon
+    as ``target`` is reached."""
+    if len(_store) > canonical.STORE_LIMIT:
+        _store.clear()
+    start = canonical_form(g, limit)
+    _store.setdefault(start, (g, None))
+    parent: dict[CanonicalForm, CanonicalForm | None] = {start: None}
+    frontier = [] if start == target else [start]
+    while frontier:
+        if target is not None:
+            # A trace's parent links, and so its witness, must not depend on
+            # the order in which earlier calls filled the store.  A closure
+            # needs only the set of forms; expanding it in sorted order
+            # picks other class representatives, which label more slowly.
+            frontier.sort()
+        next_frontier: list[CanonicalForm] = []
+        for cf in frontier:
+            for ccf in _children(cf, limit):
+                if ccf in parent or (keep is not None and not keep(_store[ccf][0])):
+                    continue
+                parent[ccf] = cf
+                if ccf == target:
+                    return parent
+                next_frontier.append(ccf)
+        frontier = next_frontier
+    return parent
+
+
 def bipartite_minor_closure(g: Graph, cap: int | None = None) -> frozenset[CanonicalForm]:
     """Every graph (up to isomorphism, including ``g`` itself) reachable by
     deletions and admissible contractions."""
     limit = resolve_size_cap(cap)
     check_size_cap(g, limit)
-    if len(_store) > canonical.STORE_LIMIT:
-        _store.clear()
-    start = canonical_form(g, limit)
-    _store.setdefault(start, (g, None))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        next_frontier: list[CanonicalForm] = []
-        for cf in frontier:
-            for ccf in _children(cf, limit):
-                if ccf not in seen:
-                    seen.add(ccf)
-                    next_frontier.append(ccf)
-        frontier = next_frontier
-    return frozenset(seen)
+    return frozenset(_walk(g, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +406,14 @@ def is_minor(h: Graph, g: Graph, cap: int | None = None) -> bool:
 # ---------------------------------------------------------------------------
 # comparability matrices
 
+# Each relation's witness search: evidence that ``h`` is below ``g``, or
+# ``None``.
+WITNESS_SEARCHES: dict[str, Callable[..., object]] = {
+    "bipartite_minor": bipartite_minor_trace,
+    "minor": minor_model,
+    "subgraph": subgraph_embedding,
+}
+
 
 @dataclass(frozen=True)
 class ComparisonMatrix:
@@ -442,15 +446,10 @@ def compare_family(
     graphs: Sequence[Graph], relation: str, cap: int | None = None
 ) -> ComparisonMatrix:
     """Compare every ordered pair of the family under the named relation."""
-    if relation == "bipartite_minor":
-        decide = is_bipartite_minor
-    elif relation == "minor":
-        decide = is_minor
-    elif relation == "subgraph":
-        decide = is_subgraph
-    else:
+    search = WITNESS_SEARCHES.get(relation)
+    if search is None:
         raise GraphError(f"unknown relation: {relation!r}")
     matrix = tuple(
-        tuple(decide(a, b, cap) for b in graphs) for a in graphs
+        tuple(search(a, b, cap) is not None for b in graphs) for a in graphs
     )
     return ComparisonMatrix(relation, matrix)

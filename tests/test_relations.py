@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bipminor import canonical, relations
-from bipminor.canonical import are_isomorphic, canonical_form
+from bipminor.canonical import are_isomorphic, canonical_form, permute
 from bipminor.cli.harness import random_connected_graphs
 from bipminor.families import bull, cycle, dog, h_tree, path
 from bipminor.graph_core import (
@@ -456,6 +456,71 @@ class TestClosureStore:
             else:
                 assert set(relations._store) >= closure
         assert emptied > 3
+
+    def _trace_pairs(self, graphs) -> list:
+        """Per graph, one random target (mostly negative) and one relabelled
+        member of its closure (positive)."""
+        rng = random.Random(40)
+        pairs = []
+        for g in graphs:
+            member = rng.choice(sorted(bipartite_minor_closure(g))).to_graph()
+            order = list(member.vertices)
+            rng.shuffle(order)
+            pairs += [(random_graph(rng, 5), g), (permute(member, order), g)]
+        return pairs
+
+    def test_traces_do_not_depend_on_the_store(self, monkeypatch):
+        graphs = _hosts_and_blocks()
+        pairs = self._trace_pairs(graphs)
+
+        def traces(some: list) -> list:
+            return [bipartite_minor_trace(h, g) for h, g in some]
+
+        monkeypatch.setattr(relations, "_store", {})
+        in_order = traces(pairs)
+        monkeypatch.setattr(relations, "_store", {})
+        in_reverse = traces(pairs[::-1])[::-1]
+        alone = []
+        for pair in pairs:
+            monkeypatch.setattr(relations, "_store", {})
+            alone += traces([pair])
+        monkeypatch.setattr(relations, "_store", {})
+        for g in graphs:
+            bipartite_minor_closure(g)
+        after_closures = traces(pairs)
+        assert in_order == in_reverse == alone == after_closures
+        assert sum(t is not None and len(t) > 1 for t in in_order) > 10
+
+    def test_trace_after_the_closure_labels_nothing(self, monkeypatch):
+        # The host's closure has labelled and expanded every form below it,
+        # so a trace from the host expands no form: it walks the store and
+        # replays its own steps through class-cache matches alone.
+        graphs = _hosts_and_blocks()
+        pairs = self._trace_pairs(graphs)
+        monkeypatch.setattr(relations, "_store", {})
+        monkeypatch.setattr(canonical, "_reps", {})
+        monkeypatch.setattr(canonical, "_classes", {})
+        labelled, moved = [], []
+        label, moves = canonical._minimal_bits, relations._moves
+
+        def recording_labels(g):
+            labelled.append(g)
+            return label(g)
+
+        def recording_moves(g, cap):
+            moved.append(g)
+            return moves(g, cap)
+
+        monkeypatch.setattr(canonical, "_minimal_bits", recording_labels)
+        monkeypatch.setattr(relations, "_moves", recording_moves)
+        for h, g in pairs:
+            bipartite_minor_closure(g)
+            canonical_form(h)
+            labelled.clear()
+            moved.clear()
+            trace = bipartite_minor_trace(h, g)
+            assert labelled == []
+            assert len(moved) == (0 if trace is None else len(trace))
 
     def test_class_cache_past_the_limit_changes_no_result(self, monkeypatch):
         graphs = _hosts_and_blocks()

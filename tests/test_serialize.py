@@ -9,9 +9,14 @@ from hypothesis import given, settings
 from bipminor.canonical import are_isomorphic
 from bipminor.families import bull, cycle, dog, h_tree, path
 from bipminor.graph_core import GraphError, build
-from bipminor.relations import bipartite_minor_trace, minor_model
+from bipminor.relations import WITNESS_SEARCHES, bipartite_minor_trace, minor_model
 from bipminor.structure import subgraph_embedding
-from bipminor.cli.harness import DOG_CASES, H_FOREST_LENGTHS
+from bipminor.cli.harness import (
+    BULL_CASES,
+    DOG_CASES,
+    H_FOREST_LENGTHS,
+    enumerate_trees,
+)
 from bipminor.cli.serialize import (
     emit_dot,
     emit_graph6,
@@ -247,11 +252,6 @@ class TestMalformedWitnessDocuments:
 
 
 GOLDEN = Path(__file__).parent / "golden"
-SEARCHES = {
-    "bipartite_minor": bipartite_minor_trace,
-    "minor": minor_model,
-    "subgraph": subgraph_embedding,
-}
 
 
 def _witness_lines(pairs, relations):
@@ -260,7 +260,7 @@ def _witness_lines(pairs, relations):
     lines = []
     for h, g in pairs:
         for relation in relations:
-            evidence = SEARCHES[relation](h, g)
+            evidence = WITNESS_SEARCHES[relation](h, g)
             doc = witness_document(relation, evidence is not None, g, h, evidence)
             lines.append(json.dumps(doc) + "\n")
     return "".join(lines)
@@ -282,6 +282,19 @@ class TestGoldenWitnesses:
         pairs = [(a, b) for a in trees for b in trees]
         text = _witness_lines(pairs, ("subgraph", "minor"))
         assert text == (GOLDEN / "witnesses_h_trees.jsonl").read_text()
+
+    def test_bipartite_minor_bulls_and_trees(self):
+        # Bulls under their cycles, then every ordered pair of trees with at
+        # most 6 vertices: positive bipartite-minor witnesses, many with more
+        # than one step.
+        pairs = [
+            (bull(snout, [horn]), cycle(snout + 2 * horn))
+            for snout, horn in BULL_CASES
+        ]
+        trees = enumerate_trees(6)
+        pairs += [(a, b) for a in trees for b in trees]
+        text = _witness_lines(pairs, ("bipartite_minor",))
+        assert text == (GOLDEN / "witnesses_bipartite_minor.jsonl").read_text()
 
     def test_golden_documents_validate(self):
         for path in sorted(GOLDEN.glob("witnesses_*.jsonl")):
