@@ -8,19 +8,19 @@ It maps each canonical form reached to one labelled representative and,
 once the form is expanded, to its distinct child forms, so each form is
 expanded and its children labelled once per process, whichever search
 reached it first (McKay, *Isomorph-free exhaustive generation*, 1998).
-One breadth-first loop, ``_walk``, serves both searches.  A search that
-finds the store above ``canonical.STORE_LIMIT`` entries empties it first;
-no result depends on what the store holds.
+One breadth-first loop, ``_walk``, serves both searches.  It expands each
+frontier in canonical order, so its parent links do not depend on what
+earlier searches left in the store.  A search that finds the store above
+``canonical.STORE_LIMIT`` entries empties it first; no result depends on
+what the store holds.
 
 ``bipartite_minor_closure`` (everything reachable, up to isomorphism) is
 the set of forms the walk reaches.  ``bipartite_minor_trace`` walks toward
 the target's form: every operation strictly shrinks |V|+|E| and never
 increases the cycle rank |E|-|V|+(components), so children below the
-target on any of those measures are skipped.  It expands each frontier in
-canonical order, so its parent links, and with them its witness, do not
-depend on what earlier searches left in the store.  The stored graphs
-carry their own labels, so the trace names its steps by replay: from the
-host, it takes at each form of the path the first move reaching the next.
+target on any of those measures are skipped.  The stored graphs carry
+their own labels, so the trace names its steps by replay: from the host,
+it takes at each form of the path the first move reaching the next.
 
 ``is_minor`` uses the equivalent branch-set formulation: disjoint
 connected sets in the host, one per target vertex, with a host edge behind
@@ -325,12 +325,9 @@ def _walk(
     parent: dict[CanonicalForm, CanonicalForm | None] = {start: None}
     frontier = [] if start == target else [start]
     while frontier:
-        if target is not None:
-            # A trace's parent links, and so its witness, must not depend on
-            # the order in which earlier calls filled the store.  A closure
-            # needs only the set of forms; expanding it in sorted order
-            # picks other class representatives, which label more slowly.
-            frontier.sort()
+        # Canonical order keeps the parent links, and so a trace's witness,
+        # independent of the order in which earlier calls filled the store.
+        frontier.sort()
         next_frontier: list[CanonicalForm] = []
         for cf in frontier:
             for ccf in _children(cf, limit):
