@@ -11,21 +11,30 @@ colour-refinement (1-WL) signatures of every round from the all-equal
 colouring.  It is built from ints only, so it does not depend on the
 hash seed.  Under its certificate the cache keeps each class's
 representative, the first graph of the class labelled, with its stable
-colouring, form and automorphism generators.  A graph that is not itself
-a representative is refined and matched against each representative
-under its certificate by an individualisation-refinement isomorphism
-search (McKay 1981; McKay and Piperno, *Practical graph isomorphism II*,
-2014) that checks every edge at the leaf, so non-isomorphic graphs that
-share a certificate, such as ``C_6`` and two triangles, are never
-confused.  On a match ``phi`` (graph vertex ``v`` to representative
+colouring, form, automorphism generators and path.  A graph that is not
+itself a representative is refined and matched against each
+representative under its certificate by an individualisation-refinement
+isomorphism search (McKay 1981; McKay and Piperno, *Practical graph
+isomorphism II*, 2014) that checks every edge at the leaf, so
+non-isomorphic graphs that share a certificate, such as ``C_6`` and two
+triangles, are never confused.  The representative's side of that search
+is one chain of individualised cells and refined colourings, the same
+for every graph matched against it; it is kept as the representative's
+path, built one level at a time as matches first reach it, with a hash
+of each level's refinement rounds, so a match refines only the graph's
+own side.  A hash that agrees only admits a branch; the leaf's edge check
+still decides.  On a match ``phi`` (graph vertex ``v`` to representative
 vertex ``phi[v]``) the graph gets the representative's form and its
 generators conjugated by ``phi``, ``q[v] = inv[p[phi[v]]]``, which
-generate the graph's own automorphism group.  Only a graph that matches
-no representative is labelled, and it becomes a representative.  The
-cache starts again empty once it holds more than ``STORE_LIMIT``
-representatives, the limit that also bounds ``relations._store``; no
-result depends on what it holds.  ``are_isomorphic`` compares two
-certificates and runs the same search, and labels neither graph.
+generate the graph's own automorphism group, and the form memo keeps the
+form under the graph's neighbour masks, so ``canonical_form`` matches
+each labelled graph once.  Only a graph that matches no representative
+is labelled, and it becomes a representative.  The cache and the memo
+each start again empty once they hold more than ``STORE_LIMIT`` entries,
+the limit that also bounds ``relations._store``, and the memo empties
+with the cache; no result depends on what they hold.  ``are_isomorphic``
+compares two certificates and runs the same search on a path of its own,
+and labels neither graph.
 
 **Labelling** is a branch and bound over partial orderings.  Placing a
 vertex at position j fixes column j: its adjacency to the j vertices
@@ -41,7 +50,13 @@ placed before it, first placed most significant.
   cut when its column exceeds the best's column at that depth.  A node
   whose prefix is already smaller is not compared, until a leaf below it
   becomes the new best; from then on its remaining children are compared
-  against that best too (the re-tie).
+  against that best too (the re-tie).  At a node whose prefix equals the
+  best's, the cells also bound every remaining column: the vertices are
+  placed in cell order, so column ``depth + k`` is at least ``c_k << k``,
+  ``c_k`` the k-th cell value counted with multiplicity.  The node is cut
+  when that bound sequence exceeds the best's remaining columns at their
+  first difference.  Every leaf below a cut node is worse than the best,
+  so the search finds the same best leaves and automorphisms without it.
 - **Automorphisms.**  A leaf whose bits equal the best leaf's gives the
   automorphism mapping the best ordering onto it (McKay, *Practical graph
   isomorphism*, 1981).  The search then backjumps to the node where the
@@ -73,10 +88,16 @@ Perm = tuple[int, ...]
 # closure store in ``relations`` start again empty once past it.
 STORE_LIMIT = 20_000
 
-# The class cache: each representative maps to its stable colouring, form
-# and generators, and each certificate to its representatives.
-_reps: dict[Graph, tuple[tuple[int, ...], "CanonicalForm", tuple[Perm, ...]]] = {}
+# One level of a representative's individualisation-refinement path: the
+# cell individualised, the refined colouring and the hash of the rounds.
+Level = tuple[int, tuple[int, ...], int]
+
+# The class cache: each representative maps to its stable colouring, form,
+# generators and path, and each certificate to its representatives.  The
+# form memo maps the neighbour masks of each graph matched to its form.
+_reps: dict[Graph, tuple[tuple[int, ...], "CanonicalForm", tuple[Perm, ...], list[Level]]] = {}
 _classes: dict[int, list[Graph]] = {}
+_forms: dict[tuple[int, ...], "CanonicalForm"] = {}
 
 
 @dataclass(frozen=True, order=True)
@@ -105,37 +126,48 @@ class CanonicalForm:
 def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
     """Canonical form of ``g``; rejects graphs above the size cap
     (``graph_core.resolve_size_cap``)."""
-    return _labelling(g, cap)[0]
+    check_size_cap(g, cap)
+    form = _forms.get(g.neighbor_masks)
+    return _labelling(g)[0] if form is None else form
 
 
 def automorphism_generators(g: Graph, cap: int | None = None) -> tuple[Perm, ...]:
     """Permutations of ``g``'s vertices that generate its automorphism
     group (empty when the group is trivial); computed with, or conjugated
     from, the canonical form of its class."""
-    return _labelling(g, cap)[1]
-
-
-def _labelling(g: Graph, cap: int | None) -> tuple[CanonicalForm, tuple[Perm, ...]]:
     check_size_cap(g, cap)
+    return _labelling(g)[1]
+
+
+def clear_cache() -> None:
+    """Empty the class cache and the form memo."""
+    _reps.clear()
+    _classes.clear()
+    _forms.clear()
+
+
+def _labelling(g: Graph) -> tuple[CanonicalForm, tuple[Perm, ...]]:
     rep = _reps.get(g)
     if rep is not None:
         return rep[1], rep[2]
     nbrs, colours, rounds = _stable(g)
-    key = hash((g.vertex_count, *map(tuple, rounds)))
+    key = hash((g.vertex_count, *rounds))
     for r in _classes.get(key, ()):
-        r_colours, form, generators = _reps[r]
-        phi = _isomorphism(nbrs, colours, _neighbours(r), r_colours)
+        r_colours, form, generators, path = _reps[r]
+        phi = _isomorphism(nbrs, colours, r, r_colours, path)
         if phi is not None:
+            if len(_forms) > STORE_LIMIT:
+                _forms.clear()
+            _forms[g.neighbor_masks] = form
             inv = [0] * g.vertex_count
             for v, w in enumerate(phi):
                 inv[w] = v
             return form, tuple(tuple(inv[p[w]] for w in phi) for p in generators)
     if len(_reps) > STORE_LIMIT:
-        _reps.clear()
-        _classes.clear()
+        clear_cache()
     bits, generators = _minimal_bits(g)
     form = CanonicalForm(g.vertex_count, bits)
-    _reps[g] = (tuple(colours), form, generators)
+    _reps[g] = (tuple(colours), form, generators, [])
     _classes.setdefault(key, []).append(g)
     return form, generators
 
@@ -145,20 +177,22 @@ def are_isomorphic(g: Graph, h: Graph, cap: int | None = None) -> bool:
     check_size_cap(g, cap)
     check_size_cap(h, cap)
     g_nbrs, g_colours, g_rounds = _stable(g)
-    h_nbrs, h_colours, h_rounds = _stable(h)
+    h_colours, h_rounds = _stable(h)[1:]
     if g_rounds != h_rounds:
         return False
-    return _isomorphism(g_nbrs, g_colours, h_nbrs, h_colours) is not None
+    return _isomorphism(g_nbrs, g_colours, h, h_colours, []) is not None
 
 
-def _stable(g: Graph) -> tuple[list[list[int]], list[int], list[list[tuple]]]:
+def _stable(g: Graph) -> tuple[list[list[int]], list[int], list[tuple[tuple, ...]]]:
     """``g``'s neighbour lists, and its stable colouring and refinement
     rounds from the all-equal colouring (the rounds are the certificate)."""
     nbrs = _neighbours(g)
     return (nbrs, *_refine(nbrs, [0] * g.vertex_count))
 
 
-def _refine(nbrs: list[list[int]], colours: list[int]) -> tuple[list[int], list[list[tuple]]]:
+def _refine(
+    nbrs: list[list[int]], colours: Sequence[int]
+) -> tuple[Sequence[int], list[tuple[tuple, ...]]]:
     """Colour refinement (1-WL) of ``colours``, which must be the integers
     ``0..k-1``, to the coarsest stable colouring that refines it.  Each
     round gives a vertex the signature (its colour, its neighbours' colours
@@ -171,7 +205,7 @@ def _refine(nbrs: list[list[int]], colours: list[int]) -> tuple[list[int], list[
     while count < n:
         get = colours.__getitem__
         sigs = [(c, *sorted(map(get, nb))) for c, nb in zip(colours, nbrs)]
-        ordered = sorted(sigs)
+        ordered = tuple(sorted(sigs))
         rounds.append(ordered)
         rank = {s: i for i, s in enumerate(dict.fromkeys(ordered))}
         if len(rank) == count:
@@ -190,8 +224,9 @@ def _neighbours(g: Graph) -> list[list[int]]:
 def _isomorphism(
     g_nbrs: list[list[int]],
     g_colours: Sequence[int],
-    h_nbrs: list[list[int]],
+    h: Graph,
     h_colours: Sequence[int],
+    path: list[Level],
 ) -> list[int] | None:
     """An isomorphism ``phi`` from g onto h (``phi[v]`` is the image of
     ``v``) that respects the two stable colourings, or ``None``.
@@ -200,14 +235,20 @@ def _isomorphism(
     cell of two or more vertices, the lowest vertex of the first such cell
     gets a colour of its own and h is refined again; each vertex of g's
     cell of that colour is tried in its place, and a branch whose
-    refinement signatures differ from h's is cut.  At a discrete colouring
-    the vertices pair up by colour, and the pairing is returned only if it
-    is a bijection that maps every neighbourhood onto its image's."""
+    refinement rounds hash differently from h's is cut.  At a discrete
+    colouring the vertices pair up by colour, and the pairing is returned
+    only if it is a bijection that maps every neighbourhood onto its
+    image's.  h's side is one chain, the same for every g: ``path`` holds
+    its levels from ``h_colours`` on, and the search extends it as it goes
+    deeper, so a path kept with h is refined once for all its matches."""
     n = len(g_nbrs)
-    if len(h_nbrs) != n:
+    h_masks = h.neighbor_masks
+    if len(h_masks) != n:
         return None
+    h_nbrs: list[list[int]] | None = None
 
-    def search(gc: Sequence[int], hc: Sequence[int]) -> list[int] | None:
+    def search(depth: int, gc: Sequence[int], hc: Sequence[int]) -> list[int] | None:
+        nonlocal h_nbrs
         count = max(hc, default=-1) + 1
         if count == n:
             at = [0] * n
@@ -217,30 +258,37 @@ def _isomorphism(
             if len(set(phi)) != n:
                 return None
             for v, nb in enumerate(g_nbrs):
-                if sorted([phi[w] for w in nb]) != h_nbrs[phi[v]]:
+                image = 0
+                for w in nb:
+                    image |= 1 << phi[w]
+                if image != h_masks[phi[v]]:
                     return None
             return phi
-        sizes = [0] * count
-        for c in hc:
-            sizes[c] += 1
-        cell = next(c for c, size in enumerate(sizes) if size > 1)
-        x = hc.index(cell)
-        h_split = list(hc)
-        h_split[x] = count
-        h_next, h_rounds = _refine(h_nbrs, h_split)
+        if depth == len(path):
+            if h_nbrs is None:
+                h_nbrs = _neighbours(h)
+            sizes = [0] * count
+            for c in hc:
+                sizes[c] += 1
+            cell = next(c for c, size in enumerate(sizes) if size > 1)
+            h_split = list(hc)
+            h_split[hc.index(cell)] = count
+            h_next, h_rounds = _refine(h_nbrs, h_split)
+            path.append((cell, tuple(h_next), hash(tuple(h_rounds))))
+        cell, h_next, h_hash = path[depth]
         for y, c in enumerate(gc):
             if c != cell:
                 continue
             g_split = list(gc)
             g_split[y] = count
             g_next, g_rounds = _refine(g_nbrs, g_split)
-            if g_rounds == h_rounds:
-                phi = search(g_next, h_next)
+            if hash(tuple(g_rounds)) == h_hash:
+                phi = search(depth + 1, g_next, h_next)
                 if phi is not None:
                     return phi
         return None
 
-    return search(g_colours, h_colours)
+    return search(0, g_colours, h_colours)
 
 
 def _orbit(mask: int, generators: list[Perm] | tuple[Perm, ...]) -> int:
@@ -296,6 +344,25 @@ def _place(cells: list, bit: int, mu: int) -> list:
     return out
 
 
+def _beyond(cells: list, best_cols: list[int], depth: int) -> bool:
+    """True when every leaf below a node whose columns so far equal the
+    best leaf's is worse than it.  The search places from the first cell,
+    so the vertices are placed in cell order and column ``depth + k`` is at
+    least ``c_k << k``, ``c_k`` the k-th cell value counted with
+    multiplicity.  Only a first difference of that bound from the best
+    columns that is greater decides; a smaller one says nothing, since the
+    low bits of later columns are still free."""
+    k = depth
+    for c, m in cells:
+        for _ in range(m.bit_count()):
+            bound = c << (k - depth)
+            ref = best_cols[k]
+            if bound != ref:
+                return bound > ref
+            k += 1
+    return False
+
+
 def _minimal_bits(g: Graph) -> tuple[int, tuple[Perm, ...]]:
     n = g.vertex_count
     if n <= 1:
@@ -340,6 +407,8 @@ def _minimal_bits(g: Graph) -> tuple[int, tuple[Perm, ...]]:
                 if min_col > ref:
                     return n
                 tied = min_col == ref
+                if tied and _beyond(cells, best_cols, depth):
+                    return n
             if candidates & (candidates - 1):
                 break
             # A lone candidate is placed without branching.

@@ -293,6 +293,14 @@ def is_bipartite_minor(h: Graph, g: Graph, cap: int | None = None) -> bool:
 _store: dict[CanonicalForm, tuple[Graph, tuple[CanonicalForm, ...] | None]] = {}
 
 
+def clear_caches() -> None:
+    """Empty every process-wide cache: ``canonical``'s class cache and form
+    memo, and the operation graph.  No result depends on what they hold;
+    only the time of the next searches does."""
+    canonical.clear_cache()
+    _store.clear()
+
+
 def _children(cf: CanonicalForm, limit: int) -> tuple[CanonicalForm, ...]:
     """The distinct forms one move from ``cf``, expanding it on first use."""
     g, kids = _store[cf]

@@ -103,6 +103,19 @@ def random_sparse_connected(rng, max_vertices: int, extra: int = 2) -> Graph:
     return build(n, edges)
 
 
+def random_forest(rng, max_vertices: int, min_vertices: int = 1) -> Graph:
+    """A random forest, usually with several trees and isolated vertices:
+    each vertex after the first joins a random earlier one, or starts a
+    tree of its own with probability 1/2."""
+    n = rng.randint(min_vertices, max_vertices)
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = [
+        (order[v], order[rng.randrange(v)]) for v in range(1, n) if rng.random() < 0.5
+    ]
+    return build(n, edges)
+
+
 def brute_min_bits(g: Graph) -> int:
     """Minimum upper-triangle bit string over all vertex orderings."""
     best = None

@@ -25,6 +25,7 @@ from oracles import (
     brute_isomorphic,
     brute_min_bits,
     graphs,
+    random_forest,
     random_graph,
     random_sparse_connected,
     to_networkx,
@@ -131,6 +132,16 @@ def _generated_orbit(x, gens, act):
     return seen
 
 
+def _assert_full_orbits(g, gens):
+    """The orbits ``gens`` generate are those of the full group."""
+    vertex, edge = _networkx_orbits(g)
+    for v in g.vertices:
+        assert _generated_orbit(v, gens, lambda p, w: p[w]) == vertex[v], (g, v)
+    for e in g.edges:
+        got = _generated_orbit(e, gens, lambda p, f: normalize_edge(p[f[0]], p[f[1]]))
+        assert got == edge[e], (g, e)
+
+
 class TestAutomorphisms:
     def test_generators_map_edges_onto_edges(self):
         rng = random.Random(109)
@@ -147,14 +158,61 @@ class TestAutomorphisms:
         graphs += [random_graph(rng, 8) for _ in range(120)]
         graphs += [random_sparse_connected(rng, 8, extra=2) for _ in range(80)]
         for g in graphs:
-            gens = automorphism_generators(g)
-            vertex, edge = _networkx_orbits(g)
-            for v in g.vertices:
-                got = _generated_orbit(v, gens, lambda p, w: p[w])
-                assert got == vertex[v], (g, v)
-            for e in g.edges:
-                got = _generated_orbit(e, gens, lambda p, f: normalize_edge(p[f[0]], p[f[1]]))
-                assert got == edge[e], (g, e)
+            _assert_full_orbits(g, automorphism_generators(g))
+
+
+# The forest P3 + P5 + 2K1: its isolated vertices and leaves tie on many
+# columns, which the cell bound cuts.
+FOREST = build(10, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)])
+
+
+class TestCellBound:
+    def test_exact_on_forests_with_isolated_vertices(self, monkeypatch):
+        # Disconnected sparse graphs are where the bound cuts most; a cut
+        # that dropped a subtree holding the minimum or an automorphism
+        # would show as a wrong form or a smaller orbit.
+        cuts = []
+        beyond = canonical._beyond
+
+        def recording(*args):
+            cuts.append(beyond(*args))
+            return cuts[-1]
+
+        monkeypatch.setattr(canonical, "_beyond", recording)
+        rng = random.Random(113)
+        for _ in range(24):
+            g = random_forest(rng, 8, min_vertices=4)
+            bits, gens = _minimal_bits(g)
+            assert bits == brute_min_bits(g), g
+            _assert_full_orbits(g, gens)
+        assert sum(cuts) > 50
+
+    def test_invariant_under_relabelling_where_it_cuts(self):
+        # A cut on the cells' high parts alone, blind to the low bits of
+        # the best columns, gives labelling-dependent forms on a few
+        # percent of these graphs.
+        rng = random.Random(116)
+        for _ in range(300):
+            g = random_graph(rng, 9, min_vertices=6)
+            want = _minimal_bits(g)[0]
+            for _ in range(3):
+                assert _minimal_bits(shuffled(g, rng))[0] == want, g
+
+    @pytest.mark.parametrize(
+        "g, before", [(FOREST, 3247), (dog(10, [4, 4]), 37601)], ids=["P3+P5+2K1", "D(10,4,4)"]
+    )
+    def test_halves_the_placements(self, monkeypatch, g, before):
+        # ``before``: the placements of the search without the cell bound.
+        calls = []
+        place = canonical._place
+
+        def counting(*args):
+            calls.append(None)
+            return place(*args)
+
+        monkeypatch.setattr(canonical, "_place", counting)
+        _minimal_bits(g)
+        assert len(calls) <= before // 2
 
 
 class TestAreIsomorphic:
@@ -231,11 +289,9 @@ class TestAreIsomorphic:
 
 
 @pytest.fixture
-def empty_cache(monkeypatch):
-    """The class cache and the closure store, emptied for one test."""
-    monkeypatch.setattr(canonical, "_reps", {})
-    monkeypatch.setattr(canonical, "_classes", {})
-    monkeypatch.setattr(relations, "_store", {})
+def empty_cache():
+    """Every process-wide cache, emptied before the test."""
+    relations.clear_caches()
 
 
 def _vertex_orbits(g, gens):
@@ -248,13 +304,11 @@ class TestClassCache:
     def test_match_agrees_with_a_cold_labelling(self, g, rng):
         h = shuffled(g, rng)
         cold_bits, cold_gens = _minimal_bits(h)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(canonical, "_reps", {})
-            mp.setattr(canonical, "_classes", {})
-            _labelling(g, None)
-            form, gens = _labelling(h, None)
-            # h was matched to g, not labelled (unless it is g itself).
-            assert list(canonical._reps) == [g]
+        relations.clear_caches()
+        _labelling(g)
+        form, gens = _labelling(h)
+        # h was matched to g, not labelled (unless it is g itself).
+        assert list(canonical._reps) == [g]
         assert form == CanonicalForm(h.vertex_count, cold_bits)
         for p in gens:
             assert sorted(p) == list(h.vertices)
@@ -276,8 +330,8 @@ class TestClassCache:
         # tell the path P_3 from the triangle.
         p3, k3 = path(3), cycle(3)
         nbrs = canonical._neighbours
-        assert canonical._isomorphism(nbrs(p3), [0, 1, 2], nbrs(k3), [0, 1, 2]) is None
-        assert canonical._isomorphism(nbrs(k3), [0, 1, 2], nbrs(k3), [2, 0, 1]) == [1, 2, 0]
+        assert canonical._isomorphism(nbrs(p3), [0, 1, 2], k3, [0, 1, 2], []) is None
+        assert canonical._isomorphism(nbrs(k3), [0, 1, 2], k3, [2, 0, 1], []) == [1, 2, 0]
 
     def test_colliding_keys_give_exact_forms(self, monkeypatch, empty_cache):
         # With every certificate hashed to one key, each graph is matched
@@ -288,6 +342,36 @@ class TestClassCache:
             g = random_graph(rng, 6)
             assert canonical_form(g).canonical_bits == brute_min_bits(g)
             assert canonical_form(shuffled(g, rng)) == canonical_form(g)
+
+    def test_a_kept_path_gives_the_fresh_match(self):
+        rng = random.Random(114)
+        pool = [cycle(8), dog(6, [4, 4]), bull(5, [1, 2]), FOREST]
+        pool += [random_graph(rng, 9) for _ in range(30)]
+        for g in pool:
+            relations.clear_caches()
+            canonical_form(g)
+            colours, _, _, path = canonical._reps[g]
+            levels = None
+            for _ in range(5):
+                h = shuffled(g, rng)
+                nbrs, h_colours, _ = canonical._stable(h)
+                kept = canonical._isomorphism(nbrs, h_colours, g, colours, path)
+                assert kept is not None
+                assert kept == canonical._isomorphism(nbrs, h_colours, g, colours, [])
+                # The first match built the path; later ones only read it.
+                assert levels in (None, len(path))
+                levels = len(path)
+            assert levels <= g.vertex_count
+
+    def test_the_memo_keeps_the_size_cap(self, monkeypatch, empty_cache):
+        monkeypatch.delenv("BIPMINOR_SIZE_CAP", raising=False)
+        g = cycle(16)
+        h = shuffled(g, random.Random(115))
+        form = canonical_form(g, 20)
+        assert canonical_form(h, 20) == form
+        assert canonical._forms == {h.neighbor_masks: form}
+        with pytest.raises(SizeCapExceeded):
+            canonical_form(h)
 
     def test_closure_labels_each_member_once(self, monkeypatch, empty_cache):
         labelled = []

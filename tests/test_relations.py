@@ -497,9 +497,7 @@ class TestClosureStore:
         # replays its own steps through class-cache matches alone.
         graphs = _hosts_and_blocks()
         pairs = self._trace_pairs(graphs)
-        monkeypatch.setattr(relations, "_store", {})
-        monkeypatch.setattr(canonical, "_reps", {})
-        monkeypatch.setattr(canonical, "_classes", {})
+        relations.clear_caches()
         labelled, moved = [], []
         label, moves = canonical._minimal_bits, relations._moves
 
@@ -528,9 +526,7 @@ class TestClosureStore:
         pairs = [(random_graph(rng, 5), g) for g in graphs[:12] for _ in range(3)]
 
         def run() -> tuple[list, list]:
-            monkeypatch.setattr(relations, "_store", {})
-            monkeypatch.setattr(canonical, "_reps", {})
-            monkeypatch.setattr(canonical, "_classes", {})
+            relations.clear_caches()
             closures = [bipartite_minor_closure(g) for g in graphs]
             traces = [bipartite_minor_trace(h, g) for h, g in pairs]
             return closures, traces
@@ -551,6 +547,52 @@ class TestClosureStore:
         assert max(sizes) == 20
         assert sum(a > b for a, b in zip(sizes, sizes[1:])) > 3
         assert sum(trace is not None for trace in want[1]) > 5
+
+    def test_form_memo_is_emptied_with_the_class_cache(self, monkeypatch):
+        graphs = _hosts_and_blocks()[:12]
+        relations.clear_caches()
+        want = [bipartite_minor_closure(g) for g in graphs]
+        seen = []
+        label = canonical._minimal_bits
+
+        def recording(g):
+            seen.append((len(canonical._reps), len(canonical._forms)))
+            return label(g)
+
+        monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
+        monkeypatch.setattr(canonical, "_minimal_bits", recording)
+        relations.clear_caches()
+        got = []
+        for g in graphs:
+            got.append(bipartite_minor_closure(g))
+            assert len(canonical._forms) <= 21
+        assert got == want
+        # Every labelling that found the class cache emptied found the memo
+        # emptied too, and the memo was filled in between.
+        emptied = [forms for reps, forms in seen if reps == 0]
+        assert len(emptied) > 3 and set(emptied) == {0}
+        assert max(forms for _, forms in seen) > 0
+
+    def test_clear_caches_leaves_no_module_state(self):
+        # Every dict, list and set held by ``canonical`` or ``relations`` is
+        # a cache that ``clear_caches`` empties, besides the upper-case
+        # constant tables.
+        bipartite_minor_closure(cycle(8))
+        assert bipartite_minor_trace(bull(4, [1]), dog(6, [4, 4])) is not None
+
+        def state() -> dict:
+            return {
+                f"{module.__name__}.{name}": value
+                for module in (canonical, relations)
+                for name, value in vars(module).items()
+                if isinstance(value, (dict, list, set))
+                and not name.startswith("__")
+                and not name.isupper()
+            }
+
+        assert all(state().values())
+        relations.clear_caches()
+        assert {name: len(value) for name, value in state().items() if value} == {}
 
 
 class TestCompareFamily:
