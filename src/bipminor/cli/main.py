@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from ..families import FamilySpec
+from ..families import FAMILY_KINDS, FamilySpec
 from ..graph_core import Graph, GraphError
 from ..relations import (
     WITNESS_SEARCHES,
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a named family member")
-    gen.add_argument("family", choices=["cycle", "path", "bull", "dog", "h_tree"])
+    gen.add_argument("family", choices=FAMILY_KINDS)
     gen.add_argument("params", type=int, nargs="+", help="length, then appendages")
     gen.add_argument("--format", choices=["g6", "dot"], default="g6")
 
@@ -72,20 +72,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_graph(path: str) -> Graph:
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
-    return parse_graph6(text)
+
+
+def _read_graph(path: str) -> Graph:
+    return parse_graph6(_read(path))
 
 
 def _read_family(path: str) -> list[Graph]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise GraphError(f"cannot read {path}: {exc}") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in _read(path).splitlines() if line.strip()]
     if not lines:
         raise GraphError(f"no graphs in {path}")
     return [parse_graph6(line) for line in lines]

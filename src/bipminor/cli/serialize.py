@@ -6,12 +6,14 @@ byte (value + 63), after a single size byte (n + 63, n <= 62 here).
 
 A witness document records one relation verdict plus the evidence: an
 operation trace for bipartite minors (labels refer to the pre-step graph
-under the compact relabeling convention), a branch-set map for minors, or
-a vertex embedding for subgraphs.
+under the compact relabeling convention), or a branch-set map for minors
+and subgraphs: a subgraph embedding is a minor model whose branch sets are
+single vertices, and both are checked by ``validate_minor_model``.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Iterable, Mapping
 
 from ..canonical import are_isomorphic
@@ -108,14 +110,21 @@ def emit_dot(
 # witness documents
 
 
+# Each trace step's op name and class; the class's fields, in order, are
+# the step's vertex labels in the document.
+_STEP_OPS: dict[str, type[Step]] = {
+    "delete_vertex": VertexDeletion,
+    "delete_edge": EdgeDeletion,
+    "admissible_contract": AdmissibleContraction,
+}
+_OP_NAMES = {cls: op for op, cls in _STEP_OPS.items()}
+
+
 def _step_to_json(step: Step) -> dict:
-    if isinstance(step, VertexDeletion):
-        return {"op": "delete_vertex", "v": step.v}
-    if isinstance(step, EdgeDeletion):
-        return {"op": "delete_edge", "u": step.u, "v": step.v}
-    if isinstance(step, AdmissibleContraction):
-        return {"op": "admissible_contract", "u": step.u, "v": step.v, "w": step.w}
-    raise GraphError(f"unknown trace step: {step!r}")
+    op = _OP_NAMES.get(type(step))
+    if op is None:
+        raise GraphError(f"unknown trace step: {step!r}")
+    return {"op": op, **vars(step)}
 
 
 def _vertex(x: object) -> int:
@@ -127,18 +136,12 @@ def _vertex(x: object) -> int:
 
 def _step_from_json(obj: Mapping) -> Step:
     try:
-        op = obj["op"]
-        if op == "delete_vertex":
-            return VertexDeletion(_vertex(obj["v"]))
-        if op == "delete_edge":
-            return EdgeDeletion(_vertex(obj["u"]), _vertex(obj["v"]))
-        if op == "admissible_contract":
-            return AdmissibleContraction(
-                _vertex(obj["u"]), _vertex(obj["v"]), _vertex(obj["w"])
-            )
+        cls = _STEP_OPS.get(obj["op"])
+        if cls is None:
+            raise GraphError(f"unknown witness op: {obj['op']!r}")
+        return cls(*(_vertex(obj[f.name]) for f in fields(cls)))
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed witness step: {obj!r}") from exc
-    raise GraphError(f"unknown witness op: {op!r}")
 
 
 def witness_document(
@@ -162,16 +165,14 @@ def witness_document(
     if relation == "bipartite_minor":
         assert isinstance(evidence, OpTrace)
         doc["steps"] = [_step_to_json(s) for s in evidence.steps]
-    elif relation == "minor":
-        assert isinstance(evidence, MinorModel)
-        doc["steps"] = {
-            str(i): sorted(bs) for i, bs in enumerate(evidence.branch_sets)
-        }
-    elif relation == "subgraph":
+        return doc
+    if relation == "subgraph":
         assert isinstance(evidence, Mapping)
-        doc["steps"] = {str(k): [v] for k, v in sorted(evidence.items())}
-    else:
+        evidence = MinorModel(tuple(frozenset((v,)) for _, v in sorted(evidence.items())))
+    elif relation != "minor":
         raise GraphError(f"unknown relation: {relation!r}")
+    assert isinstance(evidence, MinorModel)
+    doc["steps"] = {str(i): sorted(bs) for i, bs in enumerate(evidence.branch_sets)}
     return doc
 
 
@@ -209,34 +210,19 @@ def validate_witness(doc: Mapping) -> bool:
             raise GraphError("trace replay does not reach the target graph")
         return True
 
-    if relation == "minor":
-        if not isinstance(steps, Mapping):
-            raise GraphError("minor witness steps must map target vertices to lists")
-        sets = []
-        for i in range(target.vertex_count):
-            members = steps.get(str(i))
-            if not isinstance(members, list):
-                raise GraphError(f"branch set {i} is missing or not a list")
-            sets.append(frozenset(_vertex(x) for x in members))
-        validate_minor_model(MinorModel(tuple(sets)), target, source)
-        return True
-
-    if relation == "subgraph":
-        if not isinstance(steps, Mapping):
-            raise GraphError("subgraph witness steps must map vertices to vertices")
-        image = {}
-        for i in range(target.vertex_count):
-            members = steps.get(str(i))
-            if not isinstance(members, list) or len(members) != 1:
-                raise GraphError(f"image of target vertex {i} is not one vertex")
-            image[i] = _vertex(members[0])
-        if len(set(image.values())) != len(image):
-            raise GraphError("embedding is not injective")
-        for v in image.values():
-            source.check_vertex(v)
-        for a, b in target.edges:
-            if not source.has_edge(image[a], image[b]):
-                raise GraphError(f"target edge ({a}, {b}) not mapped onto an edge")
-        return True
-
-    raise GraphError(f"unknown relation: {relation!r}")
+    if relation not in ("minor", "subgraph"):
+        raise GraphError(f"unknown relation: {relation!r}")
+    # A subgraph embedding is a minor model whose branch sets are single
+    # vertices.
+    if not isinstance(steps, Mapping):
+        raise GraphError(f"{relation} witness steps must map target vertices to lists")
+    sets = []
+    for i in range(target.vertex_count):
+        members = steps.get(str(i))
+        if not isinstance(members, list):
+            raise GraphError(f"branch set {i} is missing or not a list")
+        if relation == "subgraph" and len(members) != 1:
+            raise GraphError(f"image of target vertex {i} is not one vertex")
+        sets.append(frozenset(_vertex(x) for x in members))
+    validate_minor_model(MinorModel(tuple(sets)), target, source)
+    return True

@@ -77,20 +77,11 @@ def admissible_pairs(g: Graph, cap: int | None = None) -> tuple[AdmissiblePair, 
     """All unordered pairs admitting an admissible contraction, one witness
     each (smallest w, then smallest cycle), sorted by pair."""
     check_size_cap(g, cap)
-    witnesses: dict[tuple[int, int], tuple[int, tuple[int, Cycle], Cycle]] = {}
-    for cyc in peripheral_cycles(g, cap):
-        m = len(cyc)
-        for i in range(m):
-            u, w, v = cyc[i], cyc[(i + 1) % m], cyc[(i + 2) % m]
-            pair = (u, v) if u < v else (v, u)
-            key = (w, (m, cyc))
-            prev = witnesses.get(pair)
-            if prev is None or key < prev[:2]:
-                witnesses[pair] = (w, (m, cyc), cyc)
-    return tuple(
-        AdmissiblePair(u, v, witnesses[(u, v)][0], witnesses[(u, v)][2])
-        for u, v in sorted(witnesses)
-    )
+    pairs = []
+    for (u, v), middles in sorted(_middle_map(g, cap).items()):
+        w = min(middles)
+        pairs.append(AdmissiblePair(u, v, w, middles[w]))
+    return tuple(pairs)
 
 
 def admissible_contract(g: Graph, u: int, v: int, cap: int | None = None) -> Graph:
@@ -109,16 +100,24 @@ def admissible_contract(g: Graph, u: int, v: int, cap: int | None = None) -> Gra
     return contract_set(g, {u, v})
 
 
-def _middles(g: Graph, u: int, v: int, cap: int | None) -> set[int]:
-    """Every w such that u, w, v lie consecutively on an induced
-    non-separating cycle of ``g``."""
-    out = set()
+def _middle_map(g: Graph, cap: int | None) -> dict[tuple[int, int], dict[int, Cycle]]:
+    """Each pair (u < v) that lies two apart on an induced non-separating
+    cycle of ``g``, mapped to every w between them on one, each with the
+    first such cycle in ``peripheral_cycles`` order: the shortest, then
+    the lexicographically least."""
+    out: dict[tuple[int, int], dict[int, Cycle]] = {}
     for cyc in peripheral_cycles(g, cap):
         m = len(cyc)
         for i in range(m):
-            if {cyc[i - 1], cyc[(i + 1) % m]} == {u, v}:
-                out.add(cyc[i])
+            u, w, v = cyc[i - 1], cyc[i], cyc[(i + 1) % m]
+            out.setdefault(normalize_edge(u, v), {}).setdefault(w, cyc)
     return out
+
+
+def _middles(g: Graph, u: int, v: int, cap: int | None) -> set[int]:
+    """Every w such that u, w, v lie consecutively on an induced
+    non-separating cycle of ``g``."""
+    return set(_middle_map(g, cap).get(normalize_edge(u, v), ()))
 
 
 # ---------------------------------------------------------------------------

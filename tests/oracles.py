@@ -216,16 +216,23 @@ def brute_peripheral(g: Graph) -> set[tuple[int, ...]]:
     }
 
 
-def brute_admissible_pairs(g: Graph) -> set[tuple[int, int]]:
-    """Pairs with a common neighbor w such that u,w,v sit consecutively on
-    some chordless non-separating cycle; found by scanning all cycles."""
-    pairs = set()
+def brute_middles(g: Graph) -> dict[tuple[int, int], set[int]]:
+    """Each pair (u < v) mapped to every w such that u, w, v sit
+    consecutively on some chordless non-separating cycle; found by
+    scanning all cycles."""
+    middles: dict[tuple[int, int], set[int]] = {}
     for cyc in brute_peripheral(g):
         m = len(cyc)
         for i in range(m):
-            u, v = cyc[i], cyc[(i + 2) % m]
-            pairs.add((u, v) if u < v else (v, u))
-    return pairs
+            u, w, v = cyc[i], cyc[(i + 1) % m], cyc[(i + 2) % m]
+            middles.setdefault((u, v) if u < v else (v, u), set()).add(w)
+    return middles
+
+
+def brute_admissible_pairs(g: Graph) -> set[tuple[int, int]]:
+    """Pairs with a common neighbor w such that u,w,v sit consecutively on
+    some chordless non-separating cycle; found by scanning all cycles."""
+    return set(brute_middles(g))
 
 
 def brute_blocks(g: Graph) -> tuple[set[frozenset], set[int]]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -37,11 +38,22 @@ from bipminor.structure import _connected_subsets, blocks, is_k_connected, is_su
 from oracles import (
     bipminor_by_unpruned_search,
     brute_admissible_pairs,
+    brute_middles,
+    brute_peripheral,
     closure_by_isomorphism_test,
     minor_by_operations,
     random_graph,
     random_sparse_connected,
 )
+
+
+def _consecutive(cyc, u, w, v) -> bool:
+    """True when u, w, v lie consecutively on the cycle, in either
+    direction."""
+    m = len(cyc)
+    return any(
+        cyc[i] == w and {cyc[i - 1], cyc[(i + 1) % m]} == {u, v} for i in range(m)
+    )
 
 
 class TestAdmissiblePairs:
@@ -72,11 +84,36 @@ class TestAdmissiblePairs:
             assert (p.u, p.w, p.v) in triples or (p.v, p.w, p.u) in triples
 
     def test_matches_cycle_scan_oracle(self):
+        # Each pair's witness is its least middle w and the first cycle, by
+        # length then lexicographically, on which u, w, v lie consecutively;
+        # replay accepts exactly the middles among the common neighbours.
         rng = random.Random(31)
+        accepted = rejected = 0
         for _ in range(150):
             g = random_graph(rng, 7)
-            got = {(p.u, p.v) for p in admissible_pairs(g)}
-            assert got == brute_admissible_pairs(g)
+            middles = brute_middles(g)
+            cycles = sorted(brute_peripheral(g), key=lambda c: (len(c), c))
+            pairs = admissible_pairs(g)
+            assert {(p.u, p.v) for p in pairs} == set(middles)
+            for p in pairs:
+                assert p.w == min(middles[(p.u, p.v)])
+                assert p.cycle == next(
+                    c for c in cycles if _consecutive(c, p.u, p.w, p.v)
+                )
+            for u, v in itertools.combinations(g.vertices, 2):
+                common = g.neighbor_masks[u] & g.neighbor_masks[v]
+                for w in g.vertices:
+                    if not (common >> w) & 1:
+                        continue
+                    trace = OpTrace((AdmissibleContraction(u, v, w),))
+                    if w in middles.get((u, v), ()):
+                        assert trace.replay(g) == contract_set(g, {u, v})
+                        accepted += 1
+                    else:
+                        with pytest.raises(GraphError):
+                            trace.replay(g)
+                        rejected += 1
+        assert accepted > 100 and rejected > 100
 
     def test_adjacent_pairs_allowed_in_triangles(self):
         got = {(p.u, p.v) for p in admissible_pairs(cycle(3))}

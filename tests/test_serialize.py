@@ -240,6 +240,12 @@ class TestMalformedWitnessDocuments:
             pytest.param(_set_step(_minor_doc(), [0.5]), id="minor-member-a-float"),
             pytest.param(_set_step(_subgraph_doc(), {"0": 1}), id="subgraph-image-a-dict"),
             pytest.param(_set_step(_subgraph_doc(), ["x"]), id="subgraph-image-a-string"),
+            # P_4 into C_6 sends 0, 1, 2, 3 to 5, 0, 1, 2.
+            pytest.param(_set_step(_subgraph_doc(), [2]), id="subgraph-two-on-one-vertex"),
+            pytest.param(_set_step(_subgraph_doc(), [3]), id="subgraph-edge-onto-non-edge"),
+            pytest.param(_set_step(_subgraph_doc(), [6]), id="subgraph-image-outside-source"),
+            pytest.param(_set_step(_subgraph_doc(), []), id="subgraph-image-empty"),
+            pytest.param(_set_step(_subgraph_doc(), [5, 4]), id="subgraph-image-two-vertices"),
             pytest.param({**_subgraph_doc(), "source": 5}, id="source-an-integer"),
             pytest.param({**_subgraph_doc(), "target": None}, id="target-is-null"),
             pytest.param({**_subgraph_doc(), "holds": 1}, id="holds-an-integer"),
