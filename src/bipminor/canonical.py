@@ -36,42 +36,69 @@ with the cache; no result depends on what they hold.  ``are_isomorphic``
 compares two certificates and runs the same search on a path of its own,
 and labels neither graph.
 
-**Labelling** is a branch and bound over partial orderings.  Placing a
-vertex at position j fixes column j: its adjacency to the j vertices
-placed before it, first placed most significant.
+**Labelling** is a branch and bound over ordered partitions of the placed
+vertices into **blocks** (McKay, *Practical graph isomorphism*, 1981).
+Placing a vertex at position j fixes column j: its adjacency to the j
+vertices placed before it, first placed most significant.  A block is a
+run of positions whose order inside the run is still open: every order
+of the placed vertices that fits the blocks gives the columns so far.
 
-- **Cells.**  The unplaced vertices are held as an ordered list of
-  ``(column value, vertex mask)`` cells, one per distinct running column,
-  in increasing column order.  Placing ``u`` splits every cell by
-  ``masks[u]`` (non-neighbours first), which keeps the list sorted.
-  Columns have fixed width, so only the vertices of the first cell can
-  reach the optimum; they are tried in increasing vertex order.
+- **Columns.**  An unplaced vertex's next column is its minimum over every
+  order that fits the blocks.  Inside each block its non-neighbours come
+  first, so block by block it is ``c = (c << |B|) | ((1 << |N(w) & B|) -
+  1)``.  Columns have fixed width, so only the vertices of least next
+  column can come next; they are tried in increasing vertex order.
+- **Placing.**  Placing ``z`` splits every block into its non-neighbours of
+  ``z`` followed by its neighbours, which fixes ``z``'s column for every
+  order that still fits, and appends ``{z}``.  The exception is a
+  **join**: when ``z``'s column is the last column shifted once, ``z`` is
+  adjacent to no member of the last block and has the same neighbours as
+  its members in the earlier blocks, so ``z`` joins that block and its
+  order stays open.  All candidates of such a node can join, and only
+  those above the last vertex joined are tried, so each set of them joins
+  once, in increasing order.  A candidate below the last join that has no
+  neighbour among those above it could never join nor stop being a
+  candidate, so a child that would leave one is not entered.
 - **Incumbent.**  A node whose prefix equals the best leaf's prefix is
   cut when its column exceeds the best's column at that depth.  A node
   whose prefix is already smaller is not compared, until a leaf below it
   becomes the new best; from then on its remaining children are compared
-  against that best too (the re-tie).  At a node whose prefix equals the
-  best's, the cells also bound every remaining column: the vertices are
-  placed in cell order, so column ``depth + k`` is at least ``c_k << k``,
-  ``c_k`` the k-th cell value counted with multiplicity.  The node is cut
-  when that bound sequence exceeds the best's remaining columns at their
-  first difference.  Every leaf below a cut node is worse than the best,
-  so the search finds the same best leaves and automorphisms without it.
-- **Automorphisms.**  A leaf whose bits equal the best leaf's gives the
-  automorphism mapping the best ordering onto it (McKay, *Practical graph
-  isomorphism*, 1981).  The search then backjumps to the node where the
-  two orderings part, since the subtree it left is the image of one
-  already searched.  At every node, a candidate is skipped when an
-  automorphism found so far that fixes the node's prefix pointwise maps
-  an already tried sibling onto it.  The transpositions of twin vertices
-  (vertices that agree off each other) seed the list of automorphisms.
+  against that best too (the re-tie).
+- **Automorphisms.**  Any order that fits a leaf's blocks gives its bits,
+  so a leaf whose bits equal the best leaf's gives the automorphism that
+  maps the best's blocks onto its own, members paired in the order they
+  were placed.  A segment, a vertex placed alone and the joins after it,
+  starts at the same positions in both leaves.  The search backjumps to
+  just above the first segment start after the node where the two paths
+  part, or to that node itself when the automorphism maps its last block
+  onto itself and the best's child there onto the current one: either
+  way, the subtree it leaves is the image of one already searched.  At
+  every node, a child is skipped when an automorphism found so far that
+  maps every block onto itself, setwise, maps an earlier child onto it.
+  Automorphisms that fix every placed vertex would not do: in ``7K_2``
+  they leave the orders of the edges to multiply.  The search starts with
+  no automorphisms.  At the end it adds the transpositions of consecutive
+  members of each of the best leaf's blocks (any order of a block fits,
+  so they are automorphisms); no comparison of two leaves finds them.
+- **No cell bound.**  An eager search, which places tied vertices one
+  order at a time, can also cut a tied node once the sorted next columns
+  ``c_k`` bound column ``depth + k`` by ``c_k << k``.  After a join that
+  bound fails: as the last block grows, a vertex's ones in it move to
+  lower bits, so its column can fall below ``c << 1``.
 
-Pruning never removes a subtree whose minimum was not reached elsewhere,
-so the result is the exact minimum.  The automorphisms found generate the
-full automorphism group, and ``automorphism_generators`` returns them (or
-their conjugates), so a caller can act on orbits (``relations._moves``
-emits one successor move per orbit); only the generating set, never the
-group, depends on which graph of the class was labelled first.
+A leaf is a sequence of segments, reached by one path that places each
+segment in increasing vertex order, and the search visits leaves in the
+lexicographic order of these paths.  A leaf is skipped only when its
+bits exceed the best's or when an automorphism found maps it onto an
+earlier leaf, so the result is the exact minimum.  Any automorphism maps
+the best leaf onto a leaf with equal bits, which automorphisms found map
+onto a leaf compared with the best; so it is a product of automorphisms
+found and of swaps inside the best's blocks, and the generators returned
+generate the full automorphism group.  ``automorphism_generators``
+returns them (or their conjugates), so a caller can act on orbits
+(``relations._moves`` emits one successor move per orbit); only the
+generating set, never the group, depends on which graph of the class was
+labelled first.
 """
 
 from __future__ import annotations
@@ -307,60 +334,86 @@ def _orbit(mask: int, generators: list[Perm] | tuple[Perm, ...]) -> int:
     return covered
 
 
-def _twin_transpositions(masks: tuple[int, ...]) -> list[Perm]:
-    """Transpositions of consecutive members of each twin class.  Twins
-    agree off each other, so swapping them is an automorphism; being
-    twins is an equivalence relation."""
-    n = len(masks)
-    out: list[Perm] = []
-    classed = 0
-    for u in range(n):
-        if (classed >> u) & 1:
+def _columns(blocks: list[int], rest: int, masks: Sequence[int]) -> tuple[int, int]:
+    """The least next column of the unplaced vertices ``rest`` and the mask
+    of those that reach it.  A vertex's next column is its minimum over
+    every order that fits ``blocks``: inside each block its non-neighbours
+    come first, so the block adds a run of ones as long as its neighbours
+    there, at the low end of the block's bits.  Blocks compare in order,
+    so each keeps only the candidates with the fewest neighbours in it."""
+    col = 0
+    candidates = rest
+    for b in blocks:
+        if not b & (b - 1):
+            off = candidates & ~masks[b.bit_length() - 1]
+            if off:
+                candidates = off
+                col <<= 1
+            else:
+                col = col << 1 | 1
             continue
-        prev = u
-        for v in range(u + 1, n):
-            if masks[u] & ~(1 << v) == masks[v] & ~(1 << u):
-                classed |= 1 << v
-                p = list(range(n))
-                p[prev], p[v] = v, prev
-                out.append(tuple(p))
-                prev = v
-    return out
+        least = -1
+        keep = 0
+        m = candidates
+        while m:
+            low = m & -m
+            m ^= low
+            k = (masks[low.bit_length() - 1] & b).bit_count()
+            if k == least:
+                keep |= low
+            elif k < least or least < 0:
+                least = k
+                keep = low
+        candidates = keep
+        col = (col << b.bit_count()) | ((1 << least) - 1)
+    return col, candidates
 
 
-def _place(cells: list, bit: int, mu: int) -> list:
-    """The cells after placing the vertex ``bit`` with neighbour mask
-    ``mu``: each cell loses it and splits into non-neighbours (column bit
-    0) and neighbours (column bit 1), which keeps the cells sorted."""
+def _child(blocks: list[int], bit: int, mu: int, join: bool) -> list[int]:
+    """The blocks after placing the vertex ``bit`` with neighbour mask
+    ``mu``: joined to the last block, or split every block into its
+    non-neighbours and then its neighbours and appended alone."""
+    if join:
+        return [*blocks[:-1], blocks[-1] | bit]
     out = []
-    for c, m in cells:
-        m &= ~bit
-        if m:
-            hi = m & mu
-            if m != hi:
-                out.append((c << 1, m ^ hi))
-            if hi:
-                out.append((c << 1 | 1, hi))
+    for b in blocks:
+        hi = b & mu
+        if hi != b:
+            out.append(b ^ hi)
+        if hi:
+            out.append(hi)
+    out.append(bit)
     return out
 
 
-def _beyond(cells: list, best_cols: list[int], depth: int) -> bool:
-    """True when every leaf below a node whose columns so far equal the
-    best leaf's is worse than it.  The search places from the first cell,
-    so the vertices are placed in cell order and column ``depth + k`` is at
-    least ``c_k << k``, ``c_k`` the k-th cell value counted with
-    multiplicity.  Only a first difference of that bound from the best
-    columns that is greater decides; a smaller one says nothing, since the
-    low bits of later columns are still free."""
-    k = depth
-    for c, m in cells:
-        for _ in range(m.bit_count()):
-            bound = c << (k - depth)
-            ref = best_cols[k]
-            if bound != ref:
-                return bound > ref
-            k += 1
+def _stuck(u: int, peers: int, masks: Sequence[int]) -> bool:
+    """True when no leaf lies below placing the candidate ``u``, where
+    ``peers`` holds the candidates that share ``u``'s neighbours among the
+    placed vertices.  Those of them not adjacent to ``u`` are the ones that
+    may join ``u``'s block.  One below ``u`` with no neighbour among those
+    above ``u`` can never join, since joins go in increasing order, and
+    never stops being able to, so the block never closes."""
+    joinable = peers & ~masks[u]
+    below = joinable & ((1 << u) - 1)
+    above = joinable & -(2 << u)
+    while below:
+        low = below & -below
+        if not masks[low.bit_length() - 1] & above:
+            return True
+        below ^= low
     return False
+
+
+def _peers(candidates: int, placed: int, masks: Sequence[int]) -> dict[int, int]:
+    """The candidates grouped by their neighbours among the placed
+    vertices: each such neighbour mask maps to the mask of its group."""
+    groups: dict[int, int] = {}
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        key = masks[low.bit_length() - 1] & placed
+        groups[key] = groups.get(key, 0) | low
+    return groups
 
 
 def _minimal_bits(g: Graph) -> tuple[int, tuple[Perm, ...]]:
@@ -368,74 +421,141 @@ def _minimal_bits(g: Graph) -> tuple[int, tuple[Perm, ...]]:
     if n <= 1:
         return 0, ()
     masks = g.neighbor_masks
+    full = (1 << n) - 1
 
-    generators = _twin_transpositions(masks)
-    # fixed[i]: the vertices that generators[i] maps to themselves.
-    fixed = [sum(1 << v for v in range(n) if p[v] == v) for p in generators]
-
+    generators: list[Perm] = []
     best_cols: list[int] = []
     best_order: list[int] = []
+    best_blocks: list[list[int]] = []  # the best leaf's blocks, in placement order
     improvements = 0  # how often best has changed
     cols: list[int] = []  # column chosen at each depth of the current path
     order: list[int] = []  # vertex placed at each depth of the current path
 
-    def extend(depth: int, placed: int, cells: list, tied: bool) -> int:
+    def leaf(blocks: list[int], tied: bool) -> int:
+        """Take the leaf the current path reached; returns the depth to
+        resume at, as ``extend`` does."""
+        nonlocal improvements
+        index = [0] * n
+        for i, b in enumerate(blocks):
+            while b:
+                low = b & -b
+                index[low.bit_length() - 1] = i
+                b ^= low
+        members: list[list[int]] = [[] for _ in blocks]
+        for v in order:
+            members[index[v]].append(v)
+        if not tied:
+            best_cols[:] = cols
+            best_order[:] = order
+            best_blocks[:] = members
+            improvements += 1
+            return n
+        # Any order that fits a leaf's blocks gives its bits, so pairing
+        # the two leaves block by block gives an automorphism.
+        perm = [0] * n
+        for bs, cs in zip(best_blocks, members):
+            for b, c in zip(bs, cs):
+                perm[b] = c
+        generators.append(tuple(perm))
+        k = 0
+        while best_order[k] == order[k]:
+            k += 1
+        # A segment runs from a vertex placed alone through the joins after
+        # it; position p starts one iff its column is not the one before
+        # shifted, so both leaves have the same segments, and perm maps
+        # each onto its counterpart.  At the first segment start d after k,
+        # perm maps the best's node onto ours, so the subtree of ours is the
+        # image of one already searched: resume at the node above it.
+        d = k + 1
+        while d < n and cols[d] == cols[d - 1] << 1:
+            d += 1
+        if d > k + 1:
+            # Mid-segment, the node at depth k can resume instead when perm
+            # maps its last block, the joins so far, onto itself and the
+            # best's child onto ours: a later sibling's subtree then maps
+            # onto an earlier one's.
+            s = k
+            while s > 0 and cols[s] == cols[s - 1] << 1:
+                s -= 1
+            last = order[s:k]
+            if perm[best_order[k]] == order[k] and {perm[v] for v in last} == set(last):
+                return k
+        return d - 1
+
+    def extend(depth: int, rest: int, blocks: list[int], tied: bool) -> int:
         """Search below the current path; ``tied`` says its columns equal
         the best leaf's so far.  Returns the depth of the node the search
         resumes at: ``n`` to go on normally, less to backjump.  Appends to
         ``cols`` and ``order``, which the caller truncates."""
-        nonlocal improvements
         while True:
-            if not cells:
-                if tied:
-                    perm = [0] * n
-                    for b, o in zip(best_order, order):
-                        perm[b] = o
-                    generators.append(tuple(perm))
-                    fixed.append(sum(1 << v for v in range(n) if perm[v] == v))
-                    k = 0
-                    while best_order[k] == order[k]:
-                        k += 1
-                    return k
-                best_cols[:] = cols
-                best_order[:] = order
-                improvements += 1
-                return n
-            min_col, candidates = cells[0]
+            if not rest:
+                return leaf(blocks, tied)
+            min_col, candidates = _columns(blocks, rest, masks)
             if tied:
                 ref = best_cols[depth]
                 if min_col > ref:
                     return n
                 tied = min_col == ref
-                if tied and _beyond(cells, best_cols, depth):
-                    return n
-            if candidates & (candidates - 1):
+            join = bool(depth) and min_col == cols[-1] << 1
+            # Each set joins the last block once, in increasing order.
+            kids = candidates & -(2 << order[-1]) if join else candidates
+            if not kids:
+                return n
+            if kids & (kids - 1):
                 break
-            # A lone candidate is placed without branching.
-            cells = _place(cells, candidates, masks[candidates.bit_length() - 1])
+            # A lone child is placed without branching.
+            u = kids.bit_length() - 1
+            if join and _stuck(u, candidates, masks):
+                return n
+            blocks = _child(blocks, kids, masks[u], join)
             cols.append(min_col)
-            order.append(candidates.bit_length() - 1)
-            placed |= candidates
+            order.append(u)
+            rest ^= kids
             depth += 1
 
         child_tied = tied
         entry_improvements = improvements
-        tried = 0
-        # pruned: the orbit of the tried candidates under the automorphisms
-        # fixing the prefix, recomputed when an automorphism is found.
-        pruned = 0
+        placed = full ^ rest
+        peers: dict[int, int] = {}
+        # tried: the children passed so far.  A child in their orbit under
+        # the automorphisms found that map every block onto itself is
+        # skipped; that orbit, pruned, is brought up to date only when a
+        # child is about to be searched.
+        tried = pruned = orbited = 0
         stabiliser: list[Perm] = []
-        known = -1
-        rest = candidates
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if pruned & bit:
-                continue
+        checked = 0
+        others = kids
+        while others:
+            bit = others & -others
+            others ^= bit
             u = bit.bit_length() - 1
+            group = candidates
+            if not join and candidates & ~masks[u] & (bit - 1):
+                # Only the candidates that share u's neighbours can join it.
+                peers = peers or _peers(candidates, placed, masks)
+                group = peers[masks[u] & placed]
+            if _stuck(u, group, masks):
+                tried |= bit
+                continue
+            if tried:
+                if len(generators) > checked:
+                    # p maps a block onto itself iff it maps it into itself.
+                    new = [
+                        p for p in generators[checked:]
+                        if all(_orbit(b, (p,)) == b for b in blocks)
+                    ]
+                    checked = len(generators)
+                    if new:
+                        stabiliser += new
+                        pruned = orbited = 0
+                if stabiliser and tried != orbited:
+                    pruned |= _orbit(tried & ~orbited, stabiliser)
+                    orbited = tried
+                if pruned & bit:
+                    continue
             cols.append(min_col)
             order.append(u)
-            jump = extend(depth + 1, placed | bit, _place(cells, bit, masks[u]), child_tied)
+            jump = extend(depth + 1, rest ^ bit, _child(blocks, bit, masks[u], join), child_tied)
             del cols[depth:]
             del order[depth:]
             if jump < depth:
@@ -444,18 +564,18 @@ def _minimal_bits(g: Graph) -> tuple[int, tuple[Perm, ...]]:
                 # A new best lies below this node, so its prefix is ours.
                 child_tied = True
             tried |= bit
-            if rest and generators:
-                if len(generators) != known:
-                    known = len(generators)
-                    stabiliser = [
-                        p for p, fx in zip(generators, fixed) if not placed & ~fx
-                    ]
-                    pruned = _orbit(tried, stabiliser)
-                elif stabiliser:
-                    pruned |= _orbit(bit, stabiliser)
         return n
 
-    extend(0, 0, [(0, (1 << n) - 1)], False)
+    extend(0, full, [], False)
+
+    # Any order that fits a block gives the best's bits, so swapping two of
+    # its members is an automorphism; with those, every automorphism is a
+    # product of the ones found.
+    for members in best_blocks:
+        for a, b in zip(members, members[1:]):
+            p = list(range(n))
+            p[a], p[b] = b, a
+            generators.append(tuple(p))
 
     bits = 0
     for j, col in enumerate(best_cols):

@@ -24,6 +24,7 @@ from bipminor.relations import bipartite_minor_closure
 from oracles import (
     brute_isomorphic,
     brute_min_bits,
+    eager_min_bits,
     graphs,
     random_forest,
     random_graph,
@@ -161,36 +162,44 @@ class TestAutomorphisms:
             _assert_full_orbits(g, automorphism_generators(g))
 
 
+def _vertex_orbits(g, gens):
+    return {frozenset(_generated_orbit(v, gens, lambda p, w: p[w])) for v in g.vertices}
+
+
+def _edge_orbits(g, gens):
+    act = lambda p, f: normalize_edge(p[f[0]], p[f[1]])  # noqa: E731
+    return {frozenset(_generated_orbit(e, gens, act)) for e in g.edges}
+
+
+def _assert_as_eager(g, bits, gens):
+    """The form and the vertex and edge orbits of the eager search."""
+    want, want_gens = eager_min_bits(g)
+    assert bits == want, g
+    assert _vertex_orbits(g, gens) == _vertex_orbits(g, want_gens), g
+    assert _edge_orbits(g, gens) == _edge_orbits(g, want_gens), g
+
+
 # The forest P3 + P5 + 2K1: its isolated vertices and leaves tie on many
-# columns, which the cell bound cuts.
+# columns, and an eager search made each order of them a subtree.
 FOREST = build(10, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)])
 
 
-class TestCellBound:
-    def test_exact_on_forests_with_isolated_vertices(self, monkeypatch):
-        # Disconnected sparse graphs are where the bound cuts most; a cut
-        # that dropped a subtree holding the minimum or an automorphism
-        # would show as a wrong form or a smaller orbit.
-        cuts = []
-        beyond = canonical._beyond
-
-        def recording(*args):
-            cuts.append(beyond(*args))
-            return cuts[-1]
-
-        monkeypatch.setattr(canonical, "_beyond", recording)
+class TestBlocks:
+    def test_exact_on_forests_with_isolated_vertices(self):
+        # Disconnected sparse graphs are where blocks, joins and the
+        # setwise stabiliser cut most; a cut that dropped a subtree holding
+        # the minimum or an automorphism would show as a wrong form or a
+        # smaller orbit.
         rng = random.Random(113)
         for _ in range(24):
             g = random_forest(rng, 8, min_vertices=4)
             bits, gens = _minimal_bits(g)
             assert bits == brute_min_bits(g), g
             _assert_full_orbits(g, gens)
-        assert sum(cuts) > 50
 
-    def test_invariant_under_relabelling_where_it_cuts(self):
-        # A cut on the cells' high parts alone, blind to the low bits of
-        # the best columns, gives labelling-dependent forms on a few
-        # percent of these graphs.
+    def test_invariant_under_relabelling(self):
+        # A cut that depended on vertex numbers beyond the order of ties
+        # would give labelling-dependent forms.
         rng = random.Random(116)
         for _ in range(300):
             g = random_graph(rng, 9, min_vertices=6)
@@ -199,20 +208,53 @@ class TestCellBound:
                 assert _minimal_bits(shuffled(g, rng))[0] == want, g
 
     @pytest.mark.parametrize(
-        "g, before", [(FOREST, 3247), (dog(10, [4, 4]), 37601)], ids=["P3+P5+2K1", "D(10,4,4)"]
+        "g, bound",
+        [
+            # The eager search placed 804 vertices on the forest and 11570
+            # on D(10,4,4), with its cell bound.
+            (FOREST, 60),
+            (dog(10, [4, 4]), 200),
+            # 7K_2: pruning with only the automorphisms that fix every
+            # placed vertex lets the edges' orders multiply.
+            (build(14, [(2 * i, 2 * i + 1) for i in range(7)]), 60),
+            # The empty graph: one block, each set joined once.
+            (build(14, []), 14),
+            (build(14, [(u, v) for u in range(7) for v in range(7, 14)]), 40),
+        ],
+        ids=["P3+P5+2K1", "D(10,4,4)", "7K2", "E14", "K77"],
     )
-    def test_halves_the_placements(self, monkeypatch, g, before):
-        # ``before``: the placements of the search without the cell bound.
+    def test_nodes_within_bound(self, monkeypatch, g, bound):
+        # One _columns call per node of the search.
         calls = []
-        place = canonical._place
+        columns = canonical._columns
 
         def counting(*args):
             calls.append(None)
-            return place(*args)
+            return columns(*args)
 
-        monkeypatch.setattr(canonical, "_place", counting)
-        _minimal_bits(g)
-        assert len(calls) <= before // 2
+        monkeypatch.setattr(canonical, "_columns", counting)
+        bits, gens = _minimal_bits(g)
+        assert len(calls) <= bound
+        monkeypatch.undo()
+        # These groups are too large to list, so the eager search checks.
+        _assert_as_eager(g, bits, gens)
+
+
+class TestEagerOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=10))
+    def test_matches_the_eager_search(self, g):
+        _assert_as_eager(g, *_minimal_bits(g))
+
+    def test_matches_on_sparse_graphs_beyond_brute_force(self):
+        rng = random.Random(117)
+        pool = [dog(10, [4, 4]), bull(8, [2, 2]), cycle(13)]
+        while len(pool) < 9:
+            g = random_sparse_connected(rng, 14, extra=4)
+            if g.vertex_count >= 12:
+                pool.append(shuffled(g, rng))
+        for g in pool:
+            _assert_as_eager(g, *_minimal_bits(g))
 
 
 class TestAreIsomorphic:
@@ -292,10 +334,6 @@ class TestAreIsomorphic:
 def empty_cache():
     """Every process-wide cache, emptied before the test."""
     relations.clear_caches()
-
-
-def _vertex_orbits(g, gens):
-    return {frozenset(_generated_orbit(v, gens, lambda p, w: p[w])) for v in g.vertices}
 
 
 class TestClassCache:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bipminor
 from bipminor.canonical import canonical_form
 from bipminor.families import bull, cycle, dog, h_tree
 from bipminor.graph_core import build
@@ -33,6 +37,18 @@ class TestGen:
         out = capsys.readouterr().out
         assert out.startswith("graph {")
         assert sum("--" in ln for ln in out.splitlines()) == 5
+
+    def test_python_m_bipminor(self):
+        # The package runs as a module without the installed script, and
+        # without the warning that running ``bipminor.cli.main`` gives.
+        src = str(Path(bipminor.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "bipminor", "gen", "cycle", "4"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == emit_graph6(cycle(4)) + "\n"
 
     def test_bull_params(self, capsys):
         assert run_cli(["gen", "bull", "4", "1", "2"]) == 0
