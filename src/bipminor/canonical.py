@@ -106,7 +106,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph_core import Graph, GraphError, build, check_size_cap
+from .graph_core import Graph, GraphError, build, check_size_cap, from_upper_bits
 
 # A permutation ``p`` of the vertices maps vertex ``v`` to ``p[v]``.
 Perm = tuple[int, ...]
@@ -131,23 +131,16 @@ _forms: dict[tuple[int, ...], "CanonicalForm"] = {}
 class CanonicalForm:
     """Isomorphism-invariant fingerprint of a graph.
 
-    ``canonical_bits`` packs the minimal upper-triangle sequence into an
-    integer of ``vertex_count * (vertex_count - 1) / 2`` bits, first bit
-    most significant.  Two graphs have equal forms iff they are isomorphic.
+    ``canonical_bits`` is the minimal ``graph_core.upper_bits`` over all
+    vertex orderings.  Two graphs have equal forms iff they are isomorphic.
     """
 
     vertex_count: int
     canonical_bits: int
 
-    def bit_length(self) -> int:
-        return self.vertex_count * (self.vertex_count - 1) // 2
-
     def to_graph(self) -> Graph:
         """Rebuild the canonically labelled representative graph."""
-        n = self.vertex_count
-        pairs = [(i, j) for j in range(1, n) for i in range(j)]
-        bits = format(self.canonical_bits, f"0{len(pairs)}b")
-        return build(n, [pair for pair, bit in zip(pairs, bits) if bit == "1"])
+        return from_upper_bits(self.vertex_count, self.canonical_bits)
 
 
 def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:

@@ -1,6 +1,5 @@
 from .serialize import emit_dot, emit_graph6, parse_graph6, validate_witness
 from .harness import VerificationReport, verify_harness
-from .main import run_cli
 
 __all__ = [
     "emit_dot",
@@ -9,5 +8,4 @@ __all__ = [
     "validate_witness",
     "VerificationReport",
     "verify_harness",
-    "run_cli",
 ]

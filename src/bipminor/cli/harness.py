@@ -6,7 +6,9 @@ dog (minor but not bipartite minor), antichain (incomparable dogs, the
 H-shaped forest family), forest (bipartite minor reduces to subgraph),
 preservation (closures of bipartite graphs stay bipartite), blocks
 (2-connected closure members live in a block's closure; closure members
-of cycles and one-eared dogs), and all.
+of cycles and one-eared dogs), and all.  The forest and preservation
+suites list their graphs once per isomorphism class, by vertex
+augmentation over canonical forms.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations, product
+from itertools import combinations
 from time import perf_counter
 from typing import Callable
 
@@ -123,38 +125,27 @@ def _tree_edges_from_pruefer(seq: tuple[int, ...], n: int) -> list[tuple[int, in
     return edges
 
 
-def enumerate_trees(max_vertices: int) -> list[Graph]:
-    """All trees with 1..max_vertices vertices, one per isomorphism class."""
-    out: dict[CanonicalForm, Graph] = {}
-
-    def keep(g: Graph) -> None:
-        out.setdefault(canonical_form(g), g)
-
-    keep(build(1, []))
-    if max_vertices >= 2:
-        keep(build(2, [(0, 1)]))
-    for n in range(3, max_vertices + 1):
-        for seq in product(range(n), repeat=n - 2):
-            keep(build(n, _tree_edges_from_pruefer(seq, n)))
-    return [out[cf] for cf in sorted(out)]
-
-
 def enumerate_connected_bipartite(max_vertices: int) -> list[Graph]:
     """All connected bipartite graphs with 1..max_vertices vertices, one
-    per isomorphism class, built as spanning subgraphs of complete
-    bipartite graphs."""
-    out: dict[CanonicalForm, Graph] = {}
-    out[canonical_form(build(1, []))] = build(1, [])
-    for n in range(2, max_vertices + 1):
-        for a in range(1, n // 2 + 1):
-            b = n - a
-            cross = [(i, a + j) for i in range(a) for j in range(b)]
-            for r in range(n - 1, len(cross) + 1):
-                for chosen in combinations(cross, r):
-                    g = build(n, chosen)
-                    if is_connected(g):
-                        out.setdefault(canonical_form(g), g)
-    return [out[cf] for cf in sorted(out)]
+    per isomorphism class, canonically labelled and in form order.  Each
+    size is the size below plus a vertex joined to a nonempty subset of one
+    side (a spanning tree's leaf has its neighbours on one side), deduped
+    by canonical form (McKay, *Isomorph-free exhaustive generation*, 1998)."""
+    forms = {canonical_form(build(1, []))} if max_vertices > 0 else set()
+    for n in range(1, max_vertices):
+        for g in [cf.to_graph() for cf in forms if cf.vertex_count == n]:
+            for side in is_bipartite(g).classes():
+                for r in range(1, len(side) + 1):
+                    for joined in combinations(sorted(side), r):
+                        h = build(n + 1, [*g.edges, *((v, n) for v in joined)])
+                        forms.add(canonical_form(h))
+    return [cf.to_graph() for cf in sorted(forms)]
+
+
+def enumerate_trees(max_vertices: int) -> list[Graph]:
+    """All trees with 1..max_vertices vertices, one per isomorphism class."""
+    graphs = enumerate_connected_bipartite(max_vertices)
+    return [g for g in graphs if g.edge_count == g.vertex_count - 1]
 
 
 def random_connected_graphs(

@@ -1,7 +1,7 @@
 """graph6 parsing/encoding, DOT export, and JSON witness documents.
 
-graph6 packs the upper triangle of the adjacency matrix column by column
-(x01, x02, x12, x03, ...) into 6-bit groups, each stored as one printable
+graph6 packs ``graph_core.upper_bits`` (the upper triangle of the adjacency
+matrix, column by column) into 6-bit groups, each stored as one printable
 byte (value + 63), after a single size byte (n + 63, n <= 62 here).
 
 A witness document records one relation verdict plus the evidence: an
@@ -17,7 +17,7 @@ from dataclasses import fields
 from typing import Iterable, Mapping
 
 from ..canonical import are_isomorphic
-from ..graph_core import Edge, Graph, GraphError, build, normalize_edge
+from ..graph_core import Edge, Graph, GraphError, from_upper_bits, normalize_edge, upper_bits
 from ..relations import (
     AdmissibleContraction,
     EdgeDeletion,
@@ -37,21 +37,12 @@ def emit_graph6(g: Graph) -> str:
     n = g.vertex_count
     if n > GRAPH6_MAX:
         raise GraphError(f"graph6 output supports at most {GRAPH6_MAX} vertices")
-    chars = [chr(n + 63)]
-    group = 0
-    filled = 0
-    for j in range(1, n):
-        for i in range(j):
-            group = (group << 1) | (1 if g.has_edge(i, j) else 0)
-            filled += 1
-            if filled == 6:
-                chars.append(chr(group + 63))
-                group = 0
-                filled = 0
-    if filled:
-        group <<= 6 - filled
-        chars.append(chr(group + 63))
-    return "".join(chars)
+    bits_needed = n * (n - 1) // 2
+    groups = (bits_needed + 5) // 6
+    bits = upper_bits(g) << (6 * groups - bits_needed)
+    return chr(n + 63) + "".join(
+        chr((bits >> 6 * k & 63) + 63) for k in reversed(range(groups))
+    )
 
 
 def parse_graph6(text: str) -> Graph:
@@ -74,17 +65,16 @@ def parse_graph6(text: str) -> Graph:
     if len(body) > body_len:
         raise GraphError(f"trailing garbage after graph6 value: {body[body_len:]!r}")
 
-    bits: list[int] = []
+    bits = 0
     for ch in body:
         val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise GraphError(f"graph6 character out of range: {ch!r}")
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[bits_needed:]):
+        bits = (bits << 6) | val
+    padding = 6 * body_len - bits_needed
+    if bits & ((1 << padding) - 1):
         raise GraphError("nonzero padding bits in graph6 value")
-
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    return build(n, [pair for pair, bit in zip(pairs, bits) if bit])
+    return from_upper_bits(n, bits >> padding)
 
 
 def emit_dot(

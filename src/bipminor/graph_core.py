@@ -163,6 +163,32 @@ def build(vertex_count: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     return Graph(vertex_count, tuple(masks))
 
 
+def upper_bits(g: Graph) -> int:
+    """The upper triangle of the adjacency matrix read column by column
+    (x01, x02, x12, x03, ...), first pair most significant: the bit order
+    of canonical forms and graph6."""
+    bits = 0
+    for j, m in enumerate(g.neighbor_masks):
+        for i in range(j):
+            bits = (bits << 1) | ((m >> i) & 1)
+    return bits
+
+
+def from_upper_bits(vertex_count: int, bits: int) -> Graph:
+    """The graph on ``vertex_count`` vertices with these ``upper_bits``."""
+    n = vertex_count
+    if n < 0 or bits < 0 or bits >> (n * (n - 1) // 2):
+        raise GraphError(f"{bits} is not an upper triangle on {n} vertices")
+    masks = [0] * n
+    for j in range(n - 1, 0, -1):  # the pairs in reverse, lowest bit first
+        for i in range(j - 1, -1, -1):
+            if bits & 1:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+            bits >>= 1
+    return _derived(n, tuple(masks))
+
+
 def _derived(vertex_count: int, masks: tuple[int, ...]) -> Graph:
     """A graph made by an operation on a valid graph, whose masks are
     valid by construction, so the constructor's checks are skipped."""

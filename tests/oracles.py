@@ -4,10 +4,12 @@ Everything here is deliberately naive: vertex deletion, edge deletion
 and contraction on edge sets, permutations for isomorphism, injective
 maps for subgraph containment, exhaustive cycle enumeration for
 chordless / non-separating / block questions, and operation-sequence
-searches for the two minor relations.  These stay independent of the
-library's production search paths.  The one exception to naivety,
-``eager_min_bits``, is an eager labelling search kept as a second,
-independently written check on the lazy one in ``canonical``.
+searches for the two minor relations.  Trees and connected bipartite
+graphs are listed from every Prüfer sequence and from every edge subset
+of ``K_{a,b}``.  These stay independent of the library's production
+search paths.  The one exception to naivety, ``eager_min_bits``, is an
+eager labelling search kept as a second, independently written check on
+the lazy one in ``canonical``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable
 import networkx as nx
 from hypothesis import strategies as st
 
-from bipminor.canonical import canonical_form
+from bipminor.canonical import CanonicalForm, canonical_form
 from bipminor.graph_core import Graph, GraphError, build, normalize_edge
 
 
@@ -417,6 +419,32 @@ def bipminor_by_unpruned_search(h: Graph, g: Graph) -> bool:
                 nxt.append(child)
         frontier = nxt
     return False
+
+
+def trees_by_pruefer(max_vertices: int) -> set[CanonicalForm]:
+    """The forms of all trees with 1..max_vertices vertices, from every
+    Prüfer sequence of every length."""
+    small = [build(1, []), build(2, [(0, 1)])]
+    forms = {canonical_form(t) for t in small[:max_vertices]}
+    for n in range(3, max_vertices + 1):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            forms.add(canonical_form(build(n, nx.from_prufer_sequence(seq).edges)))
+    return forms
+
+
+def connected_bipartite_by_edge_subsets(max_vertices: int) -> set[CanonicalForm]:
+    """The forms of all connected bipartite graphs with 1..max_vertices
+    vertices, from every connected spanning subgraph of every ``K_{a,b}``."""
+    forms = {canonical_form(build(1, []))} if max_vertices >= 1 else set()
+    for n in range(2, max_vertices + 1):
+        for a in range(1, n // 2 + 1):
+            cross = [(i, a + j) for i in range(a) for j in range(n - a)]
+            for r in range(n - 1, len(cross) + 1):
+                for chosen in itertools.combinations(cross, r):
+                    g = build(n, chosen)
+                    if _components_without(g, set()) == 1:
+                        forms.add(canonical_form(g))
+    return forms
 
 
 def to_networkx(g: Graph) -> nx.Graph:

@@ -38,13 +38,14 @@ class TestGen:
         assert out.startswith("graph {")
         assert sum("--" in ln for ln in out.splitlines()) == 5
 
-    def test_python_m_bipminor(self):
-        # The package runs as a module without the installed script, and
-        # without the warning that running ``bipminor.cli.main`` gives.
+    @pytest.mark.parametrize("module", ["bipminor", "bipminor.cli.main"])
+    def test_python_m_bipminor(self, module):
+        # Both modules run the CLI without the installed script, and
+        # without a warning.
         src = str(Path(bipminor.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run(
-            [sys.executable, "-m", "bipminor", "gen", "cycle", "4"],
+            [sys.executable, "-m", module, "gen", "cycle", "4"],
             capture_output=True, text=True, env=env, check=False,
         )
         assert (done.returncode, done.stderr) == (0, "")

@@ -14,7 +14,9 @@ from bipminor.graph_core import (
     contract_set,
     delete_edge,
     delete_vertex,
+    from_upper_bits,
     is_bipartite,
+    upper_bits,
 )
 
 import oracles
@@ -115,6 +117,23 @@ class TestMasks:
             results.append(contract_set(g, rng.sample(g.vertices, rng.randint(1, g.vertex_count))))
         for r in results:
             assert Graph(r.vertex_count, r.neighbor_masks) == r
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_vertices=10))
+    def test_upper_bits_round_trip(self, g):
+        n = g.vertex_count
+        column_by_column = "".join(
+            "1" if g.has_edge(i, j) else "0" for j in range(1, n) for i in range(j)
+        )
+        assert upper_bits(g) == int(column_by_column or "0", 2)
+        h = from_upper_bits(n, upper_bits(g))
+        # from_upper_bits skips the constructor's checks too.
+        assert h == g and Graph(n, h.neighbor_masks) == h
+
+    @pytest.mark.parametrize("n, bits", [(-1, 0), (3, -1), (3, 0b1000), (0, 1), (1, 1)])
+    def test_bits_outside_the_triangle_rejected(self, n, bits):
+        with pytest.raises(GraphError, match="upper triangle"):
+            from_upper_bits(n, bits)
 
 
 class TestDeleteVertex:

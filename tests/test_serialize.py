@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from bipminor.canonical import are_isomorphic
+from bipminor.canonical import are_isomorphic, canonical_form
 from bipminor.families import bull, cycle, dog, h_tree, path
 from bipminor.graph_core import GraphError, build
 from bipminor.relations import WITNESS_SEARCHES, bipartite_minor_trace, minor_model
@@ -292,15 +292,24 @@ class TestGoldenWitnesses:
     def test_bipartite_minor_bulls_and_trees(self):
         # Bulls under their cycles, then every ordered pair of trees with at
         # most 6 vertices: positive bipartite-minor witnesses, many with more
-        # than one step.
+        # than one step.  The trees are read from the file, in the labels
+        # they were pinned with, and must be enumerate_trees(6) up to
+        # isomorphism, pair by pair in form order.
+        golden = (GOLDEN / "witnesses_bipartite_minor.jsonl").read_text()
         pairs = [
             (bull(snout, [horn]), cycle(snout + 2 * horn))
             for snout, horn in BULL_CASES
         ]
-        trees = enumerate_trees(6)
-        pairs += [(a, b) for a in trees for b in trees]
-        text = _witness_lines(pairs, ("bipartite_minor",))
-        assert text == (GOLDEN / "witnesses_bipartite_minor.jsonl").read_text()
+        docs = [json.loads(line) for line in golden.splitlines()[len(pairs):]]
+        tree_pairs = [
+            (parse_graph6(d["target"]), parse_graph6(d["source"])) for d in docs
+        ]
+        forms = [canonical_form(t) for t in enumerate_trees(6)]
+        assert [(canonical_form(h), canonical_form(g)) for h, g in tree_pairs] == [
+            (a, b) for a in forms for b in forms
+        ]
+        text = _witness_lines(pairs + tree_pairs, ("bipartite_minor",))
+        assert text == golden
 
     def test_golden_documents_validate(self):
         for path in sorted(GOLDEN.glob("witnesses_*.jsonl")):
