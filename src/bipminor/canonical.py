@@ -106,7 +106,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph_core import Graph, GraphError, build, check_size_cap, from_upper_bits
+from .graph_core import Graph, GraphError, build, from_upper_bits
 
 # A permutation ``p`` of the vertices maps vertex ``v`` to ``p[v]``.
 Perm = tuple[int, ...]
@@ -127,7 +127,7 @@ _classes: dict[int, list[Graph]] = {}
 _forms: dict[tuple[int, ...], "CanonicalForm"] = {}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CanonicalForm:
     """Isomorphism-invariant fingerprint of a graph.
 
@@ -143,19 +143,17 @@ class CanonicalForm:
         return from_upper_bits(self.vertex_count, self.canonical_bits)
 
 
-def canonical_form(g: Graph, cap: int | None = None) -> CanonicalForm:
-    """Canonical form of ``g``; rejects graphs above the size cap
-    (``graph_core.resolve_size_cap``)."""
-    check_size_cap(g, cap)
+def canonical_form(g: Graph) -> CanonicalForm:
+    """Canonical form of ``g``, of any size; the searches bound the size of
+    the graphs they label by checking their host."""
     form = _forms.get(g.neighbor_masks)
     return _labelling(g)[0] if form is None else form
 
 
-def automorphism_generators(g: Graph, cap: int | None = None) -> tuple[Perm, ...]:
+def automorphism_generators(g: Graph) -> tuple[Perm, ...]:
     """Permutations of ``g``'s vertices that generate its automorphism
     group (empty when the group is trivial); computed with, or conjugated
     from, the canonical form of its class."""
-    check_size_cap(g, cap)
     return _labelling(g)[1]
 
 
@@ -192,10 +190,8 @@ def _labelling(g: Graph) -> tuple[CanonicalForm, tuple[Perm, ...]]:
     return form, generators
 
 
-def are_isomorphic(g: Graph, h: Graph, cap: int | None = None) -> bool:
+def are_isomorphic(g: Graph, h: Graph) -> bool:
     """True iff an edge-preserving vertex bijection exists."""
-    check_size_cap(g, cap)
-    check_size_cap(h, cap)
     g_nbrs, g_colours, g_rounds = _stable(g)
     h_colours, h_rounds = _stable(h)[1:]
     if g_rounds != h_rounds:

@@ -2,8 +2,10 @@
 
 Exit codes: 0 when the relation holds / the command succeeds, 1 when the
 relation does not hold or a verification claim fails, 2 on usage or input
-errors.  The BIPMINOR_SIZE_CAP environment variable overrides the search
-cap on every command.
+errors, a graph above the size cap included.  The cap is 14 vertices
+unless the BIPMINOR_SIZE_CAP environment variable sets it; every search
+checks it on its host, and ``admissible`` on the graph whose cycles it
+enumerates.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 from pathlib import Path
 
 from ..families import FAMILY_KINDS, FamilySpec
-from ..graph_core import Graph, GraphError
+from ..graph_core import Graph, GraphError, check_size_cap
 from ..relations import (
     WITNESS_SEARCHES,
     admissible_pairs,
@@ -119,6 +121,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_admissible(args: argparse.Namespace) -> int:
     g = _read_graph(args.source)
+    check_size_cap(g)
     for p in admissible_pairs(g):
         cycle_text = ",".join(str(v) for v in p.cycle)
         print(f"u={p.u} v={p.v} w={p.w} cycle={cycle_text}")

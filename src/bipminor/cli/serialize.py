@@ -17,7 +17,15 @@ from dataclasses import fields
 from typing import Iterable, Mapping
 
 from ..canonical import are_isomorphic
-from ..graph_core import Edge, Graph, GraphError, from_upper_bits, normalize_edge, upper_bits
+from ..graph_core import (
+    Edge,
+    Graph,
+    GraphError,
+    check_size_cap,
+    from_upper_bits,
+    normalize_edge,
+    upper_bits,
+)
 from ..relations import (
     AdmissibleContraction,
     EdgeDeletion,
@@ -25,6 +33,7 @@ from ..relations import (
     OpTrace,
     Step,
     VertexDeletion,
+    WITNESS_SEARCHES,
     validate_minor_model,
 )
 
@@ -142,6 +151,7 @@ def witness_document(
     evidence: OpTrace | MinorModel | Mapping[int, int] | None,
 ) -> dict:
     """Assemble the JSON-serializable witness for one verdict."""
+    _check_relation(relation)
     doc = {
         "relation": relation,
         "holds": holds,
@@ -159,11 +169,14 @@ def witness_document(
     if relation == "subgraph":
         assert isinstance(evidence, Mapping)
         evidence = MinorModel(tuple(frozenset((v,)) for _, v in sorted(evidence.items())))
-    elif relation != "minor":
-        raise GraphError(f"unknown relation: {relation!r}")
     assert isinstance(evidence, MinorModel)
     doc["steps"] = {str(i): sorted(bs) for i, bs in enumerate(evidence.branch_sets)}
     return doc
+
+
+def _check_relation(relation: object) -> None:
+    if not isinstance(relation, str) or relation not in WITNESS_SEARCHES:
+        raise GraphError(f"unknown relation: {relation!r}")
 
 
 def validate_witness(doc: Mapping) -> bool:
@@ -180,11 +193,14 @@ def validate_witness(doc: Mapping) -> bool:
         raise GraphError(f"malformed witness document: missing field ({exc})") from exc
     if convention != LABELING_CONVENTION:
         raise GraphError(f"unknown labeling convention: {convention!r}")
+    _check_relation(relation)
     if not isinstance(holds, bool):
         raise GraphError(f"holds must be true or false, not {holds!r}")
     if not all(isinstance(t, str) for t in texts):
         raise GraphError("source and target must be graph6 strings")
     source, target = (parse_graph6(t) for t in texts)
+    # Replaying a contraction enumerates the cycles of the graph it acts on.
+    check_size_cap(source)
 
     if not holds:
         if steps is not None:
@@ -200,8 +216,6 @@ def validate_witness(doc: Mapping) -> bool:
             raise GraphError("trace replay does not reach the target graph")
         return True
 
-    if relation not in ("minor", "subgraph"):
-        raise GraphError(f"unknown relation: {relation!r}")
     # A subgraph embedding is a minor model whose branch sets are single
     # vertices.
     if not isinstance(steps, Mapping):

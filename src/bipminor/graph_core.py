@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -28,28 +27,19 @@ class SizeCapExceeded(GraphError):
     """Input graph is larger than the active size cap."""
 
 
-def resolve_size_cap(cap: int | None = None) -> int:
-    """Active search cap: explicit value, else BIPMINOR_SIZE_CAP, else 14."""
-    if cap is not None:
-        return cap
+def check_size_cap(g: "Graph") -> None:
+    """Raise SizeCapExceeded if ``g`` has more vertices than the search cap:
+    BIPMINOR_SIZE_CAP if set, else 14."""
     env = os.environ.get(SIZE_CAP_ENV, "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise GraphError(f"bad {SIZE_CAP_ENV} value: {env!r}") from exc
-    return DEFAULT_SIZE_CAP
+    try:
+        cap = int(env) if env else DEFAULT_SIZE_CAP
+    except ValueError as exc:
+        raise GraphError(f"bad {SIZE_CAP_ENV} value: {env!r}") from exc
+    if g.vertex_count > cap:
+        raise SizeCapExceeded(f"graph has {g.vertex_count} vertices, size cap is {cap}")
 
 
-def check_size_cap(g: "Graph", cap: int | None = None) -> None:
-    limit = resolve_size_cap(cap)
-    if g.vertex_count > limit:
-        raise SizeCapExceeded(
-            f"graph has {g.vertex_count} vertices, size cap is {limit}"
-        )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """A finite simple undirected graph on vertices ``0..vertex_count-1``.
 
@@ -111,7 +101,7 @@ class Graph:
     def vertices(self) -> range:
         return range(self.vertex_count)
 
-    @cached_property
+    @property
     def adjacency(self) -> tuple[frozenset[int], ...]:
         n = self.vertex_count
         return tuple(

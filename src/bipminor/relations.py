@@ -20,7 +20,8 @@ the target's form: every operation strictly shrinks |V|+|E| and never
 increases the cycle rank |E|-|V|+(components), so children below the
 target on any of those measures are skipped.  The stored graphs carry
 their own labels, so the trace names its steps by replay: from the host,
-it takes at each form of the path the first move reaching the next.
+it takes at each form of the path the first move reaching the next.  Both
+check the size cap on the host alone: no move adds a vertex.
 
 ``is_minor`` uses the equivalent branch-set formulation: disjoint
 connected sets in the host, one per target vertex, with a host edge behind
@@ -43,7 +44,6 @@ from .graph_core import (
     delete_edge,
     delete_vertex,
     normalize_edge,
-    resolve_size_cap,
 )
 from .structure import (
     Cycle,
@@ -73,24 +73,23 @@ class AdmissiblePair:
     cycle: Cycle
 
 
-def admissible_pairs(g: Graph, cap: int | None = None) -> tuple[AdmissiblePair, ...]:
+def admissible_pairs(g: Graph) -> tuple[AdmissiblePair, ...]:
     """All unordered pairs admitting an admissible contraction, one witness
     each (smallest w, then smallest cycle), sorted by pair."""
-    check_size_cap(g, cap)
     pairs = []
-    for (u, v), middles in sorted(_middle_map(g, cap).items()):
+    for (u, v), middles in sorted(_middle_map(g).items()):
         w = min(middles)
         pairs.append(AdmissiblePair(u, v, w, middles[w]))
     return tuple(pairs)
 
 
-def admissible_contract(g: Graph, u: int, v: int, cap: int | None = None) -> Graph:
+def admissible_contract(g: Graph, u: int, v: int) -> Graph:
     """Contract the pair {u, v}, which must be admissible."""
     g.check_vertex(u)
     g.check_vertex(v)
     if u == v:
         raise GraphError("cannot contract a vertex with itself")
-    if not _middles(g, u, v, cap):
+    if not _middles(g, u, v):
         if not g.neighbor_masks[u] & g.neighbor_masks[v]:
             raise GraphError(f"pair ({u}, {v}) has no common neighbor")
         raise GraphError(
@@ -100,13 +99,13 @@ def admissible_contract(g: Graph, u: int, v: int, cap: int | None = None) -> Gra
     return contract_set(g, {u, v})
 
 
-def _middle_map(g: Graph, cap: int | None) -> dict[tuple[int, int], dict[int, Cycle]]:
+def _middle_map(g: Graph) -> dict[tuple[int, int], dict[int, Cycle]]:
     """Each pair (u < v) that lies two apart on an induced non-separating
     cycle of ``g``, mapped to every w between them on one, each with the
     first such cycle in ``peripheral_cycles`` order: the shortest, then
     the lexicographically least."""
     out: dict[tuple[int, int], dict[int, Cycle]] = {}
-    for cyc in peripheral_cycles(g, cap):
+    for cyc in peripheral_cycles(g):
         m = len(cyc)
         for i in range(m):
             u, w, v = cyc[i - 1], cyc[i], cyc[(i + 1) % m]
@@ -114,10 +113,10 @@ def _middle_map(g: Graph, cap: int | None) -> dict[tuple[int, int], dict[int, Cy
     return out
 
 
-def _middles(g: Graph, u: int, v: int, cap: int | None) -> set[int]:
+def _middles(g: Graph, u: int, v: int) -> set[int]:
     """Every w such that u, w, v lie consecutively on an induced
     non-separating cycle of ``g``."""
-    return set(_middle_map(g, cap).get(normalize_edge(u, v), ()))
+    return set(_middle_map(g).get(normalize_edge(u, v), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +168,7 @@ class OpTrace:
                 g = delete_edge(g, step.u, step.v)
             elif isinstance(step, AdmissibleContraction):
                 u, v, w = step.u, step.v, step.w
-                if w not in _middles(g, u, v, g.vertex_count):
+                if w not in _middles(g, u, v):
                     raise GraphError(
                         f"({u}, {w}, {v}) lie consecutively on no induced "
                         "non-separating cycle"
@@ -191,15 +190,15 @@ def _cycle_rank(g: Graph) -> int:
     return g.edge_count - g.vertex_count + component_count(g)
 
 
-def _moves(g: Graph, cap: int) -> Iterator[tuple[Step, Graph]]:
+def _moves(g: Graph) -> Iterator[tuple[Step, Graph]]:
     """Single-operation successors, contractions first, in a fixed order.
 
     Moves that an automorphism of ``g`` maps onto each other give
     isomorphic children, so only the first move of each orbit is yielded.
     A search that skips children it has already seen keeps the same
     states and the same witness steps as with every move yielded."""
-    gens = automorphism_generators(g, cap)
-    pairs = {(p.u, p.v): p for p in admissible_pairs(g, cap)}
+    gens = automorphism_generators(g)
+    pairs = {(p.u, p.v): p for p in admissible_pairs(g)}
     for u, v in _orbit_firsts(pairs, gens, _act_on_pair):
         p = pairs[(u, v)]
         yield AdmissibleContraction(u, v, p.w), contract_set(g, {u, v})
@@ -239,15 +238,14 @@ def _orbit_firsts(items: Iterable, gens: tuple[Perm, ...], act: Callable) -> Ite
         yield x
 
 
-def bipartite_minor_trace(h: Graph, g: Graph, cap: int | None = None) -> OpTrace | None:
+def bipartite_minor_trace(h: Graph, g: Graph) -> OpTrace | None:
     """A replayable witness that ``h`` is a bipartite minor of ``g``, or
     ``None``.  The search is exhaustive within the cap, so ``None`` is a
     definite negative."""
-    limit = resolve_size_cap(cap)
-    check_size_cap(g, limit)
+    check_size_cap(g)
     if h.vertex_count > g.vertex_count or h.edge_count > g.edge_count:
         return None
-    target = canonical_form(h, limit)
+    target = canonical_form(h)
     rank_floor = _cycle_rank(h)
 
     def keep(child: Graph) -> bool:
@@ -257,7 +255,7 @@ def bipartite_minor_trace(h: Graph, g: Graph, cap: int | None = None) -> OpTrace
             and _cycle_rank(child) >= rank_floor
         )
 
-    parent = _walk(g, limit, keep, target)
+    parent = _walk(g, keep, target)
     if target not in parent:
         return None
     path = [target]
@@ -270,15 +268,15 @@ def bipartite_minor_trace(h: Graph, g: Graph, cap: int | None = None) -> OpTrace
     for nxt in reversed(path[:-1]):
         step, cur = next(
             (move, child)
-            for move, child in _moves(cur, limit)
-            if keep(child) and canonical_form(child, limit) == nxt
+            for move, child in _moves(cur)
+            if keep(child) and canonical_form(child) == nxt
         )
         steps.append(step)
     return OpTrace(tuple(steps))
 
 
-def is_bipartite_minor(h: Graph, g: Graph, cap: int | None = None) -> bool:
-    return bipartite_minor_trace(h, g, cap) is not None
+def is_bipartite_minor(h: Graph, g: Graph) -> bool:
+    return bipartite_minor_trace(h, g) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +298,13 @@ def clear_caches() -> None:
     _store.clear()
 
 
-def _children(cf: CanonicalForm, limit: int) -> tuple[CanonicalForm, ...]:
+def _children(cf: CanonicalForm) -> tuple[CanonicalForm, ...]:
     """The distinct forms one move from ``cf``, expanding it on first use."""
     g, kids = _store[cf]
     if kids is None:
         found: dict[CanonicalForm, None] = {}
-        for _, child in _moves(g, limit):
-            ccf = canonical_form(child, limit)
+        for _, child in _moves(g):
+            ccf = canonical_form(child)
             found[ccf] = None
             if ccf not in _store:
                 _store[ccf] = (child, None)
@@ -317,7 +315,6 @@ def _children(cf: CanonicalForm, limit: int) -> tuple[CanonicalForm, ...]:
 
 def _walk(
     g: Graph,
-    limit: int,
     keep: Callable[[Graph], bool] | None = None,
     target: CanonicalForm | None = None,
 ) -> dict[CanonicalForm, CanonicalForm | None]:
@@ -327,7 +324,7 @@ def _walk(
     as ``target`` is reached."""
     if len(_store) > canonical.STORE_LIMIT:
         _store.clear()
-    start = canonical_form(g, limit)
+    start = canonical_form(g)
     _store.setdefault(start, (g, None))
     parent: dict[CanonicalForm, CanonicalForm | None] = {start: None}
     frontier = [] if start == target else [start]
@@ -337,7 +334,7 @@ def _walk(
         frontier.sort()
         next_frontier: list[CanonicalForm] = []
         for cf in frontier:
-            for ccf in _children(cf, limit):
+            for ccf in _children(cf):
                 if ccf in parent or (keep is not None and not keep(_store[ccf][0])):
                     continue
                 parent[ccf] = cf
@@ -348,12 +345,11 @@ def _walk(
     return parent
 
 
-def bipartite_minor_closure(g: Graph, cap: int | None = None) -> frozenset[CanonicalForm]:
+def bipartite_minor_closure(g: Graph) -> frozenset[CanonicalForm]:
     """Every graph (up to isomorphism, including ``g`` itself) reachable by
     deletions and admissible contractions."""
-    limit = resolve_size_cap(cap)
-    check_size_cap(g, limit)
-    return frozenset(_walk(g, limit))
+    check_size_cap(g)
+    return frozenset(_walk(g))
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +388,10 @@ def validate_minor_model(model: MinorModel, h: Graph, g: Graph) -> None:
             raise GraphError(f"target edge ({a}, {b}) has no source edge behind it")
 
 
-def minor_model(h: Graph, g: Graph, cap: int | None = None) -> MinorModel | None:
+def minor_model(h: Graph, g: Graph) -> MinorModel | None:
     """A branch-set witness that ``h`` is a minor of ``g``, or ``None``: the
     branch-set search over connected sets."""
-    sets = _branch_sets(h, g, cap, _connected_subsets)
+    sets = _branch_sets(h, g, _connected_subsets)
     if sets is None:
         return None
     model = MinorModel(tuple(_members(g, mask) for mask in sets))
@@ -403,8 +399,8 @@ def minor_model(h: Graph, g: Graph, cap: int | None = None) -> MinorModel | None
     return model
 
 
-def is_minor(h: Graph, g: Graph, cap: int | None = None) -> bool:
-    return minor_model(h, g, cap) is not None
+def is_minor(h: Graph, g: Graph) -> bool:
+    return minor_model(h, g) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +442,12 @@ class ComparisonMatrix:
         )
 
 
-def compare_family(
-    graphs: Sequence[Graph], relation: str, cap: int | None = None
-) -> ComparisonMatrix:
+def compare_family(graphs: Sequence[Graph], relation: str) -> ComparisonMatrix:
     """Compare every ordered pair of the family under the named relation."""
     search = WITNESS_SEARCHES.get(relation)
     if search is None:
         raise GraphError(f"unknown relation: {relation!r}")
     matrix = tuple(
-        tuple(search(a, b, cap) is not None for b in graphs) for a in graphs
+        tuple(search(a, b) is not None for b in graphs) for a in graphs
     )
     return ComparisonMatrix(relation, matrix)

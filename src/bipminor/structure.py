@@ -226,10 +226,9 @@ def _induced_cycles(g: Graph) -> list[tuple[Cycle, int]]:
     return out
 
 
-def peripheral_cycles(g: Graph, cap: int | None = None) -> tuple[Cycle, ...]:
+def peripheral_cycles(g: Graph) -> tuple[Cycle, ...]:
     """Every induced non-separating cycle, each reported once up to
     rotation and reflection, sorted by length then lexicographically."""
-    check_size_cap(g, cap)
     base = component_count(g)
     full = (1 << g.vertex_count) - 1
     found = [
@@ -242,7 +241,7 @@ Candidates = list[tuple[int, int, int]]
 
 
 def _branch_sets(
-    h: Graph, g: Graph, cap: int | None, candidates: Callable[[Graph], Candidates]
+    h: Graph, g: Graph, candidates: Callable[[Graph], Candidates]
 ) -> list[int] | None:
     """Disjoint vertex sets of ``g``, one per vertex of ``h`` (as masks
     indexed by it), with an edge of ``g`` between the two sets of every
@@ -256,8 +255,8 @@ def _branch_sets(
     placed neighbour, and has at least as many neighbours as the vertex
     has; that last test is exact because the neighbours' sets are disjoint.
     """
-    check_size_cap(h, cap)
-    check_size_cap(g, cap)
+    check_size_cap(h)
+    check_size_cap(g)
     if h.vertex_count > g.vertex_count or h.edge_count > g.edge_count:
         return None
     hm = h.neighbor_masks
@@ -338,16 +337,14 @@ def _connected_subsets(g: Graph) -> Candidates:
     return out
 
 
-def subgraph_embedding(
-    h: Graph, g: Graph, cap: int | None = None
-) -> dict[int, int] | None:
+def subgraph_embedding(h: Graph, g: Graph) -> dict[int, int] | None:
     """An injective map sending every edge of ``h`` onto an edge of ``g``,
     or ``None`` if no such map exists: the branch-set search over
     singleton sets."""
-    sets = _branch_sets(h, g, cap, _singletons)
+    sets = _branch_sets(h, g, _singletons)
     return None if sets is None else {v: m.bit_length() - 1 for v, m in enumerate(sets)}
 
 
-def is_subgraph(h: Graph, g: Graph, cap: int | None = None) -> bool:
+def is_subgraph(h: Graph, g: Graph) -> bool:
     """True iff ``h`` embeds into ``g`` up to isomorphism."""
-    return subgraph_embedding(h, g, cap) is not None
+    return subgraph_embedding(h, g) is not None

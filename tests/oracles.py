@@ -294,6 +294,7 @@ def all_simple_cycles(g: Graph) -> list[tuple[int, ...]]:
 
 
 def _components_without(g: Graph, removed: set[int]) -> int:
+    adj = g.adjacency
     left = [v for v in g.vertices if v not in removed]
     seen: set[int] = set()
     count = 0
@@ -305,7 +306,7 @@ def _components_without(g: Graph, removed: set[int]) -> int:
         seen.add(v)
         while stack:
             x = stack.pop()
-            for y in g.adjacency[x]:
+            for y in adj[x]:
                 if y not in removed and y not in seen:
                     seen.add(y)
                     stack.append(y)

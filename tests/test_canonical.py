@@ -94,17 +94,31 @@ class TestCanonicalForm:
         assert forms[0].vertex_count <= forms[-1].vertex_count
         assert isinstance(forms[0], CanonicalForm)
 
-    def test_size_cap(self):
-        with pytest.raises(SizeCapExceeded):
-            canonical_form(build(17, []))
-        assert canonical_form(build(17, []), cap=17).vertex_count == 17
+    def test_size_cap(self, monkeypatch):
+        # The size cap bounds the searches, which check their host; the
+        # per-graph functions take graphs above it.
+        monkeypatch.delenv("BIPMINOR_SIZE_CAP", raising=False)
+        assert canonical_form(build(17, [])) == CanonicalForm(17, 0)
+        g = cycle(15)
+        h = shuffled(g, random.Random(104))
+        assert canonical_form(h) == canonical_form(g)
+        assert are_isomorphic(g, h)
+        assert not are_isomorphic(g, path(15))
+        assert len(automorphism_generators(h)) >= 2
 
     def test_size_cap_is_the_search_cap(self, monkeypatch):
+        # The cap bounds the search, not the labelling: with the variable
+        # unset the closure refuses a 15-vertex host that canonical_form
+        # labels, and a raised cap lets the closure label its members.
         monkeypatch.delenv("BIPMINOR_SIZE_CAP", raising=False)
+        host = build(15, [])
+        assert canonical_form(host) == CanonicalForm(15, 0)
         with pytest.raises(SizeCapExceeded, match="size cap is 14"):
-            canonical_form(build(15, []))
+            bipartite_minor_closure(host)
         monkeypatch.setenv("BIPMINOR_SIZE_CAP", "16")
-        assert canonical_form(build(15, [])).vertex_count == 15
+        closure = bipartite_minor_closure(host)
+        assert sorted(cf.vertex_count for cf in closure) == list(range(16))
+        assert canonical_form(host) in closure
 
 
 def _networkx_orbits(g):
@@ -401,15 +415,15 @@ class TestClassCache:
                 levels = len(path)
             assert levels <= g.vertex_count
 
-    def test_the_memo_keeps_the_size_cap(self, monkeypatch, empty_cache):
+    def test_the_memo_keeps_graphs_above_the_cap(self, monkeypatch, empty_cache):
         monkeypatch.delenv("BIPMINOR_SIZE_CAP", raising=False)
         g = cycle(16)
         h = shuffled(g, random.Random(115))
-        form = canonical_form(g, 20)
-        assert canonical_form(h, 20) == form
+        form = canonical_form(g)
+        assert canonical_form(h) == form
         assert canonical._forms == {h.neighbor_masks: form}
-        with pytest.raises(SizeCapExceeded):
-            canonical_form(h)
+        monkeypatch.setattr(canonical, "_labelling", None)
+        assert canonical_form(h) == form
 
     def test_closure_labels_each_member_once(self, monkeypatch, empty_cache):
         labelled = []

@@ -239,6 +239,17 @@ class TestSizeCapEnv:
         capsys.readouterr()
         assert run_cli(["check", "bipminor", h, g]) == 0
 
+    def test_admissible_checks_its_graph(self, tmp_path, capsys, monkeypatch):
+        # The cycles of a graph read from outside are enumerated only
+        # below the cap.
+        g = write_g6(tmp_path, "g.g6", cycle(15))
+        monkeypatch.delenv("BIPMINOR_SIZE_CAP", raising=False)
+        assert run_cli(["admissible", g]) == 2
+        assert "size cap is 14" in capsys.readouterr().err
+        monkeypatch.setenv("BIPMINOR_SIZE_CAP", "15")
+        assert run_cli(["admissible", g]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 15
+
     def test_bad_env_value(self, tmp_path, capsys, monkeypatch):
         h = write_g6(tmp_path, "h.g6", build(3, []))
         g = write_g6(tmp_path, "g.g6", build(15, []))

@@ -15,6 +15,7 @@ from bipminor.graph_core import (
     delete_edge,
     delete_vertex,
     is_bipartite,
+    normalize_edge,
 )
 from bipminor.relations import (
     AdmissibleContraction,
@@ -33,7 +34,13 @@ from bipminor.relations import (
     minor_model,
     validate_minor_model,
 )
-from bipminor.structure import _connected_subsets, blocks, is_k_connected, is_subgraph
+from bipminor.structure import (
+    _connected_subsets,
+    blocks,
+    is_k_connected,
+    is_subgraph,
+    subgraph_embedding,
+)
 
 from oracles import (
     bipminor_by_unpruned_search,
@@ -214,9 +221,17 @@ class TestBipartiteMinor:
             firsts: dict = {}
             for step, child in every:
                 firsts.setdefault(canonical_form(child), (step, child))
-            got = list(_moves(g, 14))
+            got = list(_moves(g))
             assert [m for m in every if m in got] == got
             assert set(firsts.values()) <= set(got)
+            # The searches check the size cap on the host alone: no move
+            # adds a vertex, and every move shrinks |V| + |E|.
+            for _, child in got:
+                assert child.vertex_count <= g.vertex_count
+                assert (
+                    child.vertex_count + child.edge_count
+                    < g.vertex_count + g.edge_count
+                )
 
     def test_every_positive_trace_replays(self):
         rng = random.Random(33)
@@ -249,17 +264,60 @@ class TestBipartiteMinor:
             h = random_graph(rng, 4)
             assert bipartite_minor_trace(h, g) == bipartite_minor_trace(h, g)
 
-    def test_cap(self):
-        with pytest.raises(SizeCapExceeded):
-            is_bipartite_minor(cycle(3), cycle(15))
-        assert is_bipartite_minor(build(3, []), build(15, []), cap=15)
+    def test_cap(self, monkeypatch):
+        host = build(15, [(0, 1), (1, 2)])
+        monkeypatch.delenv("BIPMINOR_SIZE_CAP", raising=False)
+        with pytest.raises(SizeCapExceeded, match="size cap is 14"):
+            bipartite_minor_trace(build(3, []), host)
+        with pytest.raises(SizeCapExceeded, match="size cap is 14"):
+            bipartite_minor_closure(host)
+        monkeypatch.setenv("BIPMINOR_SIZE_CAP", "15")
+        assert len(bipartite_minor_trace(build(3, []), host)) == 12
+        # Edgeless, one edge or P_3, plus isolated vertices: 16 + 14 + 13.
+        assert len(bipartite_minor_closure(host)) == 43
 
     def test_search_cap_reaches_canonical_forms(self, monkeypatch):
-        # The canonical forms inside the search obey the search cap, so a
-        # raised cap admits hosts above the default cap of 14.
+        # A raised cap admits hosts above the default cap of 14, and the
+        # search labels every graph below them.
         monkeypatch.setenv("BIPMINOR_SIZE_CAP", "20")
         trace = bipartite_minor_trace(build(16, []), build(17, []))
         assert trace is not None and len(trace) == 1
+
+
+# The searches besides the bipartite-minor ones (``TestBipartiteMinor``),
+# each run on a host of 15 vertices: one above the default cap.
+SEARCHES_ON_A_HOST = {
+    "minor_model": lambda g: minor_model(path(2), g),
+    "subgraph_embedding": lambda g: subgraph_embedding(path(2), g),
+    "compare_family": lambda g: compare_family([path(2), g], "bipartite_minor"),
+}
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize("search", SEARCHES_ON_A_HOST)
+    def test_searches_check_the_host(self, search, monkeypatch):
+        host = build(15, [(0, 1), (1, 2)])
+        monkeypatch.delenv("BIPMINOR_SIZE_CAP", raising=False)
+        with pytest.raises(SizeCapExceeded, match="size cap is 14"):
+            SEARCHES_ON_A_HOST[search](host)
+        monkeypatch.setenv("BIPMINOR_SIZE_CAP", "15")
+        assert SEARCHES_ON_A_HOST[search](host) is not None
+
+    def test_branch_sets_check_the_target(self, monkeypatch):
+        monkeypatch.delenv("BIPMINOR_SIZE_CAP", raising=False)
+        with pytest.raises(SizeCapExceeded):
+            minor_model(build(15, []), path(2))
+
+    def test_admissible_pairs_take_any_size(self, monkeypatch):
+        # Only the searches check the cap; no move adds a vertex, so every
+        # graph inside a search is at most its host's size.
+        monkeypatch.delenv("BIPMINOR_SIZE_CAP", raising=False)
+        g = cycle(15)
+        assert [(p.u, p.v) for p in admissible_pairs(g)] == sorted(
+            normalize_edge(v, (v + 2) % 15) for v in g.vertices
+        )
+        assert admissible_contract(g, 0, 2) == contract_set(g, {0, 2})
+        assert OpTrace((AdmissibleContraction(0, 2, 1),)).replay(g).vertex_count == 14
 
 
 class TestTraceReplay:
@@ -462,9 +520,9 @@ class TestClosureStore:
         monkeypatch.setattr(relations, "_store", {})
         labelled = []
 
-        def counting(g, cap=None):
+        def counting(g):
             labelled.append(g)
-            return canonical_form(g, cap)
+            return canonical_form(g)
 
         for host in random_connected_graphs(12, 8, 2718):
             monkeypatch.setattr(relations, "canonical_form", canonical_form)
@@ -542,9 +600,9 @@ class TestClosureStore:
             labelled.append(g)
             return label(g)
 
-        def recording_moves(g, cap):
+        def recording_moves(g):
             moved.append(g)
-            return moves(g, cap)
+            return moves(g)
 
         monkeypatch.setattr(canonical, "_minimal_bits", recording_labels)
         monkeypatch.setattr(relations, "_moves", recording_moves)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from bipminor.canonical import are_isomorphic, canonical_form
 from bipminor.families import bull, cycle, dog, h_tree, path
-from bipminor.graph_core import GraphError, build
+from bipminor.graph_core import GraphError, SizeCapExceeded, build
 from bipminor.relations import WITNESS_SEARCHES, bipartite_minor_trace, minor_model
 from bipminor.structure import subgraph_embedding
 from bipminor.cli.harness import (
@@ -144,6 +144,18 @@ class TestWitnessDocuments:
         assert doc["labeling_convention"] == "compact-min-position"
         assert validate_witness(json.loads(json.dumps(doc)))
 
+    def test_unknown_relation_rejected(self):
+        with pytest.raises(GraphError, match="unknown relation"):
+            witness_document("bogus", False, cycle(6), path(2), None)
+
+    def test_source_above_the_cap_rejected(self, monkeypatch):
+        doc = witness_document("minor", False, build(15, []), path(2), None)
+        monkeypatch.delenv("BIPMINOR_SIZE_CAP", raising=False)
+        with pytest.raises(SizeCapExceeded):
+            validate_witness(doc)
+        monkeypatch.setenv("BIPMINOR_SIZE_CAP", "15")
+        assert validate_witness(doc)
+
     def test_minor_witness_round_trip(self):
         source, target = dog(6, [3, 3]), dog(5, [3, 3])
         model = minor_model(target, source)
@@ -250,6 +262,18 @@ class TestMalformedWitnessDocuments:
             pytest.param({**_subgraph_doc(), "target": None}, id="target-is-null"),
             pytest.param({**_subgraph_doc(), "holds": 1}, id="holds-an-integer"),
             pytest.param({**_subgraph_doc(), "holds": "false"}, id="holds-a-string"),
+            pytest.param({**_subgraph_doc(), "relation": ["minor"]}, id="relation-a-list"),
+            pytest.param(
+                {
+                    "relation": "bogus",
+                    "holds": False,
+                    "source": "Bw",
+                    "target": "A_",
+                    "labeling_convention": "compact-min-position",
+                    "steps": None,
+                },
+                id="unknown-relation-negative",
+            ),
         ],
     )
     def test_rejected_with_graph_error(self, doc):
