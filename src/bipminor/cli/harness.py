@@ -9,6 +9,9 @@ preservation (closures of bipartite graphs stay bipartite), blocks
 of cycles and one-eared dogs), and all.  The forest and preservation
 suites list their graphs once per isomorphism class, by vertex
 augmentation over canonical forms.
+
+Each claim parameter is a module constant, read by the claim, its params
+text and the acceptance tests; each pass text is written once, at ``_run``.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import eq, le
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Sequence
 
 from .. import families
 from ..canonical import CanonicalForm, are_isomorphic, canonical_form
@@ -33,10 +37,13 @@ from ..relations import (
     minor_model,
     validate_minor_model,
 )
-from ..structure import blocks, is_connected, is_k_connected, is_subgraph
+from ..structure import KCONN_MODES, blocks, is_k_connected, is_subgraph
 
 BLOCK_RESTRICTION_SEED = 6174
 BLOCK_RESTRICTION_SAMPLES = 200
+BLOCK_RESTRICTION_MAX_VERTICES = 9
+FOREST_MAX_VERTICES = 7
+PRESERVATION_MAX_VERTICES = 7
 
 
 @dataclass
@@ -49,6 +56,11 @@ class ClaimResult:
     seconds: float
     mode: str | None = None
     detail: str = ""
+
+
+# A claim's body returns what it found, optionally with a detail line; None
+# stands for the claim's expected text, the claim holding as stated.
+Claim = Callable[[], "str | None | tuple[str | None, str]"]
 
 
 @dataclass
@@ -86,7 +98,7 @@ def _run(
     claim_id: str,
     params: str,
     expected: str,
-    fn: Callable[[], "str | tuple[str, str]"],
+    fn: Claim,
     mode: str | None = None,
 ) -> ClaimResult:
     start = perf_counter()
@@ -95,6 +107,8 @@ def _run(
         detail = ""
         if isinstance(computed, tuple):
             computed, detail = computed
+        if computed is None:
+            computed = expected
     except GraphError as exc:
         computed, detail = f"error: {exc}", ""
     seconds = perf_counter() - start
@@ -168,21 +182,17 @@ def random_connected_graphs(
     return out
 
 
-def _is_cycle_graph(g: Graph) -> bool:
-    return (
-        g.vertex_count >= 3
-        and is_connected(g)
-        and all(g.degree(v) == 2 for v in g.vertices)
-    )
+def _dog_name(snout: int | str, ears: Sequence[int]) -> str:
+    """The paper's name of a dog, ``D(snout,e1,e2,...)``."""
+    return f"D({','.join(map(str, (snout, *ears)))})"
 
 
-def _is_one_eared_dog(g: Graph) -> bool:
+def _is_cycle_or_one_eared_dog(g: Graph) -> bool:
+    """Whether ``g`` is a cycle ``C_n`` or a dog ``D(snout,ear)`` with one ear."""
     n = g.vertex_count
-    for snout in range(3, n + 1):
-        ear = n - snout + 2
-        if ear >= 3 and are_isomorphic(g, families.dog(snout, [ear])):
-            return True
-    return False
+    shapes = [families.cycle(n)] if n >= 3 else []
+    shapes += [families.dog(snout, [n - snout + 2]) for snout in range(3, n)]
+    return any(are_isomorphic(g, h) for h in shapes)
 
 
 # The canonical form of K_2: two vertices, its one bit set.
@@ -198,30 +208,32 @@ BULL_CASES = [
     for horn in (1, 2)
     if snout + 2 * horn <= 10
 ]
+# The lengths p of the cycles C_p that each bull is checked not to be a minor of.
+NONMINOR_CYCLES = range(3, 13)
 
 
-def _claim_fig3() -> str:
+def _claim_fig3() -> str | None:
     got = contract_set(families.cycle(6), {0, 2})
     if not are_isomorphic(got, families.bull(4, [1])):
         return "contraction result not isomorphic to B(4,1)"
-    return "isomorphic to B(4,1)"
+    return None
 
 
-def _claim_fig4() -> str:
+def _claim_fig4() -> str | None:
     first = admissible_contract(families.cycle(8), 0, 2)
     if not are_isomorphic(first, families.bull(6, [1])):
         return "first contraction does not give B(6,1)"
     tip = next(v for v in first.vertices if first.degree(v) == 1)
-    hub = next(iter(first.adjacency[tip]))
-    u, w = sorted(x for x in first.adjacency[hub] if x != tip)
+    hub = next(iter(first.neighbors(tip)))
+    u, w = sorted(x for x in first.neighbors(hub) if x != tip)
     second = admissible_contract(first, u, w)
     if not are_isomorphic(second, families.bull(4, [2])):
         return "second contraction does not give B(4,2)"
-    return "C_8 -> B(6,1) -> B(4,2)"
+    return None
 
 
-def _claim_bull_bipminor(snout: int, horn: int) -> Callable[[], str]:
-    def body() -> str:
+def _claim_bull_bipminor(snout: int, horn: int) -> Claim:
+    def body() -> str | None:
         host = families.cycle(snout + 2 * horn)
         target = families.bull(snout, [horn])
         trace = bipartite_minor_trace(target, host)
@@ -231,24 +243,24 @@ def _claim_bull_bipminor(snout: int, horn: int) -> Callable[[], str]:
             return f"witness is not {horn} contractions: {trace.steps}"
         if not are_isomorphic(trace.replay(host), target):
             return "witness replay does not reach the bull"
-        return f"holds with {horn} admissible contractions"
+        return None
 
     return body
 
 
-def _claim_bull_nonminor(snout: int, horn: int) -> Callable[[], str]:
-    def body() -> str:
+def _claim_bull_nonminor(snout: int, horn: int) -> Claim:
+    def body() -> str | None:
         target = families.bull(snout, [horn])
-        hits = [p for p in range(3, 13) if is_minor(target, families.cycle(p))]
-        if hits:
-            return f"minor of C_p for p in {hits}"
-        return "minor of no cycle C_p, p in [3, 12]"
+        hits = [p for p in NONMINOR_CYCLES if is_minor(target, families.cycle(p))]
+        return f"minor of C_p for p in {hits}" if hits else None
 
     return body
 
 
 def _suite_bull() -> list[ClaimResult]:
-    claims = [
+    lengths = NONMINOR_CYCLES
+    no_cycle = f"minor of no cycle C_p, p in [{lengths[0]}, {lengths[-1]}]"
+    return [
         _run(
             "bull.fig3",
             "contract C_6 at a distance-2 pair",
@@ -261,26 +273,25 @@ def _suite_bull() -> list[ClaimResult]:
             "C_8 -> B(6,1) -> B(4,2)",
             _claim_fig4,
         ),
-    ]
-    for snout, horn in BULL_CASES:
-        claims.append(
+        *(
             _run(
                 f"bull.bipminor.B({snout},{horn})",
                 f"B({snout},{horn}) <=B C_{snout + 2 * horn}",
                 f"holds with {horn} admissible contractions",
                 _claim_bull_bipminor(snout, horn),
             )
-        )
-    for snout, horn in BULL_CASES:
-        claims.append(
+            for snout, horn in BULL_CASES
+        ),
+        *(
             _run(
                 f"bull.nonminor.B({snout},{horn})",
                 f"B({snout},{horn}) <=M C_p for no p",
-                "minor of no cycle C_p, p in [3, 12]",
+                no_cycle,
                 _claim_bull_nonminor(snout, horn),
             )
-        )
-    return claims
+            for snout, horn in BULL_CASES
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +304,8 @@ DOG_CASES = [
 ]
 
 
-def _claim_dog_pair(snout: int, stretch: int, ears: tuple[int, int]) -> Callable[[], str]:
-    def body() -> str:
+def _claim_dog_pair(snout: int, stretch: int, ears: tuple[int, int]) -> Claim:
+    def body() -> str | None:
         small = families.dog(snout, list(ears))
         large = families.dog(snout + stretch, list(ears))
         model = minor_model(small, large)
@@ -303,7 +314,7 @@ def _claim_dog_pair(snout: int, stretch: int, ears: tuple[int, int]) -> Callable
         validate_minor_model(model, small, large)
         if is_bipartite_minor(small, large):
             return "unexpectedly a bipartite minor"
-        return "minor but not bipartite minor"
+        return None
 
     return body
 
@@ -311,8 +322,8 @@ def _claim_dog_pair(snout: int, stretch: int, ears: tuple[int, int]) -> Callable
 def _suite_dog() -> list[ClaimResult]:
     return [
         _run(
-            f"dog.pair.D({snout},{ears[0]},{ears[1]})<D({snout + stretch},...)",
-            f"D({snout},{ears[0]},{ears[1]}) vs D({snout + stretch},{ears[0]},{ears[1]})",
+            f"dog.pair.{_dog_name(snout, ears)}<D({snout + stretch},...)",
+            f"{_dog_name(snout, ears)} vs {_dog_name(snout + stretch, ears)}",
             "minor but not bipartite minor",
             _claim_dog_pair(snout, stretch, ears),
         )
@@ -324,64 +335,59 @@ def _suite_dog() -> list[ClaimResult]:
 # antichain suite
 
 ANTICHAIN_DOG_SNOUTS = (4, 6, 8)
+ANTICHAIN_DOG_EARS = (4, 4)
 H_FOREST_LENGTHS = (2, 3, 4, 5)
 
 
-def _claim_dog_antichain() -> str:
-    family = [families.dog(k, [4, 4]) for k in ANTICHAIN_DOG_SNOUTS]
-    cm = compare_family(family, "bipartite_minor")
-    if not all(cm.matrix[i][i] for i in range(len(family))):
-        return "relation is not reflexive on the family"
-    bad = [
-        (i, j)
-        for i in range(len(family))
-        for j in range(len(family))
-        if i != j and cm.matrix[i][j]
-    ]
-    if bad:
-        return f"comparable pairs: {bad}"
-    return "pairwise incomparable"
+def _antichain_dogs() -> list[Graph]:
+    return [families.dog(k, list(ANTICHAIN_DOG_EARS)) for k in ANTICHAIN_DOG_SNOUTS]
 
 
-def _claim_dog_antichain_wellformed() -> str:
-    for k in ANTICHAIN_DOG_SNOUTS:
-        d = families.dog(k, [4, 4])
+def _h_forest() -> list[Graph]:
+    return [families.h_tree(length) for length in H_FOREST_LENGTHS]
+
+
+def _claim_matrix(
+    family: Callable[[], list[Graph]], relation: str, want: Callable[[int, int], bool]
+) -> Claim:
+    """The claim that ``relation`` holds from member i to member j exactly
+    when ``want(i, j)``: ``eq`` for an antichain, ``le`` for a chain."""
+
+    def body() -> str | None:
+        cm = compare_family(family(), relation)
+        n = len(cm.matrix)
+        if all(cm.matrix[i][j] == want(i, j) for i in range(n) for j in range(n)):
+            return None
+        return f"unexpected matrix: {cm.matrix}"
+
+    return body
+
+
+def _claim_dog_antichain_wellformed() -> str | None:
+    for k, d in zip(ANTICHAIN_DOG_SNOUTS, _antichain_dogs()):
+        name = _dog_name(k, ANTICHAIN_DOG_EARS)
         if is_bipartite(d) is None:
-            return f"D({k},4,4) is not bipartite"
-        for mode in ("paper", "standard"):
+            return f"{name} is not bipartite"
+        for mode in KCONN_MODES:
             if not is_k_connected(d, 2, mode):
-                return f"D({k},4,4) is not 2-connected ({mode} mode)"
-    return "all bipartite and 2-connected in both modes"
-
-
-def _claim_h_forest_subgraph() -> str:
-    family = [families.h_tree(length) for length in H_FOREST_LENGTHS]
-    cm = compare_family(family, "subgraph")
-    return "pairwise incomparable" if cm.is_antichain else "comparable pair found"
-
-
-def _claim_h_forest_minor_chain() -> str:
-    family = [families.h_tree(length) for length in H_FOREST_LENGTHS]
-    cm = compare_family(family, "minor")
-    n = len(family)
-    if all(cm.matrix[i][j] == (i <= j) for i in range(n) for j in range(n)):
-        return "chain increasing with connector length"
-    return f"unexpected matrix: {cm.matrix}"
+                return f"{name} is not 2-connected ({mode} mode)"
+    return None
 
 
 def _suite_antichain() -> list[ClaimResult]:
+    dogs = _dog_name("k", ANTICHAIN_DOG_EARS)
     snouts = ",".join(str(k) for k in ANTICHAIN_DOG_SNOUTS)
     lengths = ",".join(str(k) for k in H_FOREST_LENGTHS)
     return [
         _run(
             "antichain.dogs.matrix",
-            f"D(k,4,4) for k in {{{snouts}}} under bipartite_minor",
+            f"{dogs} for k in {{{snouts}}} under bipartite_minor",
             "pairwise incomparable",
-            _claim_dog_antichain,
+            _claim_matrix(_antichain_dogs, "bipartite_minor", eq),
         ),
         _run(
             "antichain.dogs.wellformed",
-            f"D(k,4,4) for k in {{{snouts}}}",
+            f"{dogs} for k in {{{snouts}}}",
             "all bipartite and 2-connected in both modes",
             _claim_dog_antichain_wellformed,
             mode="paper+standard",
@@ -390,13 +396,13 @@ def _suite_antichain() -> list[ClaimResult]:
             "antichain.hforest.subgraph",
             f"H-trees with connector in {{{lengths}}} under subgraph",
             "pairwise incomparable",
-            _claim_h_forest_subgraph,
+            _claim_matrix(_h_forest, "subgraph", eq),
         ),
         _run(
             "antichain.hforest.minor",
             f"H-trees with connector in {{{lengths}}} under minor",
             "chain increasing with connector length",
-            _claim_h_forest_minor_chain,
+            _claim_matrix(_h_forest, "minor", le),
         ),
     ]
 
@@ -406,7 +412,7 @@ def _suite_antichain() -> list[ClaimResult]:
 
 
 def _claim_forest_reduction() -> tuple[str, str]:
-    trees = enumerate_trees(7)
+    trees = enumerate_trees(FOREST_MAX_VERTICES)
     mismatches = []
     positives = 0
     for t1 in trees:
@@ -431,7 +437,8 @@ def _suite_forest() -> list[ClaimResult]:
     return [
         _run(
             "forest.reduction",
-            "bipartite_minor == subgraph on all trees with <= 7 vertices",
+            "bipartite_minor == subgraph on all trees with "
+            f"<= {FOREST_MAX_VERTICES} vertices",
             "0 mismatches over 625 ordered pairs",
             _claim_forest_reduction,
         )
@@ -443,7 +450,7 @@ def _suite_forest() -> list[ClaimResult]:
 
 
 def _claim_preservation() -> tuple[str, str]:
-    hosts = enumerate_connected_bipartite(7)
+    hosts = enumerate_connected_bipartite(PRESERVATION_MAX_VERTICES)
     violations = 0
     members = 0
     for g in hosts:
@@ -461,7 +468,8 @@ def _suite_preservation() -> list[ClaimResult]:
     return [
         _run(
             "preservation.closures",
-            "closures of all connected bipartite graphs with <= 7 vertices",
+            "closures of all connected bipartite graphs with "
+            f"<= {PRESERVATION_MAX_VERTICES} vertices",
             "0 violations over 72 closures",
             _claim_preservation,
         )
@@ -474,7 +482,7 @@ def _suite_preservation() -> list[ClaimResult]:
 
 def _claim_block_restriction() -> tuple[str, str]:
     hosts = random_connected_graphs(
-        BLOCK_RESTRICTION_SAMPLES, 9, BLOCK_RESTRICTION_SEED
+        BLOCK_RESTRICTION_SAMPLES, BLOCK_RESTRICTION_MAX_VERTICES, BLOCK_RESTRICTION_SEED
     )
     violations = 0
     members = 0
@@ -494,51 +502,40 @@ def _claim_block_restriction() -> tuple[str, str]:
     )
 
 
-def _claim_corollary_cycle() -> tuple[str, str]:
+def _claim_corollary_cycle() -> tuple[str | None, str]:
     closure = bipartite_minor_closure(families.cycle(8))
     std = {cf for cf in closure if is_k_connected(cf.to_graph(), 2, "standard")}
-    paper = {cf for cf in closure if is_k_connected(cf.to_graph(), 2, "paper")}
+    extras = {cf for cf in closure - std if is_k_connected(cf.to_graph(), 2, "paper")}
     wanted = {canonical_form(families.cycle(k)) for k in (4, 6, 8)}
-    extras = paper - std
     if std != wanted:
         got = sorted((cf.vertex_count, cf.to_graph().edge_count) for cf in std)
         return f"unexpected standard-mode members: {got}", ""
     if extras != {_K2_FORM}:
         return f"unexpected paper-mode extras: {sorted(extras)}", ""
-    return (
-        "standard members are C_4, C_6, C_8; paper-mode extra is K_2",
-        f"closure size {len(closure)}",
-    )
+    return None, f"closure size {len(closure)}"
 
 
-def _claim_corollary_one_eared_dog() -> tuple[str, str]:
+def _claim_corollary_one_eared_dog() -> tuple[str | None, str]:
     closure = bipartite_minor_closure(families.dog(6, [4]))
     std = {cf for cf in closure if is_k_connected(cf.to_graph(), 2, "standard")}
-    paper = {cf for cf in closure if is_k_connected(cf.to_graph(), 2, "paper")}
-    stray = [
-        cf
-        for cf in std
-        if not (_is_cycle_graph(cf.to_graph()) or _is_one_eared_dog(cf.to_graph()))
-    ]
-    extras = paper - std
+    extras = {cf for cf in closure - std if is_k_connected(cf.to_graph(), 2, "paper")}
+    stray = [cf for cf in std if not _is_cycle_or_one_eared_dog(cf.to_graph())]
     if stray:
         got = sorted((cf.vertex_count, cf.to_graph().edge_count) for cf in stray)
         return f"members that are neither cycles nor one-eared dogs: {got}", ""
     if extras != {_K2_FORM}:
         return f"unexpected paper-mode extras: {sorted(extras)}", ""
-    return (
-        "standard members are cycles or one-eared dogs; paper-mode extra is K_2",
-        f"{len(std)} standard-mode members of {len(closure)} total",
-    )
+    return None, f"{len(std)} standard-mode members of {len(closure)} total"
 
 
 def _suite_blocks() -> list[ClaimResult]:
     return [
         _run(
             "blocks.restriction",
-            f"{BLOCK_RESTRICTION_SAMPLES} random connected graphs, <= 9 vertices, "
+            f"{BLOCK_RESTRICTION_SAMPLES} random connected graphs, "
+            f"<= {BLOCK_RESTRICTION_MAX_VERTICES} vertices, "
             f"seed {BLOCK_RESTRICTION_SEED}",
-            "0 violations over 200 random graphs",
+            f"0 violations over {BLOCK_RESTRICTION_SAMPLES} random graphs",
             _claim_block_restriction,
             mode="standard",
         ),
@@ -576,9 +573,7 @@ SUITE_NAMES = (*_SUITES, "all")
 def verify_harness(suite: str) -> VerificationReport:
     """Run one suite (or "all") and return its per-claim report."""
     if suite == "all":
-        claims: list[ClaimResult] = []
-        for run_suite in _SUITES.values():
-            claims.extend(run_suite())
+        claims = (c for run_suite in _SUITES.values() for c in run_suite())
         return VerificationReport("all", tuple(claims))
     if suite not in _SUITES:
         raise GraphError(f"unknown suite: {suite!r} (choose from {SUITE_NAMES})")

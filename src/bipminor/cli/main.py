@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from ..families import FAMILY_KINDS, FamilySpec
+from ..families import FAMILIES, FamilySpec
 from ..graph_core import Graph, GraphError, check_size_cap
 from ..relations import (
     WITNESS_SEARCHES,
@@ -23,7 +23,7 @@ from ..relations import (
     bipartite_minor_closure,
     compare_family,
 )
-from ..structure import blocks, is_k_connected
+from ..structure import KCONN_MODES, blocks, is_k_connected
 from .harness import SUITE_NAMES, verify_harness
 from .serialize import emit_dot, emit_graph6, parse_graph6, witness_document
 
@@ -43,33 +43,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a named family member")
-    gen.add_argument("family", choices=FAMILY_KINDS)
+    gen.add_argument("family", choices=list(FAMILIES))
     gen.add_argument("params", type=int, nargs="+", help="length, then appendages")
     gen.add_argument("--format", choices=["g6", "dot"], default="g6")
+    gen.set_defaults(handler=_cmd_gen)
 
     check = sub.add_parser("check", help="decide whether H is below G")
     check.add_argument("relation", choices=sorted(CHECK_RELATIONS))
     check.add_argument("target", help="graph6 file for H")
     check.add_argument("source", help="graph6 file for G")
     check.add_argument("--witness", metavar="PATH", help="write witness JSON here")
+    check.set_defaults(handler=_cmd_check)
 
     adm = sub.add_parser("admissible", help="list admissible contraction pairs")
     adm.add_argument("source", help="graph6 file")
+    adm.set_defaults(handler=_cmd_admissible)
 
     clo = sub.add_parser("closure", help="print the bipartite-minor closure")
     clo.add_argument("source", help="graph6 file")
     clo.add_argument("--two-connected-only", action="store_true")
-    clo.add_argument("--mode", choices=["paper", "standard"], default="paper")
+    clo.add_argument("--mode", choices=KCONN_MODES, default="paper")
+    clo.set_defaults(handler=_cmd_closure)
 
     blk = sub.add_parser("blocks", help="print the block decomposition")
     blk.add_argument("source", help="graph6 file")
+    blk.set_defaults(handler=_cmd_blocks)
 
     anti = sub.add_parser("antichain", help="comparability matrix of a family")
     anti.add_argument("family_file", help="file with one graph6 value per line")
     anti.add_argument("--relation", choices=list(WITNESS_SEARCHES), required=True)
+    anti.set_defaults(handler=_cmd_antichain)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", choices=list(SUITE_NAMES))
+    ver.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -174,17 +181,8 @@ def run_cli(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handlers = {
-        "gen": _cmd_gen,
-        "check": _cmd_check,
-        "admissible": _cmd_admissible,
-        "closure": _cmd_closure,
-        "blocks": _cmd_blocks,
-        "antichain": _cmd_antichain,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

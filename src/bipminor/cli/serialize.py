@@ -181,8 +181,8 @@ def _check_relation(relation: object) -> None:
 
 def validate_witness(doc: Mapping) -> bool:
     """Re-check a witness document from scratch: parse both graphs, replay
-    or validate the evidence, and confirm the claimed verdict.  Returns
-    True or raises GraphError."""
+    or validate a positive verdict's evidence or search again for a negative
+    verdict, and confirm it.  Returns True or raises GraphError."""
     try:
         relation = doc["relation"]
         holds = doc["holds"]
@@ -205,6 +205,8 @@ def validate_witness(doc: Mapping) -> bool:
     if not holds:
         if steps is not None:
             raise GraphError("negative witness must not carry steps")
+        if WITNESS_SEARCHES[relation](target, source) is not None:
+            raise GraphError(f"negative witness is false: the {relation} relation holds")
         return True
 
     if relation == "bipartite_minor":

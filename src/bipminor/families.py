@@ -8,11 +8,9 @@ All generators label vertices the same way on every call: body first
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graph_core import Edge, Graph, GraphError, build
-
-FAMILY_KINDS = ("cycle", "path", "bull", "dog", "h_tree")
 
 
 def cycle(k: int) -> Graph:
@@ -109,6 +107,16 @@ def h_tree(connector: int, arm_vertices: int = 3) -> Graph:
     return build(nxt, edges)
 
 
+# Each kind's builder, and whether it takes appendage lengths (horns, ears).
+FAMILIES: dict[str, tuple[Callable[..., Graph], bool]] = {
+    "cycle": (cycle, False),
+    "path": (path, False),
+    "bull": (bull, True),
+    "dog": (dog, True),
+    "h_tree": (h_tree, False),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Parameters selecting one member of a named family."""
@@ -118,18 +126,13 @@ class FamilySpec:
     appendages: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in FAMILIES:
             raise GraphError(f"unknown family kind: {self.kind!r}")
-        if self.kind in ("cycle", "path", "h_tree") and self.appendages:
+        if self.appendages and not FAMILIES[self.kind][1]:
             raise GraphError(f"{self.kind} takes no appendage lengths")
 
     def build(self) -> Graph:
-        if self.kind == "cycle":
-            return cycle(self.snout_or_length)
-        if self.kind == "path":
-            return path(self.snout_or_length)
-        if self.kind == "bull":
-            return bull(self.snout_or_length, self.appendages)
-        if self.kind == "dog":
-            return dog(self.snout_or_length, self.appendages)
-        return h_tree(self.snout_or_length)
+        builder, takes_appendages = FAMILIES[self.kind]
+        if takes_appendages:
+            return builder(self.snout_or_length, self.appendages)
+        return builder(self.snout_or_length)

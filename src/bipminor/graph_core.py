@@ -103,14 +103,12 @@ class Graph:
 
     @property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        n = self.vertex_count
-        return tuple(
-            frozenset(w for w in range(n) if (m >> w) & 1) for m in self.neighbor_masks
-        )
+        return tuple(map(self.neighbors, self.vertices))
 
     def neighbors(self, v: int) -> frozenset[int]:
         self.check_vertex(v)
-        return self.adjacency[v]
+        m = self.neighbor_masks[v]
+        return frozenset(w for w in range(self.vertex_count) if (m >> w) & 1)
 
     def degree(self, v: int) -> int:
         self.check_vertex(v)
@@ -270,22 +268,25 @@ class Bipartition:
 def is_bipartite(g: Graph) -> Bipartition | None:
     """Two-color ``g`` if it has no odd cycle, else return ``None``.
 
-    The lowest-indexed vertex of each component is assigned class 0, so the
-    returned partition is deterministic.
+    The lowest-indexed vertex of each component is assigned class 0.  The
+    walk goes by breadth-first layers of neighbour masks; the odd layers
+    form class 1, and an edge inside a layer closes an odd cycle.
     """
-    side = [-1] * g.vertex_count
-    adj = g.adjacency
-    for start in g.vertices:
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if side[w] == -1:
-                    side[w] = 1 - side[v]
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    return None
-    return Bipartition(tuple(side))
+    masks = g.neighbor_masks
+    left = (1 << g.vertex_count) - 1
+    ones = 0
+    while left:
+        layer, odd = left & -left, False
+        while layer:
+            left &= ~layer
+            if odd:
+                ones |= layer
+            reached, rest = 0, layer
+            while rest:
+                low = rest & -rest
+                reached |= masks[low.bit_length() - 1]
+                rest ^= low
+            if reached & layer:
+                return None
+            layer, odd = reached & left, not odd
+    return Bipartition(tuple((ones >> v) & 1 for v in g.vertices))

@@ -317,6 +317,28 @@ def has_odd_cycle(g: Graph) -> bool:
     return any(len(c) % 2 == 1 for c in all_simple_cycles(g))
 
 
+def dfs_sides(g: Graph) -> tuple[int, ...] | None:
+    """Two-colouring by depth-first search over adjacency sets, the lowest
+    vertex of each component on side 0; None if an edge joins two
+    vertices of one side."""
+    side = [-1] * g.vertex_count
+    adj = g.adjacency
+    for start in g.vertices:
+        if side[start] != -1:
+            continue
+        side[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if side[w] == -1:
+                    side[w] = 1 - side[v]
+                    stack.append(w)
+                elif side[w] == side[v]:
+                    return None
+    return tuple(side)
+
+
 def _chordless(g: Graph, cyc: tuple[int, ...]) -> bool:
     m = len(cyc)
     for i in range(m):

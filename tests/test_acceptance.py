@@ -20,7 +20,16 @@ from bipminor.relations import (
     validate_minor_model,
 )
 from bipminor.structure import is_k_connected, is_subgraph, subgraph_embedding
-from bipminor.cli.harness import BULL_CASES, DOG_CASES, verify_harness
+from bipminor.cli.harness import (
+    ANTICHAIN_DOG_EARS,
+    ANTICHAIN_DOG_SNOUTS,
+    BLOCK_RESTRICTION_SAMPLES,
+    BULL_CASES,
+    DOG_CASES,
+    H_FOREST_LENGTHS,
+    NONMINOR_CYCLES,
+    verify_harness,
+)
 
 from oracles import random_graph
 
@@ -64,7 +73,7 @@ def test_criterion_02_bull_not_a_cycle_minor():
     with criterion(2, "bull non-minor"):
         for snout, horn in BULL_CASES:
             target = bull(snout, [horn])
-            for p in range(3, 13):
+            for p in NONMINOR_CYCLES:
                 assert not is_minor(target, cycle(p)), (snout, horn, p)
 
 
@@ -95,14 +104,14 @@ def test_criterion_04_dog_minor_but_not_bipartite_minor():
 
 def test_criterion_05_dog_antichain():
     with criterion(5, "dog antichain"):
-        family = [dog(k, [4, 4]) for k in (4, 6, 8)]
+        family = [dog(k, list(ANTICHAIN_DOG_EARS)) for k in ANTICHAIN_DOG_SNOUTS]
         for d in family:
             assert is_bipartite(d) is not None
             assert is_k_connected(d, 2, "paper")
             assert is_k_connected(d, 2, "standard")
         cm = compare_family(family, "bipartite_minor")
-        for i in range(3):
-            for j in range(3):
+        for i in range(len(family)):
+            for j in range(len(family)):
                 assert cm.matrix[i][j] == (i == j)
         assert cm.is_antichain
 
@@ -117,12 +126,12 @@ def test_criterion_06_forest_reduction():
 
 def test_criterion_07_h_forest_antichain_and_minor_chain():
     with criterion(7, "H-forest antichain / minor chain"):
-        family = [h_tree(k) for k in (2, 3, 4, 5)]
+        family = [h_tree(k) for k in H_FOREST_LENGTHS]
         sub = compare_family(family, "subgraph")
         assert sub.is_antichain
         minor = compare_family(family, "minor")
-        for i in range(4):
-            for j in range(4):
+        for i in range(len(family)):
+            for j in range(len(family)):
                 assert minor.matrix[i][j] == (i <= j)
 
 
@@ -141,7 +150,9 @@ def test_criterion_09_block_restriction():
             c for c in report.claims if c.claim_id == "blocks.restriction"
         )
         assert claim.passed, (claim.expected, claim.computed)
-        assert claim.computed == "0 violations over 200 random graphs"
+        assert claim.computed == (
+            f"0 violations over {BLOCK_RESTRICTION_SAMPLES} random graphs"
+        )
 
 
 def test_criterion_10_two_connected_closure_members():

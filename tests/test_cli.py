@@ -8,7 +8,7 @@ import pytest
 
 import bipminor
 from bipminor.canonical import canonical_form
-from bipminor.families import bull, cycle, dog, h_tree
+from bipminor.families import FAMILIES, bull, cycle, dog, h_tree
 from bipminor.graph_core import build
 from bipminor.relations import bipartite_minor_closure
 from bipminor.cli.main import run_cli
@@ -61,6 +61,26 @@ class TestGen:
 
     def test_unknown_family_exit_2(self, capsys):
         assert run_cli(["gen", "wheel", "5"]) == 2
+
+    @pytest.mark.parametrize("kind", list(FAMILIES))
+    def test_every_family_kind_prints_its_builders_graph6(self, kind, capsys):
+        builder, takes_appendages = FAMILIES[kind]
+        if takes_appendages:
+            assert run_cli(["gen", kind, "6", "3"]) == 0
+            want = builder(6, [3])
+        else:
+            assert run_cli(["gen", kind, "6"]) == 0
+            want = builder(6)
+        assert capsys.readouterr().out == emit_graph6(want) + "\n"
+
+    @pytest.mark.parametrize("kind", list(FAMILIES))
+    def test_appendages_rejected_where_the_table_takes_none(self, kind, capsys):
+        takes_appendages = FAMILIES[kind][1]
+        code = run_cli(["gen", kind, "6", "3"])
+        assert code == (0 if takes_appendages else 2)
+        assert ("takes no appendage lengths" in capsys.readouterr().err) == (
+            not takes_appendages
+        )
 
 
 class TestCheck:

@@ -235,6 +235,12 @@ class TestIsBipartite:
             g = random_graph(rng, 8)
             assert (is_bipartite(g) is not None) == (not has_odd_cycle(g))
 
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_vertices=10))
+    def test_sides_match_the_depth_first_colouring(self, g):
+        part = is_bipartite(g)
+        assert (None if part is None else part.side_of) == oracles.dfs_sides(g)
+
 
 class TestInvariants:
     @settings(max_examples=80, deadline=None)

@@ -1,5 +1,6 @@
-"""The harness's graph generators: the isomorph-free enumeration of
-connected bipartite graphs and trees, and the seeded random hosts."""
+"""The harness's graph generators (the isomorph-free enumeration of
+connected bipartite graphs and trees, and the seeded random hosts), and its
+claims reading their parameters from the module constants."""
 
 import hashlib
 from collections import Counter
@@ -9,10 +10,12 @@ import pytest
 
 from bipminor.canonical import canonical_form
 from bipminor.graph_core import build
+from bipminor.cli import harness
 from bipminor.cli.harness import (
     enumerate_connected_bipartite,
     enumerate_trees,
     random_connected_graphs,
+    verify_harness,
 )
 from bipminor.cli.serialize import emit_graph6
 
@@ -77,3 +80,18 @@ class TestRandomHosts:
         graphs = random_connected_graphs(count, 9, 6174)
         text = "".join(emit_graph6(g) + "\n" for g in graphs)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestClaimParameters:
+    def test_a_claim_and_its_params_read_the_constant(self, monkeypatch):
+        # Two equal H-trees are comparable, so both H-forest claims fail
+        # and report what they found against the unchanged pass text.
+        monkeypatch.setattr(harness, "H_FOREST_LENGTHS", (3, 3))
+        claims = {c.claim_id: c for c in verify_harness("antichain").claims}
+        subgraph = claims["antichain.hforest.subgraph"]
+        assert subgraph.params == "H-trees with connector in {3,3} under subgraph"
+        assert subgraph.expected == "pairwise incomparable"
+        assert subgraph.computed == "unexpected matrix: ((True, True), (True, True))"
+        assert not subgraph.passed
+        assert not claims["antichain.hforest.minor"].passed
+        assert claims["antichain.dogs.matrix"].passed

@@ -175,6 +175,31 @@ class TestWitnessDocuments:
         assert doc["steps"] is None
         assert validate_witness(doc)
 
+    @pytest.mark.parametrize(
+        "relation, source, target",
+        [
+            pytest.param("subgraph", cycle(6), path(2), id="subgraph-P2-in-C6"),
+            pytest.param("bipartite_minor", cycle(6), cycle(6), id="bipminor-C6-in-C6"),
+            pytest.param("minor", cycle(6), cycle(4), id="minor-C4-in-C6"),
+        ],
+    )
+    def test_false_negative_rejected(self, relation, source, target):
+        # A negative verdict is decided again, so one that does not hold
+        # fails validation.
+        doc = witness_document(relation, False, source, target, None)
+        with pytest.raises(GraphError, match="relation holds"):
+            validate_witness(doc)
+
+    @pytest.mark.parametrize(
+        "relation, source, target",
+        [
+            pytest.param("subgraph", h_tree(3), h_tree(2), id="subgraph-H2-in-H3"),
+            pytest.param("minor", cycle(4), cycle(6), id="minor-C6-in-C4"),
+        ],
+    )
+    def test_true_negative_validates(self, relation, source, target):
+        assert validate_witness(witness_document(relation, False, source, target, None))
+
     def test_tampered_trace_rejected(self):
         source, target = cycle(6), bull(4, [1])
         trace = bipartite_minor_trace(target, source)
