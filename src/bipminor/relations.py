@@ -8,17 +8,20 @@ It maps each canonical form reached to one labelled representative and,
 once the form is expanded, to its distinct child forms, so each form is
 expanded and its children labelled once per process, whichever search
 reached it first (McKay, *Isomorph-free exhaustive generation*, 1998).
-One breadth-first loop, ``_walk``, serves both searches.  It expands each
-frontier in canonical order, so its parent links do not depend on what
+One depth-first loop, ``_walk``, serves both searches.  It pushes the
+children first reached from each form in reverse canonical order, so the
+least is expanded next and its parent links do not depend on what
 earlier searches left in the store.  A search that finds the store above
 ``canonical.STORE_LIMIT`` entries empties it first; no result depends on
 what the store holds.
 
 ``bipartite_minor_closure`` (everything reachable, up to isomorphism) is
-the set of forms the walk reaches.  ``bipartite_minor_trace`` walks toward
-the target's form: every operation strictly shrinks |V|+|E| and never
-increases the cycle rank |E|-|V|+(components), so children below the
-target on any of those measures are skipped.  The stored graphs carry
+the set of forms the walk reaches, which no order changes.
+``bipartite_minor_trace`` walks toward the target's form and stops when a
+form generates it as a child: every operation strictly shrinks |V|+|E|
+and never increases the cycle rank |E|-|V|+(components), so children
+below the target on any of those measures are skipped.  A witness is the
+path the walk took, not always a shortest one.  The stored graphs carry
 their own labels, so the trace names its steps by replay: from the host,
 it takes at each form of the path the first move reaching the next.  Both
 check the size cap on the host alone: no move adds a vertex.
@@ -318,30 +321,32 @@ def _walk(
     keep: Callable[[Graph], bool] | None = None,
     target: CanonicalForm | None = None,
 ) -> dict[CanonicalForm, CanonicalForm | None]:
-    """Breadth-first walk over the store from ``g``, through the children
+    """Depth-first walk over the store from ``g``, through the children
     whose stored graph ``keep`` accepts.  Maps every form reached to the
     form it was first reached from (``None`` for the start); stops as soon
-    as ``target`` is reached."""
+    as ``target`` is generated as a child.  The children first reached
+    from a form are pushed so that the least in canonical order is
+    expanded next; a trace's path is therefore not always the shortest."""
     if len(_store) > canonical.STORE_LIMIT:
         _store.clear()
     start = canonical_form(g)
     _store.setdefault(start, (g, None))
     parent: dict[CanonicalForm, CanonicalForm | None] = {start: None}
-    frontier = [] if start == target else [start]
-    while frontier:
+    stack = [] if start == target else [start]
+    while stack:
+        cf = stack.pop()
+        new: list[CanonicalForm] = []
+        for ccf in _children(cf):
+            if ccf in parent or (keep is not None and not keep(_store[ccf][0])):
+                continue
+            parent[ccf] = cf
+            if ccf == target:
+                return parent
+            new.append(ccf)
         # Canonical order keeps the parent links, and so a trace's witness,
         # independent of the order in which earlier calls filled the store.
-        frontier.sort()
-        next_frontier: list[CanonicalForm] = []
-        for cf in frontier:
-            for ccf in _children(cf):
-                if ccf in parent or (keep is not None and not keep(_store[ccf][0])):
-                    continue
-                parent[ccf] = cf
-                if ccf == target:
-                    return parent
-                next_frontier.append(ccf)
-        frontier = next_frontier
+        new.sort(reverse=True)
+        stack += new
     return parent
 
 

@@ -94,8 +94,10 @@ def random_graph(rng, max_vertices: int, min_vertices: int = 0) -> Graph:
     return build(n, chosen)
 
 
-def random_sparse_connected(rng, max_vertices: int, extra: int = 2) -> Graph:
-    n = rng.randint(2, max_vertices)
+def random_sparse_connected(
+    rng, max_vertices: int, extra: int = 2, min_vertices: int = 2
+) -> Graph:
+    n = rng.randint(min_vertices, max_vertices)
     edges = set()
     for v in range(1, n):
         edges.add(normalize_edge(v, rng.randrange(v)))

@@ -204,6 +204,31 @@ class TestBipartiteMinor:
             negatives += not want
         assert positives > 5 and negatives > 5
 
+    def test_matches_unpruned_reference_search_on_eight_vertex_hosts(self):
+        # On hosts this large the depth-first walk and the breadth-first
+        # oracle visit forms in different orders.  A depth-first witness
+        # need not be shortest, so only the bound every path obeys is
+        # checked: each step shrinks |V| + |E| by at least one.
+        rng = random.Random(34)
+        positives = negatives = 0
+        for _ in range(30):
+            g = random_sparse_connected(rng, 8, extra=3, min_vertices=8)
+            if rng.random() < 0.5:
+                h = random_sparse_connected(rng, 6, extra=2)
+            else:
+                h = random_graph(rng, 5)
+            trace = bipartite_minor_trace(h, g)
+            assert (trace is not None) == bipminor_by_unpruned_search(h, g)
+            if trace is None:
+                negatives += 1
+                continue
+            positives += 1
+            assert are_isomorphic(trace.replay(g), h)
+            assert len(trace) <= (
+                g.vertex_count + g.edge_count - h.vertex_count - h.edge_count
+            )
+        assert positives > 10 and negatives > 5
+
     def test_moves_keep_the_first_move_to_each_child(self):
         # Orbit pruning may drop a move only when an earlier move already
         # reaches an isomorphic child; otherwise the searches' witnesses
@@ -489,6 +514,13 @@ class TestClosure:
             assert (canonical_form(h) in closure) == is_bipartite_minor(h, g)
 
 
+def _grid(rows: int, cols: int):
+    """The rows x cols grid graph, vertex ``r * cols + c`` at (r, c)."""
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return build(rows * cols, edges)
+
+
 def _hosts_and_blocks() -> list:
     """Twelve random connected hosts, each followed by its blocks."""
     out = []
@@ -585,6 +617,26 @@ class TestClosureStore:
         after_closures = traces(pairs)
         assert in_order == in_reverse == alone == after_closures
         assert sum(t is not None and len(t) > 1 for t in in_order) > 10
+
+    @pytest.mark.parametrize(
+        "h, g, steps, bound",
+        [
+            (build(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]), _grid(3, 4), 7, 1000),
+            (bull(4, [1]), _grid(2, 6), 7, 200),
+            (cycle(4), _grid(2, 6), 8, 200),
+        ],
+        ids=["K23-in-3x4-grid", "B41-in-2x6-grid", "C4-in-2x6-grid"],
+    )
+    def test_traces_at_cap_scale_expand_few_forms(self, h, g, steps, bound):
+        # The walk follows the least new child first and stops when the
+        # target is generated, so a positive trace stores only forms near
+        # its path; a walk that sweeps every level above the target stores
+        # thousands (9189, 3542 and 4014 for these pairs).
+        relations.clear_caches()
+        trace = bipartite_minor_trace(h, g)
+        assert len(relations._store) < bound
+        assert trace is not None and len(trace) == steps
+        assert are_isomorphic(trace.replay(g), h)
 
     def test_trace_after_the_closure_labels_nothing(self, monkeypatch):
         # The host's closure has labelled and expanded every form below it,
