@@ -27,11 +27,10 @@ from ..structure import KCONN_MODES, blocks, is_k_connected
 from .harness import SUITE_NAMES, verify_harness
 from .serialize import emit_dot, emit_graph6, parse_graph6, witness_document
 
-CHECK_RELATIONS = {
-    "bipminor": "bipartite_minor",
-    "minor": "minor",
-    "subgraph": "subgraph",
-}
+# ``check`` takes each relation's own name, and ``bipminor`` as the one
+# alias of ``bipartite_minor``.
+CHECK_RELATIONS = {name: name for name in WITNESS_SEARCHES}
+CHECK_RELATIONS["bipminor"] = "bipartite_minor"
 
 
 def build_parser() -> argparse.ArgumentParser:

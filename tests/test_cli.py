@@ -96,6 +96,18 @@ class TestCheck:
         assert doc["holds"] is True
         assert validate_witness(doc)
 
+    def test_relation_name_and_alias_agree(self, tmp_path, capsys):
+        h = write_g6(tmp_path, "h.g6", cycle(4))
+        g = write_g6(tmp_path, "g.g6", dog(6, [4]))
+        results = []
+        for name in ("bipartite_minor", "bipminor"):
+            witness = tmp_path / f"{name}.json"
+            code = run_cli(["check", name, h, g, "--witness", str(witness)])
+            results.append((code, capsys.readouterr().out, witness.read_text()))
+        assert results[0] == results[1]
+        assert results[0][:2] == (0, "true\n")
+        assert validate_witness(json.loads(results[0][2]))
+
     def test_negative_bipminor(self, tmp_path, capsys):
         h = write_g6(tmp_path, "h.g6", dog(5, [3, 3]))
         g = write_g6(tmp_path, "g.g6", dog(6, [3, 3]))

@@ -232,16 +232,17 @@ class TestBipartiteMinor:
     def test_moves_keep_the_first_move_to_each_child(self):
         # Orbit pruning may drop a move only when an earlier move already
         # reaches an isomorphic child; otherwise the searches' witnesses
-        # would change.
-        rng = random.Random(44)
-        hosts = [cycle(8), dog(6, [4]), bull(4, [1, 1]), build(5, [])]
-        hosts += [random_sparse_connected(rng, 8, extra=3) for _ in range(20)]
-        for g in hosts:
+        # would change.  A vertex is deleted only once it is isolated.
+        for g in _move_hosts():
             every = [
                 (AdmissibleContraction(p.u, p.v, p.w), contract_set(g, {p.u, p.v}))
                 for p in admissible_pairs(g)
             ]
-            every += [(VertexDeletion(v), delete_vertex(g, v)) for v in g.vertices]
+            every += [
+                (VertexDeletion(v), delete_vertex(g, v))
+                for v in g.vertices
+                if not g.neighbor_masks[v]
+            ]
             every += [(EdgeDeletion(u, v), delete_edge(g, u, v)) for u, v in sorted(g.edges)]
             firsts: dict = {}
             for step, child in every:
@@ -257,6 +258,41 @@ class TestBipartiteMinor:
                     child.vertex_count + child.edge_count
                     < g.vertex_count + g.edge_count
                 )
+
+    def test_closures_still_reach_every_vertex_deletion(self):
+        # Deleting a vertex of degree d is d edge deletions, then the
+        # deletion of the isolated vertex.
+        for g in _move_hosts():
+            closure = bipartite_minor_closure(g)
+            for v in g.vertices:
+                assert canonical_form(delete_vertex(g, v)) in closure
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            build(1, []),
+            build(2, []),
+            build(5, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+            build(4, [(0, 1)]),
+        ],
+        ids=["K1", "2K1", "C4+K1", "K2+2K1"],
+    )
+    def test_targets_with_isolated_vertices_match_unpruned_search(self, h):
+        # The oracle deletes every vertex directly; the trace deletes a
+        # vertex only once its edges are gone.  Half the hosts carry an
+        # isolated vertex of their own.
+        rng = random.Random(45)
+        positives = 0
+        for i in range(8):
+            g = random_sparse_connected(rng, 7, extra=2, min_vertices=6)
+            if i % 2:
+                g = build(g.vertex_count + 1, g.edges)
+            trace = bipartite_minor_trace(h, g)
+            assert (trace is not None) == bipminor_by_unpruned_search(h, g)
+            if trace is not None:
+                positives += 1
+                assert are_isomorphic(trace.replay(g), h)
+        assert positives > 3
 
     def test_every_positive_trace_replays(self):
         rng = random.Random(33)
@@ -297,7 +333,8 @@ class TestBipartiteMinor:
         with pytest.raises(SizeCapExceeded, match="size cap is 14"):
             bipartite_minor_closure(host)
         monkeypatch.setenv("BIPMINOR_SIZE_CAP", "15")
-        assert len(bipartite_minor_trace(build(3, []), host)) == 12
+        # Two edge deletions isolate vertices 0 to 2; then 12 deletions.
+        assert len(bipartite_minor_trace(build(3, []), host)) == 14
         # Edgeless, one edge or P_3, plus isolated vertices: 16 + 14 + 13.
         assert len(bipartite_minor_closure(host)) == 43
 
@@ -494,11 +531,22 @@ class TestClosure:
                 assert is_bipartite(cf.to_graph()) is not None
 
     def test_matches_isomorphism_test_oracle(self):
-        # The oracle expands every move and dedupes with networkx, so it
-        # shares neither the canonical forms nor the orbit pruning of moves.
+        # The oracle expands every move, every vertex deletion included, and
+        # dedupes with networkx, so it shares neither the canonical forms
+        # nor the orbit pruning of moves nor the isolated-only deletions.
+        # The later hosts have isolated vertices, pendant vertices and
+        # several components.
         rng = random.Random(39)
         hosts = [cycle(6), bull(4, [2]), dog(5, [4]), dog(4, [3, 3])]
         hosts += [random_sparse_connected(rng, 7, extra=3) for _ in range(6)]
+        hosts += [
+            build(6, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+            build(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (5, 6)]),
+            build(6, [(0, 1), (0, 2), (0, 3), (4, 5)]),
+            bull(4, [1, 1]),
+        ]
+        rng = random.Random(46)
+        hosts += [random_graph(rng, 7) for _ in range(8)]
         for g in hosts:
             want = closure_by_isomorphism_test(g)
             got = bipartite_minor_closure(g)
@@ -512,6 +560,14 @@ class TestClosure:
         for _ in range(30):
             h = random_graph(rng, 5)
             assert (canonical_form(h) in closure) == is_bipartite_minor(h, g)
+
+
+def _move_hosts() -> list:
+    """Fixed hosts and twenty random sparse connected ones, up to 8
+    vertices."""
+    rng = random.Random(44)
+    hosts = [cycle(8), dog(6, [4]), bull(4, [1, 1]), build(5, [])]
+    return hosts + [random_sparse_connected(rng, 8, extra=3) for _ in range(20)]
 
 
 def _grid(rows: int, cols: int):
@@ -621,9 +677,9 @@ class TestClosureStore:
     @pytest.mark.parametrize(
         "h, g, steps, bound",
         [
-            (build(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]), _grid(3, 4), 7, 1000),
-            (bull(4, [1]), _grid(2, 6), 7, 200),
-            (cycle(4), _grid(2, 6), 8, 200),
+            (build(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]), _grid(3, 4), 12, 1000),
+            (bull(4, [1]), _grid(2, 6), 10, 200),
+            (cycle(4), _grid(2, 6), 12, 200),
         ],
         ids=["K23-in-3x4-grid", "B41-in-2x6-grid", "C4-in-2x6-grid"],
     )
