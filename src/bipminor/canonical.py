@@ -106,7 +106,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph_core import Graph, GraphError, build, from_upper_bits
+from .graph_core import Graph, from_upper_bits
 
 # A permutation ``p`` of the vertices maps vertex ``v`` to ``p[v]``.
 Perm = tuple[int, ...]
@@ -571,10 +571,3 @@ def _minimal_bits(g: Graph) -> tuple[int, tuple[Perm, ...]]:
         bits = (bits << j) | col
     return bits, tuple(generators)
 
-
-def permute(g: Graph, order: list[int] | tuple[int, ...]) -> Graph:
-    """Relabel ``g`` so old vertex ``order[i]`` becomes new vertex ``i``."""
-    if sorted(order) != list(g.vertices):
-        raise GraphError("order must be a permutation of the vertices")
-    pos = {v: i for i, v in enumerate(order)}
-    return build(g.vertex_count, [(pos[u], pos[v]) for u, v in g.edges])

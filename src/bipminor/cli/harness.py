@@ -22,7 +22,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import eq, le
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .. import families
 from ..canonical import CanonicalForm, are_isomorphic, canonical_form
@@ -139,27 +139,39 @@ def _tree_edges_from_pruefer(seq: tuple[int, ...], n: int) -> list[tuple[int, in
     return edges
 
 
-def enumerate_connected_bipartite(max_vertices: int) -> list[Graph]:
-    """All connected bipartite graphs with 1..max_vertices vertices, one
-    per isomorphism class, canonically labelled and in form order.  Each
-    size is the size below plus a vertex joined to a nonempty subset of one
-    side (a spanning tree's leaf has its neighbours on one side), deduped
-    by canonical form (McKay, *Isomorph-free exhaustive generation*, 1998)."""
+def _augment(
+    max_vertices: int, joins: Callable[[Graph], Iterable[tuple[int, ...]]]
+) -> list[Graph]:
+    """The graphs with 1..max_vertices vertices grown from ``K_1``, one per
+    isomorphism class, canonically labelled and in form order.  Each size
+    is the size below plus a new vertex joined to each vertex set that
+    ``joins`` lists, deduped by canonical form (McKay, *Isomorph-free
+    exhaustive generation*, 1998)."""
     forms = {canonical_form(build(1, []))} if max_vertices > 0 else set()
     for n in range(1, max_vertices):
         for g in [cf.to_graph() for cf in forms if cf.vertex_count == n]:
-            for side in is_bipartite(g).classes():
-                for r in range(1, len(side) + 1):
-                    for joined in combinations(sorted(side), r):
-                        h = build(n + 1, [*g.edges, *((v, n) for v in joined)])
-                        forms.add(canonical_form(h))
+            for joined in joins(g):
+                h = build(n + 1, [*g.edges, *((v, n) for v in joined)])
+                forms.add(canonical_form(h))
     return [cf.to_graph() for cf in sorted(forms)]
 
 
+def _one_side_subsets(g: Graph) -> Iterator[tuple[int, ...]]:
+    for side in is_bipartite(g).classes():
+        for r in range(1, len(side) + 1):
+            yield from combinations(sorted(side), r)
+
+
+def enumerate_connected_bipartite(max_vertices: int) -> list[Graph]:
+    """All connected bipartite graphs with 1..max_vertices vertices: a
+    vertex joined to a nonempty subset of one side (a spanning tree's leaf
+    has its neighbours on one side)."""
+    return _augment(max_vertices, _one_side_subsets)
+
+
 def enumerate_trees(max_vertices: int) -> list[Graph]:
-    """All trees with 1..max_vertices vertices, one per isomorphism class."""
-    graphs = enumerate_connected_bipartite(max_vertices)
-    return [g for g in graphs if g.edge_count == g.vertex_count - 1]
+    """All trees with 1..max_vertices vertices: a leaf joined to one vertex."""
+    return _augment(max_vertices, lambda g: ((v,) for v in g.vertices))
 
 
 def random_connected_graphs(

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from ..families import FAMILIES, FamilySpec
+from ..families import FAMILIES
 from ..graph_core import Graph, GraphError, check_size_cap
 from ..relations import (
     WITNESS_SEARCHES,
@@ -60,8 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     clo = sub.add_parser("closure", help="print the bipartite-minor closure")
     clo.add_argument("source", help="graph6 file")
-    clo.add_argument("--two-connected-only", action="store_true")
-    clo.add_argument("--mode", choices=KCONN_MODES, default="paper")
+    clo.add_argument(
+        "--two-connected",
+        choices=KCONN_MODES,
+        help="print only the members that are 2-connected in this reading",
+    )
     clo.set_defaults(handler=_cmd_closure)
 
     blk = sub.add_parser("blocks", help="print the block decomposition")
@@ -99,8 +102,11 @@ def _read_family(path: str) -> list[Graph]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = FamilySpec(args.family, args.params[0], tuple(args.params[1:]))
-    g = spec.build()
+    builder, takes_appendages = FAMILIES[args.family]
+    length, *appendages = args.params
+    if appendages and not takes_appendages:
+        raise GraphError(f"{args.family} takes no appendage lengths")
+    g = builder(length, appendages) if takes_appendages else builder(length)
     if args.format == "g6":
         print(emit_graph6(g))
     else:
@@ -139,7 +145,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     members = bipartite_minor_closure(g)
     for cf in sorted(members):
         rep = cf.to_graph()
-        if args.two_connected_only and not is_k_connected(rep, 2, args.mode):
+        if args.two_connected and not is_k_connected(rep, 2, args.two_connected):
             continue
         print(emit_graph6(rep))
     return 0

@@ -14,16 +14,14 @@ single vertices, and both are checked by ``validate_minor_model``.
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..canonical import are_isomorphic
 from ..graph_core import (
-    Edge,
     Graph,
     GraphError,
     check_size_cap,
     from_upper_bits,
-    normalize_edge,
     upper_bits,
 )
 from ..relations import (
@@ -86,21 +84,11 @@ def parse_graph6(text: str) -> Graph:
     return from_upper_bits(n, bits >> padding)
 
 
-def emit_dot(
-    g: Graph,
-    highlight_vertices: Iterable[int] = (),
-    highlight_edges: Iterable[Edge] = (),
-) -> str:
+def emit_dot(g: Graph) -> str:
     """DOT text with one line per vertex and per edge, in index order."""
-    hv = set(highlight_vertices)
-    he = {normalize_edge(u, v) for u, v in highlight_edges}
     lines = ["graph {"]
-    for v in g.vertices:
-        mark = " [color=red, style=bold]" if v in hv else ""
-        lines.append(f"  {v}{mark};")
-    for u, v in sorted(g.edges):
-        mark = " [color=red, style=bold]" if (u, v) in he else ""
-        lines.append(f"  {u} -- {v}{mark};")
+    lines += [f"  {v};" for v in g.vertices]
+    lines += [f"  {u} -- {v};" for u, v in sorted(g.edges)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -7,7 +7,6 @@ All generators label vertices the same way on every call: body first
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .graph_core import Edge, Graph, GraphError, build
@@ -116,23 +115,3 @@ FAMILIES: dict[str, tuple[Callable[..., Graph], bool]] = {
     "h_tree": (h_tree, False),
 }
 
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parameters selecting one member of a named family."""
-
-    kind: str
-    snout_or_length: int
-    appendages: tuple[int, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAMILIES:
-            raise GraphError(f"unknown family kind: {self.kind!r}")
-        if self.appendages and not FAMILIES[self.kind][1]:
-            raise GraphError(f"{self.kind} takes no appendage lengths")
-
-    def build(self) -> Graph:
-        builder, takes_appendages = FAMILIES[self.kind]
-        if takes_appendages:
-            return builder(self.snout_or_length, self.appendages)
-        return builder(self.snout_or_length)

@@ -1,10 +1,11 @@
 """Immutable simple graphs and the elementary operations on them.
 
 Vertices are the dense integers ``0..vertex_count-1``, and a graph is its
-vertex count plus one neighbour bitmask per vertex; the edge set and the
-adjacency sets are derived from the masks.  Every operation works on the
-masks and returns a fresh graph, relabelled compactly, so a recorded
-sequence of operations replays to the same labelled graph on every run.
+vertex count plus one neighbour bitmask per vertex; the edge set and each
+vertex's neighbour set are derived from the masks.  Every operation works
+on the masks and returns a fresh graph, relabelled compactly, so a
+recorded sequence of operations replays to the same labelled graph on
+every run.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class Graph:
     """A finite simple undirected graph on vertices ``0..vertex_count-1``.
 
     ``neighbor_masks[v]`` has bit ``w`` set iff ``vw`` is an edge; the masks
-    are the graph's only data, and ``edges``, ``adjacency`` and
+    are the graph's only data, and ``edges``, ``neighbors(v)`` and
     ``edge_count`` are views derived from them.  Construction rejects masks
     of the wrong length, bits at or above ``vertex_count``, loops, and
     edges recorded at one end only; the operations below skip those checks,
@@ -100,10 +101,6 @@ class Graph:
     @property
     def vertices(self) -> range:
         return range(self.vertex_count)
-
-    @property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        return tuple(map(self.neighbors, self.vertices))
 
     def neighbors(self, v: int) -> frozenset[int]:
         self.check_vertex(v)

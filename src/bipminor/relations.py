@@ -47,6 +47,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import canonical
 from .canonical import CanonicalForm, Perm, automorphism_generators, canonical_form
 from .graph_core import (
+    Edge,
     Graph,
     GraphError,
     check_size_cap,
@@ -207,38 +208,33 @@ def _moves(g: Graph) -> Iterator[tuple[Step, Graph]]:
     reached by deleting the vertex's edges first, through graphs that are
     themselves reachable, so no search loses a state by skipping it.
     Moves that an automorphism of ``g`` maps onto each other give
-    isomorphic children, so only the first move of each orbit is yielded.
+    isomorphic children, so only the first move of each orbit is yielded;
+    any permutation of the isolated vertices is an automorphism, so they
+    form one orbit, and only the least of them is deleted.
     A search that skips children it has already seen keeps the same
     states and the same witness steps as with every move of each orbit
     yielded."""
     gens = automorphism_generators(g)
     pairs = {(p.u, p.v): p for p in admissible_pairs(g)}
-    for u, v in _orbit_firsts(pairs, gens, _act_on_pair):
+    for u, v in _orbit_firsts(pairs, gens):
         p = pairs[(u, v)]
         yield AdmissibleContraction(u, v, p.w), contract_set(g, {u, v})
-    isolated = [v for v in g.vertices if not g.neighbor_masks[v]]
-    for v in _orbit_firsts(isolated, gens, _act_on_vertex):
-        yield VertexDeletion(v), delete_vertex(g, v)
-    for u, v in _orbit_firsts(sorted(g.edges), gens, _act_on_pair):
+    for v in g.vertices:
+        if not g.neighbor_masks[v]:
+            yield VertexDeletion(v), delete_vertex(g, v)
+            break
+    for u, v in _orbit_firsts(sorted(g.edges), gens):
         yield EdgeDeletion(u, v), delete_edge(g, u, v)
 
 
-def _act_on_vertex(p: Perm, v: int) -> int:
-    return p[v]
-
-
-def _act_on_pair(p: Perm, pair: tuple[int, int]) -> tuple[int, int]:
-    return normalize_edge(p[pair[0]], p[pair[1]])
-
-
-def _orbit_firsts(items: Iterable, gens: tuple[Perm, ...], act: Callable) -> Iterator:
-    """The items, in order, whose orbit under ``gens`` holds no earlier
-    item; ``items`` must be closed under the action."""
+def _orbit_firsts(pairs: Iterable[Edge], gens: tuple[Perm, ...]) -> Iterator[Edge]:
+    """The vertex pairs, in order, whose orbit under ``gens`` holds no
+    earlier pair; ``pairs`` must be closed under the action."""
     if not gens:
-        yield from items
+        yield from pairs
         return
     covered: set = set()
-    for x in items:
+    for x in pairs:
         if x in covered:
             continue
         covered.add(x)
@@ -246,7 +242,7 @@ def _orbit_firsts(items: Iterable, gens: tuple[Perm, ...], act: Callable) -> Ite
         while stack:
             y = stack.pop()
             for p in gens:
-                z = act(p, y)
+                z = normalize_edge(p[y[0]], p[y[1]])
                 if z not in covered:
                     covered.add(z)
                     stack.append(z)
@@ -447,15 +443,6 @@ class ComparisonMatrix:
             for i, row in enumerate(self.matrix)
             for j, cell in enumerate(row)
             if i != j
-        )
-
-    @property
-    def is_chain(self) -> bool:
-        n = len(self.matrix)
-        return all(
-            self.matrix[i][j] or self.matrix[j][i]
-            for i in range(n)
-            for j in range(n)
         )
 
 

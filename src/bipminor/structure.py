@@ -1,5 +1,5 @@
-"""Connectivity, blocks, induced and non-separating cycles, and subgraph
-containment.
+"""Connectivity, blocks, peripheral (induced non-separating) cycles, and
+subgraph containment.
 
 Two notions of k-connectivity are provided.  The default ("paper") asks
 that removing any vertex set of size at most k-1 leaves a connected graph,
@@ -54,17 +54,6 @@ def _count_components(g: Graph, within: int) -> int:
         within &= ~reach(g, within & -within, within)
         count += 1
     return count
-
-
-def components(g: Graph) -> tuple[frozenset[int], ...]:
-    """Maximal connected vertex sets, ordered by smallest member."""
-    left = (1 << g.vertex_count) - 1
-    parts: list[frozenset[int]] = []
-    while left:
-        comp = reach(g, left & -left, left)
-        left ^= comp
-        parts.append(_members(g, comp))
-    return tuple(parts)
 
 
 def _members(g: Graph, mask: int) -> frozenset[int]:
@@ -152,40 +141,6 @@ def blocks(g: Graph) -> BlockDecomposition:
     out.sort(key=lambda b: (min(b.vertices), sorted(b.vertices), sorted(b.edges)))
     cut_vertices = frozenset(c.bit_length() - 1 for c in cuts)
     return BlockDecomposition(tuple(out), cut_vertices)
-
-
-def is_cycle(g: Graph, seq: Cycle) -> bool:
-    """Valid cycle of ``g``: at least 3 distinct vertices, consecutive
-    pairs adjacent (indices wrap around)."""
-    m = len(seq)
-    if m < 3 or len(set(seq)) != m:
-        return False
-    if any(not 0 <= v < g.vertex_count for v in seq):
-        return False
-    return all(g.has_edge(seq[i], seq[(i + 1) % m]) for i in range(m))
-
-
-def is_induced_cycle(g: Graph, seq: Cycle) -> bool:
-    """True iff the cycle has no chord."""
-    if not is_cycle(g, seq):
-        raise GraphError(f"not a cycle of the graph: {seq}")
-    m = len(seq)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (j - i) % m in (1, m - 1):
-                continue
-            if g.has_edge(seq[i], seq[j]):
-                return False
-    return True
-
-
-def is_nonseparating(g: Graph, vertex_set) -> bool:
-    """Deleting the set does not increase the number of components."""
-    rest = (1 << g.vertex_count) - 1
-    for v in vertex_set:
-        g.check_vertex(v)
-        rest &= ~(1 << v)
-    return _count_components(g, rest) <= component_count(g)
 
 
 def _induced_cycles(g: Graph) -> list[tuple[Cycle, int]]:

@@ -29,6 +29,14 @@ from bipminor.graph_core import Graph, GraphError, build, normalize_edge
 # neighbour-mask operations of ``graph_core``
 
 
+def permute(g: Graph, order: list[int] | tuple[int, ...]) -> Graph:
+    """Relabel ``g`` so old vertex ``order[i]`` becomes new vertex ``i``."""
+    if sorted(order) != list(g.vertices):
+        raise GraphError("order must be a permutation of the vertices")
+    pos = {v: i for i, v in enumerate(order)}
+    return build(g.vertex_count, [(pos[u], pos[v]) for u, v in g.edges])
+
+
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Remove ``v`` and its incident edges; labels above ``v`` shift down."""
     g.check_vertex(v)
@@ -276,7 +284,7 @@ def all_simple_cycles(g: Graph) -> list[tuple[int, ...]]:
     """Every simple cycle once: smallest vertex first, smaller neighbor
     second."""
     out = []
-    adj = g.adjacency
+    adj = [g.neighbors(v) for v in g.vertices]
 
     def grow(start: int, path: list[int], used: set[int]) -> None:
         last = path[-1]
@@ -296,7 +304,7 @@ def all_simple_cycles(g: Graph) -> list[tuple[int, ...]]:
 
 
 def _components_without(g: Graph, removed: set[int]) -> int:
-    adj = g.adjacency
+    adj = [g.neighbors(v) for v in g.vertices]
     left = [v for v in g.vertices if v not in removed]
     seen: set[int] = set()
     count = 0
@@ -324,7 +332,7 @@ def dfs_sides(g: Graph) -> tuple[int, ...] | None:
     vertex of each component on side 0; None if an edge joins two
     vertices of one side."""
     side = [-1] * g.vertex_count
-    adj = g.adjacency
+    adj = [g.neighbors(v) for v in g.vertices]
     for start in g.vertices:
         if side[start] != -1:
             continue
@@ -486,7 +494,7 @@ def closure_by_isomorphism_test(g: Graph) -> list[Graph]:
     deduplicated with ``networkx.is_isomorphic``."""
 
     def invariant(x: Graph) -> tuple:
-        return x.vertex_count, x.edge_count, tuple(sorted(len(a) for a in x.adjacency))
+        return x.vertex_count, x.edge_count, tuple(sorted(map(x.degree, x.vertices)))
 
     buckets: dict[tuple, list[nx.Graph]] = {}
     members: list[Graph] = []

@@ -15,7 +15,6 @@ from bipminor.canonical import (
     are_isomorphic,
     automorphism_generators,
     canonical_form,
-    permute,
 )
 from bipminor.families import bull, cycle, dog, path
 from bipminor.graph_core import SizeCapExceeded, build, contract_set, normalize_edge
@@ -26,6 +25,7 @@ from oracles import (
     brute_min_bits,
     eager_min_bits,
     graphs,
+    permute,
     random_forest,
     random_graph,
     random_sparse_connected,

@@ -195,21 +195,29 @@ class TestClosure:
 
     def test_two_connected_only_standard(self, tmp_path, capsys):
         g = write_g6(tmp_path, "g.g6", cycle(8))
-        code = run_cli(
-            ["closure", g, "--two-connected-only", "--mode", "standard"]
-        )
-        assert code == 0
+        assert run_cli(["closure", g, "--two-connected", "standard"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         got = {canonical_form(parse_graph6(ln)) for ln in lines}
         assert got == {canonical_form(cycle(k)) for k in (4, 6, 8)}
 
     def test_two_connected_only_paper_adds_k2(self, tmp_path, capsys):
         g = write_g6(tmp_path, "g.g6", cycle(8))
-        assert run_cli(["closure", g, "--two-connected-only", "--mode", "paper"]) == 0
+        assert run_cli(["closure", g, "--two-connected", "paper"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         got = {canonical_form(parse_graph6(ln)) for ln in lines}
-        assert canonical_form(build(2, [(0, 1)])) in got
+        want = [build(2, [(0, 1)]), cycle(4), cycle(6), cycle(8)]
+        assert got == {canonical_form(x) for x in want}
         assert len(lines) == 4
+
+    @pytest.mark.parametrize(
+        "options", [["--mode", "standard"], ["--two-connected-only"], ["--two-connected"]]
+    )
+    def test_old_and_bare_options_exit_2(self, tmp_path, capsys, options):
+        # One option names the reading; a mode alone no longer passes
+        # unread, and the option needs its reading.
+        g = write_g6(tmp_path, "g.g6", cycle(8))
+        assert run_cli(["closure", g, *options]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestBlocks:

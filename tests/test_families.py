@@ -1,7 +1,7 @@
 import pytest
 
 from bipminor.canonical import are_isomorphic
-from bipminor.families import FamilySpec, bull, cycle, dog, h_tree, path
+from bipminor.families import bull, cycle, dog, h_tree, path
 from bipminor.graph_core import GraphError, contract_set, is_bipartite
 from bipminor.structure import blocks, is_connected, is_k_connected
 
@@ -126,7 +126,7 @@ class TestDog:
     def test_each_ear_shares_one_snout_edge(self):
         g = dog(8, [3, 4])
         assert g.has_edge(0, 1) and g.has_edge(2, 3)
-        ear1 = g.adjacency[8]
+        ear1 = g.neighbors(8)
         assert ear1 == {0, 1}
 
     def test_bad_parameters(self):
@@ -175,15 +175,3 @@ class TestDeterminismAndSpec:
         assert bull(5, [2, 1]) == bull(5, [2, 1])
         assert dog(7, [3, 4]) == dog(7, [3, 4])
         assert h_tree(4) == h_tree(4)
-
-    def test_family_spec_builds(self):
-        assert FamilySpec("cycle", 5).build() == cycle(5)
-        assert FamilySpec("bull", 4, (1, 2)).build() == bull(4, [1, 2])
-        assert FamilySpec("dog", 6, (4, 4)).build() == dog(6, [4, 4])
-        assert FamilySpec("h_tree", 3).build() == h_tree(3)
-
-    def test_family_spec_rejects_bad_kind(self):
-        with pytest.raises(GraphError):
-            FamilySpec("wheel", 5)
-        with pytest.raises(GraphError):
-            FamilySpec("cycle", 5, (1,))

@@ -90,8 +90,8 @@ class TestMasks:
         assert build(g.vertex_count, g.edges) == g
         assert g.edge_count == len(g.edges)
         for v in g.vertices:
-            assert g.degree(v) == len(g.adjacency[v])
-            assert all(g.has_edge(v, w) for w in g.adjacency[v])
+            assert g.degree(v) == len(g.neighbors(v))
+            assert all(g.has_edge(v, w) for w in g.neighbors(v))
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
@@ -284,7 +284,7 @@ class TestInvariants:
             (u, v)
             for u in g.vertices
             for v in range(u + 1, g.vertex_count)
-            if g.has_edge(u, v) or g.adjacency[u] & g.adjacency[v]
+            if g.has_edge(u, v) or g.neighbors(u) & g.neighbors(v)
         ]
         if not pairs:
             return

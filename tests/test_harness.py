@@ -21,10 +21,10 @@ from bipminor.cli.serialize import emit_graph6
 
 import oracles
 
-# Classes per vertex count 1..9: OEIS A005142 (connected bipartite graphs)
-# and A000055 (trees).
+# Classes per vertex count from 1: OEIS A005142 (connected bipartite
+# graphs, to 9 vertices) and A000055 (trees, to 10).
 CONNECTED_BIPARTITE_COUNTS = [1, 1, 1, 3, 5, 17, 44, 182, 730]
-TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47]
+TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +32,9 @@ def bipartite_9():
     return enumerate_connected_bipartite(9)
 
 
-def _counts(graphs):
+def _counts(graphs, max_vertices):
     sizes = Counter(g.vertex_count for g in graphs)
-    return [sizes[n] for n in range(1, 10)]
+    return [sizes[n] for n in range(1, max_vertices + 1)]
 
 
 class TestEnumeration:
@@ -45,8 +45,13 @@ class TestEnumeration:
         assert {canonical_form(g) for g in enumerate_trees(7)} == oracles.trees_by_pruefer(7)
 
     def test_counts_per_size(self, bipartite_9):
-        assert _counts(bipartite_9) == CONNECTED_BIPARTITE_COUNTS
-        assert _counts(enumerate_trees(9)) == TREE_COUNTS
+        assert _counts(bipartite_9, 9) == CONNECTED_BIPARTITE_COUNTS
+        trees = enumerate_trees(10)
+        assert _counts(trees, 10) == TREE_COUNTS
+        assert len(trees) == sum(TREE_COUNTS) == 201
+        # Leaf addition lists the trees among the bipartite graphs, in order.
+        small = [g for g in trees if g.vertex_count <= 9]
+        assert small == [g for g in bipartite_9 if g.edge_count == g.vertex_count - 1]
 
     def test_trees_match_networkx(self):
         trees = enumerate_trees(9)

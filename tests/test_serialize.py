@@ -121,17 +121,6 @@ class TestDot:
         text = emit_dot(bull(3, [1, 1]))
         assert sum("--" in ln for ln in text.splitlines()) == 5
 
-    def test_highlight_marks_both_endpoints(self):
-        text = emit_dot(cycle(4), highlight_vertices={0, 2})
-        lines = text.splitlines()
-        assert any(ln.strip().startswith("0 [") for ln in lines)
-        assert any(ln.strip().startswith("2 [") for ln in lines)
-
-    def test_highlight_edges(self):
-        text = emit_dot(cycle(4), highlight_edges={(1, 0)})
-        marked = [ln for ln in text.splitlines() if "--" in ln and "[" in ln]
-        assert marked == ["  0 -- 1 [color=red, style=bold];"]
-
     def test_deterministic(self):
         assert emit_dot(dog(6, [4, 4])) == emit_dot(dog(6, [4, 4]))
 
