@@ -150,6 +150,31 @@ def canonical_form(g: Graph) -> CanonicalForm:
     return _labelling(g)[0] if form is None else form
 
 
+def padded(form: CanonicalForm, k: int) -> CanonicalForm:
+    """The form of the graph with ``k`` isolated vertices added, or with
+    ``-k`` of its isolated vertices removed; nothing is labelled.
+
+    Padding lemma: the form of ``X + kK_1`` is X's form with k zero
+    columns in front.  In any order, swapping an isolated vertex at
+    position p+1 with the vertex at position p turns the columns
+    ``[a][0...0]`` into ``[0...0][a,0]`` and moves a zero bit behind the
+    other bit in every later column, which never makes the bits larger.
+    So some least order places the isolated vertices first, and after
+    them X in its own least order, each of its columns led by k zeros."""
+    n = form.vertex_count
+    bits = form.canonical_bits
+    cols = []
+    for j in range(n - 1, -1, -1):
+        cols.append(bits & ((1 << j) - 1))
+        bits >>= j
+    cols.reverse()
+    cols = [0] * k + cols if k >= 0 else cols[-k:]
+    bits = 0
+    for j, col in enumerate(cols):
+        bits = (bits << j) | col
+    return CanonicalForm(len(cols), bits)
+
+
 def automorphism_generators(g: Graph) -> tuple[Perm, ...]:
     """Permutations of ``g``'s vertices that generate its automorphism
     group (empty when the group is trivial); computed with, or conjugated

@@ -204,6 +204,19 @@ def _drop(masks: Sequence[int], removed: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def strip_isolated(g: Graph) -> tuple[Graph, int]:
+    """``g`` without its isolated vertices, the rest relabelled compactly
+    in their old order, and how many there were."""
+    isolated = 0
+    for v, m in enumerate(g.neighbor_masks):
+        if not m:
+            isolated |= 1 << v
+    if not isolated:
+        return g, 0
+    k = isolated.bit_count()
+    return _derived(g.vertex_count - k, _drop(g.neighbor_masks, isolated)), k
+
+
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Remove ``v`` and its incident edges; labels above ``v`` shift down."""
     g.check_vertex(v)

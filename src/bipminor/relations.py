@@ -2,36 +2,48 @@
 
 ``is_bipartite_minor`` decides reachability from a host graph via vertex
 deletion, edge deletion, and admissible contraction (contracting a pair
-with a common neighbor on an induced non-separating cycle).  The searches
-delete a vertex only once it is isolated: deleting a vertex of degree d
-is d edge deletions and then the deletion of the isolated vertex, and
-every graph on the way is itself reachable, so no closure or verdict
-changes, while each form has fewer children to label.  Traces and
-closures walk one operation graph shared by every search in the process.
-It maps each canonical form reached to one labelled representative and,
-once the form is expanded, to its distinct child forms, so each form is
-expanded and its children labelled once per process, whichever search
-reached it first (McKay, *Isomorph-free exhaustive generation*, 1998).
-One depth-first loop, ``_walk``, serves both searches.  It pushes the
-children first reached from each form in reverse canonical order, so the
-least is expanded next and its parent links do not depend on what
-earlier searches left in the store.  A search that finds the store above
-``canonical.STORE_LIMIT`` entries empties it first; no result depends on
-what the store holds.
+with a common neighbor on an induced non-separating cycle).  An isolated
+vertex stays isolated under every move, and no move uses it except to
+delete it (Chudnovsky, Kalai, Nevo, Novik and Seymour, *Bipartite
+minors*, 2016), so the searches walk **cores**, graphs with their
+isolated vertices stripped, and count those vertices instead.  A state
+is ``(X, j)``: the core X with j isolated vertices beside it.  A move is
+a contraction or an edge deletion of X; a move that isolates i vertices
+leads to the stripped child's core with j + i.  Deleting a vertex of
+degree d is d edge deletions and then the deletion of the isolated
+vertex, and every graph on the way is itself reachable, so no closure or
+verdict changes.  Traces and closures walk one operation graph shared by
+every search in the process.  It maps each core form reached to one
+labelled representative and, once the core is expanded, to its distinct
+child cores, so each core is expanded and its children labelled once per
+process, whichever search reached it first (McKay, *Isomorph-free
+exhaustive generation*, 1998); a graph with isolated vertices is never
+labelled or expanded.  One depth-first loop, ``_walk``, serves both
+searches.  It pushes the states first reached from each state in reverse
+canonical order, so the least is expanded next and its parent links do
+not depend on what earlier searches left in the store.  A state with
+more isolated vertices beside the same core supersedes one with fewer.
+A search that finds the store above ``canonical.STORE_LIMIT`` entries
+empties it first; no result depends on what the store holds.
 
 ``bipartite_minor_closure`` (everything reachable, up to isomorphism) is
-the set of forms the walk reaches, which no order changes.
-``bipartite_minor_trace`` walks toward the target's form and stops when a
-form generates it as a child: every operation strictly shrinks |V|+|E|
-and never increases the cycle rank |E|-|V|+(components), so children
-below the target on any of those measures are skipped.  Those floors
-hold on every graph between a vertex's edge deletions and its own, so
-they cut no path to the target.  A witness is the path the walk took,
-not always a shortest one; it deletes a vertex's edges one by one.  The
-stored graphs carry their own labels, so the trace names its steps by
-replay: from the host, it takes at each form of the path the first move
-reaching the next.  Both check the size cap on the host alone: no move
-adds a vertex.
+``{X + kK_1 : k <= J(X)}`` over the cores X the walk reaches, where J(X)
+is the most isolated vertices reached beside X; no order changes that.
+Each member's form is X's form padded with k zero columns in front
+(``canonical.padded``), with no labelling.  ``bipartite_minor_trace``
+splits the target into ``H0 + hK_1``, caps j at h, and walks toward
+``(H0, h)``, stopping when a state generates it as a child: every
+operation strictly shrinks |V|+|E| and never increases the cycle rank
+|E|-|V|+(components), so states below the target on vertices (the
+core's and those carried), edges or rank are skipped.  Those floors hold
+on every graph between a vertex's edge deletions and its own, so they
+cut no path to the target.  A witness is the path the walk took, not always a
+shortest one; it deletes a vertex's edges one by one.  The stored graphs
+carry their own labels, so the trace names its steps by replay: from the
+host, it takes at each graph of the path the first move of its core
+whose stripped child has the next core, with enough isolated vertices,
+and then deletes the isolated vertices beyond the target's, least first.
+Both check the size cap on the host alone: no move adds a vertex.
 
 ``is_minor`` uses the equivalent branch-set formulation: disjoint
 connected sets in the host, one per target vertex, with a host edge behind
@@ -42,10 +54,11 @@ host's connected vertex sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import canonical
-from .canonical import CanonicalForm, Perm, automorphism_generators, canonical_form
+from .canonical import CanonicalForm, Perm, automorphism_generators, canonical_form, padded
 from .graph_core import (
     Edge,
     Graph,
@@ -55,6 +68,7 @@ from .graph_core import (
     delete_edge,
     delete_vertex,
     normalize_edge,
+    strip_isolated,
 )
 from .structure import (
     Cycle,
@@ -202,27 +216,23 @@ def _cycle_rank(g: Graph) -> int:
 
 
 def _moves(g: Graph) -> Iterator[tuple[Step, Graph]]:
-    """Single-operation successors, contractions first, in a fixed order.
+    """Single-operation successors of a core, contractions first, in a
+    fixed order: contractions and edge deletions only.
 
-    Only isolated vertices are deleted: any other vertex deletion is
-    reached by deleting the vertex's edges first, through graphs that are
-    themselves reachable, so no search loses a state by skipping it.
-    Moves that an automorphism of ``g`` maps onto each other give
-    isomorphic children, so only the first move of each orbit is yielded;
-    any permutation of the isolated vertices is an automorphism, so they
-    form one orbit, and only the least of them is deleted.
-    A search that skips children it has already seen keeps the same
-    states and the same witness steps as with every move of each orbit
-    yielded."""
+    No move uses an isolated vertex except to delete it, so the searches
+    strip isolated vertices from every child and count them instead.  Any
+    other vertex deletion is reached by deleting the vertex's edges
+    first, through graphs that are themselves reachable, and then the
+    isolated vertex, so no search loses a state.  Moves that an
+    automorphism of ``g`` maps onto each other give isomorphic children,
+    so only the first move of each orbit is yielded.  A search that skips
+    children it has already seen keeps the same states and the same
+    witness steps as with every move of each orbit yielded."""
     gens = automorphism_generators(g)
     pairs = {(p.u, p.v): p for p in admissible_pairs(g)}
     for u, v in _orbit_firsts(pairs, gens):
         p = pairs[(u, v)]
         yield AdmissibleContraction(u, v, p.w), contract_set(g, {u, v})
-    for v in g.vertices:
-        if not g.neighbor_masks[v]:
-            yield VertexDeletion(v), delete_vertex(g, v)
-            break
     for u, v in _orbit_firsts(sorted(g.edges), gens):
         yield EdgeDeletion(u, v), delete_edge(g, u, v)
 
@@ -256,33 +266,51 @@ def bipartite_minor_trace(h: Graph, g: Graph) -> OpTrace | None:
     check_size_cap(g)
     if h.vertex_count > g.vertex_count or h.edge_count > g.edge_count:
         return None
-    target = canonical_form(h)
+    isolated = strip_isolated(h)[1]
+    target = padded(canonical_form(h), -isolated)
     rank_floor = _cycle_rank(h)
 
-    def keep(child: Graph) -> bool:
+    def keep(x: Graph, j: int) -> bool:
+        # The state is the core x with j isolated vertices beside it, which
+        # change neither |E| nor the cycle rank.  As j is capped at the
+        # target's isolated vertices, x is never smaller than its core.
         return (
-            child.vertex_count >= h.vertex_count
-            and child.edge_count >= h.edge_count
-            and _cycle_rank(child) >= rank_floor
+            x.vertex_count + j >= h.vertex_count
+            and x.edge_count >= h.edge_count
+            and _cycle_rank(x) >= rank_floor
         )
 
-    parent = _walk(g, keep, target)
-    if target not in parent:
+    reached = _walk(g, isolated, keep, target)
+    if target not in reached:
         return None
     path = [target]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    # Name each step on the host's own labels: replay the path, taking the
-    # first move of each graph that reaches the next form.
+    while reached[path[-1]][1] is not None:
+        path.append(reached[path[-1]][1])
+    # Name each step on the host's own labels: replay the path, taking at
+    # each graph the first move of its core that reaches the next core
+    # with at least as many isolated vertices as the walk carried there.
     steps: list[Step] = []
     cur = g
-    for nxt in reversed(path[:-1]):
-        step, cur = next(
-            (move, child)
-            for move, child in _moves(cur)
-            if keep(child) and canonical_form(child) == nxt
-        )
+    for x, y in pairwise(reversed(path)):
+        need = reached[y][0] - reached[x][0]
+        for move, child in _moves(strip_isolated(cur)[0]):
+            child_core, i = strip_isolated(child)
+            if i >= need and canonical_form(child_core) == y:
+                break
+        else:
+            raise RuntimeError(f"no move of the walk's path reaches {y}")
+        names = [v for v in cur.vertices if cur.neighbor_masks[v]]
+        if isinstance(move, AdmissibleContraction):
+            step: Step = AdmissibleContraction(names[move.u], names[move.v], names[move.w])
+            cur = contract_set(cur, {step.u, step.v})
+        else:
+            step = EdgeDeletion(names[move.u], names[move.v])
+            cur = delete_edge(cur, step.u, step.v)
         steps.append(step)
+    # Then delete the isolated vertices beyond the target's, least first;
+    # each deletion shifts the labels above it down by one.
+    lone = [v for v in cur.vertices if not cur.neighbor_masks[v]]
+    steps += [VertexDeletion(v - k) for k, v in enumerate(lone[: len(lone) - isolated])]
     return OpTrace(tuple(steps))
 
 
@@ -293,12 +321,15 @@ def is_bipartite_minor(h: Graph, g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # the shared operation graph
 
-# The operation graph shared by every search in the process: each form
-# reached maps to its first labelled graph and, once expanded, to the
-# distinct forms of its children.  An entry costs about 330 bytes besides
-# its graph (CPython 3.11, 64-bit), and ``verify all`` leaves 1,718.
-# It is bounded by ``canonical.STORE_LIMIT``, as the class cache is.
-_store: dict[CanonicalForm, tuple[Graph, tuple[CanonicalForm, ...] | None]] = {}
+# The operation graph shared by every search in the process, over cores:
+# each core form reached maps to its first labelled graph and, once
+# expanded, to its distinct child cores, each with the most vertices a
+# move to it isolates.  An entry costs about 600 bytes besides its graph
+# (CPython 3.11, 64-bit), most of it the (core, count) pairs of its
+# children, and ``verify all`` leaves 920 (1,718 when the store held every
+# form).  It is bounded by ``canonical.STORE_LIMIT``, as the class cache
+# is.
+_store: dict[CanonicalForm, tuple[Graph, tuple[tuple[CanonicalForm, int], ...] | None]] = {}
 
 
 def clear_caches() -> None:
@@ -309,60 +340,84 @@ def clear_caches() -> None:
     _store.clear()
 
 
-def _children(cf: CanonicalForm) -> tuple[CanonicalForm, ...]:
-    """The distinct forms one move from ``cf``, expanding it on first use."""
+def _children(cf: CanonicalForm) -> tuple[tuple[CanonicalForm, int], ...]:
+    """The distinct cores one move from the core ``cf``, each with the most
+    vertices a move to it isolates, expanding ``cf`` on first use."""
     g, kids = _store[cf]
     if kids is None:
-        found: dict[CanonicalForm, None] = {}
+        found: dict[CanonicalForm, int] = {}
         for _, child in _moves(g):
-            ccf = canonical_form(child)
-            found[ccf] = None
+            core, i = strip_isolated(child)
+            ccf = canonical_form(core)
+            # A child with more isolated vertices beside the same core
+            # reaches everything the other does.
+            found[ccf] = max(i, found.get(ccf, 0))
             if ccf not in _store:
-                _store[ccf] = (child, None)
-        kids = tuple(found)
+                _store[ccf] = (core, None)
+        kids = tuple(found.items())
         _store[cf] = (g, kids)
     return kids
 
 
 def _walk(
     g: Graph,
-    keep: Callable[[Graph], bool] | None = None,
+    most: int,
+    keep: Callable[[Graph, int], bool] | None = None,
     target: CanonicalForm | None = None,
-) -> dict[CanonicalForm, CanonicalForm | None]:
-    """Depth-first walk over the store from ``g``, through the children
-    whose stored graph ``keep`` accepts.  Maps every form reached to the
-    form it was first reached from (``None`` for the start); stops as soon
-    as ``target`` is generated as a child.  The children first reached
-    from a form are pushed so that the least in canonical order is
-    expanded next; a trace's path is therefore not always the shortest."""
+) -> dict[CanonicalForm, tuple[int, CanonicalForm | None]]:
+    """Depth-first walk over the store from ``g``'s core, through states
+    ``(X, j)``: the core X with j isolated vertices beside it, j capped at
+    ``most``.  A move from ``(X, j)`` to a core Y that isolates i vertices
+    gives ``(Y, j + i)``, which is kept if ``keep`` accepts Y's stored
+    graph and j + i.  A state with more isolated vertices beside the same
+    core supersedes one with fewer.  Maps every core reached to the most
+    isolated vertices reached beside it and the core that state was
+    reached from (``None`` for the start); stops as soon as ``target`` is
+    generated as a child, and ``keep`` must accept the target's core only
+    with ``most`` beside it.  The states first reached from a state are
+    pushed so that the least in canonical order is expanded next; a
+    trace's path is therefore not always the shortest."""
     if len(_store) > canonical.STORE_LIMIT:
         _store.clear()
-    start = canonical_form(g)
-    _store.setdefault(start, (g, None))
-    parent: dict[CanonicalForm, CanonicalForm | None] = {start: None}
-    stack = [] if start == target else [start]
+    core, isolated = strip_isolated(g)
+    start = canonical_form(core)
+    _store.setdefault(start, (core, None))
+    reached: dict[CanonicalForm, tuple[int, CanonicalForm | None]] = {
+        start: (min(isolated, most), None)
+    }
+    stack = [] if start == target else [(start, min(isolated, most))]
     while stack:
-        cf = stack.pop()
-        new: list[CanonicalForm] = []
-        for ccf in _children(cf):
-            if ccf in parent or (keep is not None and not keep(_store[ccf][0])):
+        cf, j = stack.pop()
+        if j < reached[cf][0]:
+            continue
+        new: list[tuple[CanonicalForm, int]] = []
+        for ccf, i in _children(cf):
+            jj = min(j + i, most)
+            if jj <= reached.get(ccf, (-1, None))[0] or (
+                keep is not None and not keep(_store[ccf][0], jj)
+            ):
                 continue
-            parent[ccf] = cf
+            reached[ccf] = (jj, cf)
             if ccf == target:
-                return parent
-            new.append(ccf)
+                return reached
+            new.append((ccf, jj))
         # Canonical order keeps the parent links, and so a trace's witness,
         # independent of the order in which earlier calls filled the store.
         new.sort(reverse=True)
         stack += new
-    return parent
+    return reached
 
 
 def bipartite_minor_closure(g: Graph) -> frozenset[CanonicalForm]:
     """Every graph (up to isomorphism, including ``g`` itself) reachable by
-    deletions and admissible contractions."""
+    deletions and admissible contractions: each core reached, with up to
+    as many isolated vertices as the walk reached beside it."""
     check_size_cap(g)
-    return frozenset(_walk(g))
+    return frozenset(
+        padded(cf, k)
+        for cf, (j, _) in _walk(g, g.vertex_count).items()
+        for k in range(j + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from bipminor.canonical import (
     are_isomorphic,
     automorphism_generators,
     canonical_form,
+    padded,
 )
 from bipminor.families import bull, cycle, dog, path
 from bipminor.graph_core import SizeCapExceeded, build, contract_set, normalize_edge
@@ -155,6 +156,37 @@ def _assert_full_orbits(g, gens):
     for e in g.edges:
         got = _generated_orbit(e, gens, lambda p, f: normalize_edge(p[f[0]], p[f[1]]))
         assert got == edge[e], (g, e)
+
+
+class TestPaddingLemma:
+    """The form of ``X + kK_1`` is X's form with k zero columns in front,
+    checked against a labelling of ``X + kK_1`` that no cache answers."""
+
+    @staticmethod
+    def _assert_padded(g, rng=None):
+        form = canonical_form(g)
+        for k in range(4):
+            bigger = build(g.vertex_count + k, g.edges)
+            if rng is not None:
+                bigger = shuffled(bigger, rng)
+            bits, _ = _minimal_bits(bigger)
+            assert padded(form, k) == CanonicalForm(bigger.vertex_count, bits)
+            assert padded(padded(form, k), -k) == form
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=9), st.randoms(use_true_random=False))
+    def test_random_graphs(self, g, rng):
+        # The added vertices land anywhere among the labels.
+        self._assert_padded(g, rng)
+
+    @pytest.mark.parametrize(
+        "host, members", [(cycle(10), 272), (dog(6, [4]), 172)], ids=["C10", "D(6,4)"]
+    )
+    def test_closure_members(self, host, members):
+        closure = bipartite_minor_closure(host)
+        assert len(closure) == members
+        for cf in closure:
+            self._assert_padded(cf.to_graph())
 
 
 class TestAutomorphisms:

@@ -16,6 +16,7 @@ from bipminor.graph_core import (
     delete_vertex,
     is_bipartite,
     normalize_edge,
+    strip_isolated,
 )
 from bipminor.relations import (
     AdmissibleContraction,
@@ -233,16 +234,12 @@ class TestBipartiteMinor:
     def test_moves_keep_the_first_move_to_each_child(self):
         # Orbit pruning may drop a move only when an earlier move already
         # reaches an isomorphic child; otherwise the searches' witnesses
-        # would change.  A vertex is deleted only once it is isolated.
-        for g in _move_hosts():
+        # would change.  The searches expand cores, graphs without isolated
+        # vertices, and no move deletes a vertex.
+        for g in (strip_isolated(x)[0] for x in _move_hosts()):
             every = [
                 (AdmissibleContraction(p.u, p.v, p.w), contract_set(g, {p.u, p.v}))
                 for p in admissible_pairs(g)
-            ]
-            every += [
-                (VertexDeletion(v), delete_vertex(g, v))
-                for v in g.vertices
-                if not g.neighbor_masks[v]
             ]
             every += [(EdgeDeletion(u, v), delete_edge(g, u, v)) for u, v in sorted(g.edges)]
             firsts: dict = {}
@@ -260,18 +257,20 @@ class TestBipartiteMinor:
                     < g.vertex_count + g.edge_count
                 )
 
-    def test_moves_delete_only_the_least_isolated_vertex(self):
-        # Any permutation of the isolated vertices is an automorphism, so
-        # they form one orbit and one deletion stands for them all.
-        cases = [
-            (build(6, [(0, 3), (3, 5)]), [VertexDeletion(1)]),
-            (build(3, []), [VertexDeletion(0)]),
-            (build(4, [(1, 2)]), [VertexDeletion(0)]),
-        ]
-        cases += [(g, []) for g in _move_hosts() if all(g.neighbor_masks)]
-        for g, want in cases:
-            got = [step for step, _ in _moves(g) if isinstance(step, VertexDeletion)]
-            assert got == want
+    def test_moves_delete_no_vertex(self):
+        # No move uses an isolated vertex except to delete it, so the
+        # searches count the isolated vertices instead: no graph, with
+        # isolated vertices or without, gets a vertex deletion as a move,
+        # and the closure still holds the graph less any number of them.
+        cases = [build(6, [(0, 3), (3, 5)]), build(3, []), build(4, [(1, 2)])]
+        for g in cases + _move_hosts():
+            assert not [s for s, _ in _moves(g) if isinstance(s, VertexDeletion)]
+        for g in cases:
+            closure = bipartite_minor_closure(g)
+            lone = [v for v in g.vertices if not g.neighbor_masks[v]]
+            for k in range(len(lone) + 1):
+                less = build(g.vertex_count - k, strip_isolated(g)[0].edges)
+                assert canonical_form(less) in closure
 
     def test_closures_still_reach_every_vertex_deletion(self):
         # Deleting a vertex of degree d is d edge deletions, then the
@@ -307,6 +306,34 @@ class TestBipartiteMinor:
                 positives += 1
                 assert are_isomorphic(trace.replay(g), h)
         assert positives > 3
+
+    @pytest.mark.parametrize("isolated", [1, 2, 3])
+    def test_targets_padded_with_isolated_vertices_match_unpruned_search(self, isolated):
+        # A target H + hK_1 is reached at H's core with h isolated vertices
+        # carried beside it; the oracle deletes every vertex as a move of
+        # its own.  Half the hosts carry an isolated vertex too.
+        rng = random.Random(47 + isolated)
+        positives = negatives = 0
+        for base in (path(2), path(3), cycle(4), bull(4, [1])):
+            h = build(base.vertex_count + isolated, base.edges)
+            for i in range(4):
+                g = random_sparse_connected(rng, 7, extra=2, min_vertices=6)
+                if i % 2:
+                    g = build(g.vertex_count + 1, g.edges)
+                trace = bipartite_minor_trace(h, g)
+                assert (trace is not None) == bipminor_by_unpruned_search(h, g)
+                if trace is None:
+                    negatives += 1
+                    continue
+                positives += 1
+                assert are_isomorphic(trace.replay(g), h)
+        assert positives > 5 and negatives > 2
+
+    def test_three_isolated_vertices_in_c4(self):
+        h = build(3, [])
+        assert bipminor_by_unpruned_search(h, cycle(4))
+        trace = bipartite_minor_trace(h, cycle(4))
+        assert trace is not None and are_isomorphic(trace.replay(cycle(4)), h)
 
     def test_every_positive_trace_replays(self):
         rng = random.Random(33)
@@ -567,6 +594,28 @@ class TestClosure:
             assert len(got) == len(want)
             assert {canonical_form(x) for x in want} == got
 
+    def test_isolated_vertices_match_isomorphism_test_oracle(self):
+        # The walk counts the isolated vertices beside each core, and the
+        # oracle deletes each as a move of its own: hosts with isolated
+        # vertices, several components, 3K_1 and K_0.
+        c4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        b = bull(4, [1])
+        hosts = [
+            build(0, []),
+            build(3, []),
+            build(6, c4),
+            build(7, [(0, 1), (1, 2), (3, 4), (5, 6)]),
+            build(8, c4 + [(4, 5), (5, 6)]),
+            build(9, [(v, (v + 1) % 6) for v in range(6)] + [(6, 7)]),
+            build(b.vertex_count + 2, b.edges),
+        ]
+        for g in hosts:
+            want = closure_by_isomorphism_test(g)
+            got = bipartite_minor_closure(g)
+            assert len(got) == len(want)
+            assert {canonical_form(x) for x in want} == got
+        assert bipartite_minor_closure(build(0, [])) == {canonical_form(build(0, []))}
+
     def test_closure_agrees_with_decision_procedure(self):
         rng = random.Random(38)
         g = random_sparse_connected(rng, 6, extra=2)
@@ -589,6 +638,12 @@ def _grid(rows: int, cols: int):
     edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
     edges += [(v, v + cols) for v in range((rows - 1) * cols)]
     return build(rows * cols, edges)
+
+
+def _cores(forms) -> set:
+    """The forms of the members' cores: each without its isolated
+    vertices."""
+    return {canonical_form(strip_isolated(cf.to_graph())[0]) for cf in forms}
 
 
 def _hosts_and_blocks() -> list:
@@ -646,12 +701,15 @@ class TestClosureStore:
         for g, closure in zip(graphs, want):
             full = len(relations._store) > 20
             assert bipartite_minor_closure(g) == closure
+            # The store holds cores only.
+            assert all(all(x.neighbor_masks) for x, _ in relations._store.values())
             if full:
-                # Walked from an empty store, the closure is all it holds.
-                assert set(relations._store) == closure
+                # Walked from an empty store, the closure's cores are all it
+                # holds.
+                assert set(relations._store) == _cores(closure)
                 emptied += 1
             else:
-                assert set(relations._store) >= closure
+                assert set(relations._store) >= _cores(closure)
         assert emptied > 3
 
     def _trace_pairs(self, graphs) -> list:
@@ -691,7 +749,7 @@ class TestClosureStore:
     @pytest.mark.parametrize(
         "h, g, steps, bound",
         [
-            (build(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]), _grid(3, 4), 12, 1000),
+            (build(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]), _grid(3, 4), 10, 1000),
             (bull(4, [1]), _grid(2, 6), 10, 200),
             (cycle(4), _grid(2, 6), 12, 200),
         ],
@@ -709,9 +767,10 @@ class TestClosureStore:
         assert are_isomorphic(trace.replay(g), h)
 
     def test_trace_after_the_closure_labels_nothing(self, monkeypatch):
-        # The host's closure has labelled and expanded every form below it,
-        # so a trace from the host expands no form: it walks the store and
-        # replays its own steps through class-cache matches alone.
+        # The host's closure has labelled and expanded every core below it,
+        # so a trace from the host expands no core: it walks the store and
+        # replays its own steps through class-cache matches alone, with one
+        # call of _moves per step that is not a vertex deletion.
         graphs = _hosts_and_blocks()
         pairs = self._trace_pairs(graphs)
         relations.clear_caches()
@@ -735,7 +794,8 @@ class TestClosureStore:
             moved.clear()
             trace = bipartite_minor_trace(h, g)
             assert labelled == []
-            assert len(moved) == (0 if trace is None else len(trace))
+            steps = () if trace is None else trace.steps
+            assert len(moved) == sum(not isinstance(s, VertexDeletion) for s in steps)
 
     def test_class_cache_past_the_limit_changes_no_result(self, monkeypatch):
         graphs = _hosts_and_blocks()
@@ -766,7 +826,7 @@ class TestClosureStore:
         assert sum(trace is not None for trace in want[1]) > 5
 
     def test_form_memo_is_emptied_with_the_class_cache(self, monkeypatch):
-        graphs = _hosts_and_blocks()[:12]
+        graphs = _hosts_and_blocks()[:20]
         relations.clear_caches()
         want = [bipartite_minor_closure(g) for g in graphs]
         seen = []
