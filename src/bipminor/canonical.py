@@ -4,37 +4,82 @@ The canonical form of a graph is the lexicographically minimal
 upper-triangular adjacency bit sequence over all vertex orderings, read
 column by column (the same bit order graph6 uses).  Each isomorphism
 class is labelled once per process; every other graph of the class is
-matched to the labelled one.
+identified with the labelled one, by its tree code when it is a
+pseudoforest and otherwise by an isomorphism search.
 
-**The class cache.**  A graph's certificate is the hash of the sorted
-colour-refinement (1-WL) signatures of every round from the all-equal
-colouring.  It is built from ints only, so it does not depend on the
-hash seed.  Under its certificate the cache keeps each class's
-representative, the first graph of the class labelled, with its stable
-colouring, form, automorphism generators and path.  A graph that is not
-itself a representative is refined and matched against each
-representative under its certificate by an individualisation-refinement
-isomorphism search (McKay 1981; McKay and Piperno, *Practical graph
-isomorphism II*, 2014) that checks every edge at the leaf, so
-non-isomorphic graphs that share a certificate, such as ``C_6`` and two
-triangles, are never confused.  The representative's side of that search
-is one chain of individualised cells and refined colourings, the same
-for every graph matched against it; it is kept as the representative's
-path, built one level at a time as matches first reach it, with a hash
-of each level's refinement rounds, so a match refines only the graph's
-own side.  A hash that agrees only admits a branch; the leaf's edge check
-still decides.  On a match ``phi`` (graph vertex ``v`` to representative
-vertex ``phi[v]``) the graph gets the representative's form and its
-generators conjugated by ``phi``, ``q[v] = inv[p[phi[v]]]``, which
-generate the graph's own automorphism group, and the form memo keeps the
-form under the graph's neighbour masks, so ``canonical_form`` matches
-each labelled graph once.  Only a graph that matches no representative
-is labelled, and it becomes a representative.  The cache and the memo
-each start again empty once they hold more than ``STORE_LIMIT`` entries,
-the limit that also bounds ``relations._store``, and the memo empties
-with the cache; no result depends on what they hold.  ``are_isomorphic``
-compares two certificates and runs the same search on a path of its own,
-and labels neither graph.
+**The class cache.**  Under its key the cache keeps each class's
+representative, the first graph of the class labelled, with its form,
+automorphism generators, stable colouring and path.  A graph that is not
+itself a representative gets the form of its class's representative.
+Its key is its tree code (below) when it is a pseudoforest, and
+otherwise its certificate: the hash of the sorted colour-refinement
+(1-WL) signatures of every round from the all-equal colouring, built
+from ints only so that it does not depend on the hash seed.  A tree code
+is complete, so a pseudoforest whose code is known takes the form with
+no match; only ``automorphism_generators`` matches it, against the one
+representative of its code, whose stable colouring is built on first
+need.  A graph keyed by certificate is refined and matched against each
+representative under it by an individualisation-refinement isomorphism
+search (McKay 1981; McKay and Piperno, *Practical graph isomorphism II*,
+2014) that checks every edge at the leaf, so non-isomorphic graphs that
+share a certificate, such as ``C_6`` and two triangles, are never
+confused.  The representative's side of that search is one chain of
+individualised cells and refined colourings, the same for every graph
+matched against it; it is kept as the representative's path, built one
+level at a time as matches first reach it, with a hash of each level's
+refinement rounds, so a match refines only the graph's own side.  A hash
+that agrees only admits a branch; the leaf's edge check still decides.
+On a match ``phi`` (graph vertex ``v`` to representative vertex
+``phi[v]``) the graph gets the representative's form and its generators
+conjugated by ``phi``, ``q[v] = inv[p[phi[v]]]``, which generate the
+graph's own automorphism group.  The form memo keeps the form of each
+graph matched, or keyed by a known code, under its neighbour masks.
+Only a graph whose key has no representative of its class is labelled,
+and it becomes a representative.  The cache and the memo each start
+again empty once they hold more than ``STORE_LIMIT`` entries, the limit
+that also bounds ``relations._store``, and the memo empties with the
+cache; no result depends on what they hold.  ``are_isomorphic`` compares
+two certificates and runs the same search on a path of its own, and
+labels neither graph.
+
+**Tree codes.**  A pseudoforest is a graph each of whose components has
+at most as many edges as vertices: a tree, or a unicyclic graph.  Its
+code is a string over ``()[]<>``, built by peeling leaves in rounds;
+each round removes every vertex of degree at most one in what is left.
+
+- *Rooted trees* (Aho, Hopcroft and Ullman, *The Design and Analysis of
+  Computer Algorithms*, 1974).  A vertex peeled with one neighbour left
+  hangs from it; its code is ``(`` + the sorted codes of the vertices
+  that hang from it + ``)``.  These codes are balanced strings, so none
+  is a prefix of another, and by induction on height two rooted trees
+  have equal codes iff a root-preserving isomorphism maps one onto the
+  other: the sorted concatenation gives back the multiset of children's
+  codes.  An isomorphism maps each round onto the same round, so it maps
+  each vertex's hanging tree onto its image's.
+- *Trees.*  A tree's last round is its centre: one vertex, or two
+  adjacent ones, which every isomorphism maps onto the other tree's.
+  The code is the centre's rooted code, or ``[`` + the two centres'
+  rooted codes, sorted, + ``]``: the tree is the two rooted trees joined
+  at their roots.
+- *Unicyclic components.*  Peeling never removes a vertex of the one
+  cycle and removes every other vertex, each in a tree hanging from one
+  cycle vertex.  An isomorphism maps the cycle onto the other's by a
+  rotation or reflection, hanging trees onto hanging trees, and any
+  rotation or reflection that matches the hanging trees' codes gives an
+  isomorphism.  The code is ``<`` + the least concatenation, over the
+  rotations and reflections, of the cycle's rooted codes + ``>``; the set
+  of concatenations depends only on the component, and each decodes to
+  one of them.
+- *The graph.*  Its code is its components' codes, sorted and
+  concatenated; each is self-delimiting, so the code gives back the
+  multiset of components, and each vertex is one ``(`` in it, so the
+  count of vertices too.  When what is left after peeling has a vertex
+  with other than two neighbours left, some component has two cycles,
+  and the graph has no code.
+
+So two pseudoforests have equal codes iff they are isomorphic.  The code
+is built in one pass over the rounds, with no recursion, so it serves
+graphs of any size.
 
 **Labelling** is a branch and bound over ordered partitions of the placed
 vertices into **blocks** (McKay, *Practical graph isomorphism*, 1981).
@@ -119,11 +164,15 @@ STORE_LIMIT = 20_000
 # cell individualised, the refined colouring and the hash of the rounds.
 Level = tuple[int, tuple[int, ...], int]
 
-# The class cache: each representative maps to its stable colouring, form,
-# generators and path, and each certificate to its representatives.  The
-# form memo maps the neighbour masks of each graph matched to its form.
-_reps: dict[Graph, tuple[tuple[int, ...], "CanonicalForm", tuple[Perm, ...], list[Level]]] = {}
+# The class cache: each representative maps to its stable colouring (or
+# ``None`` until a match first needs it), form, generators and path; each
+# certificate to its representatives that have no tree code; and each tree
+# code to its representative.  The form memo maps the neighbour masks of
+# each graph matched to its form.
+Rep = tuple["tuple[int, ...] | None", "CanonicalForm", tuple[Perm, ...], list[Level]]
+_reps: dict[Graph, Rep] = {}
 _classes: dict[int, list[Graph]] = {}
+_codes: dict[str, Graph] = {}
 _forms: dict[tuple[int, ...], "CanonicalForm"] = {}
 
 
@@ -147,7 +196,17 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of ``g``, of any size; the searches bound the size of
     the graphs they label by checking their host."""
     form = _forms.get(g.neighbor_masks)
-    return _labelling(g)[0] if form is None else form
+    if form is not None:
+        return form
+    rep = _reps.get(g)
+    if rep is not None:
+        return rep[1]
+    code = _code(g)
+    if code not in _codes:
+        return _classify(g, code)[0]
+    form = _reps[_codes[code]][1]
+    _memo(g, form)
+    return form
 
 
 def padded(form: CanonicalForm, k: int) -> CanonicalForm:
@@ -186,22 +245,33 @@ def clear_cache() -> None:
     """Empty the class cache and the form memo."""
     _reps.clear()
     _classes.clear()
+    _codes.clear()
     _forms.clear()
 
 
 def _labelling(g: Graph) -> tuple[CanonicalForm, tuple[Perm, ...]]:
     rep = _reps.get(g)
-    if rep is not None:
-        return rep[1], rep[2]
-    nbrs, colours, rounds = _stable(g)
-    key = hash((g.vertex_count, *rounds))
-    for r in _classes.get(key, ()):
-        r_colours, form, generators, path = _reps[r]
+    return _classify(g, _code(g)) if rep is None else (rep[1], rep[2])
+
+
+def _classify(g: Graph, code: str | None) -> tuple[CanonicalForm, tuple[Perm, ...]]:
+    """The form and generators of ``g``, which is not a representative,
+    with ``code``, its tree code: matched against the representatives of
+    its code or certificate, or labelled as a new representative."""
+    if code is None:
+        nbrs, colours, rounds = _stable(g)
+        key = hash((g.vertex_count, *rounds))
+        candidates = _classes.get(key, ())
+    elif code in _codes:
+        nbrs, colours = _stable(g)[:2]
+        candidates = (_codes[code],)
+    else:
+        candidates = ()
+    for r in candidates:
+        r_colours, form, generators, path = _matchable(r)
         phi = _isomorphism(nbrs, colours, r, r_colours, path)
         if phi is not None:
-            if len(_forms) > STORE_LIMIT:
-                _forms.clear()
-            _forms[g.neighbor_masks] = form
+            _memo(g, form)
             inv = [0] * g.vertex_count
             for v, w in enumerate(phi):
                 inv[w] = v
@@ -210,9 +280,107 @@ def _labelling(g: Graph) -> tuple[CanonicalForm, tuple[Perm, ...]]:
         clear_cache()
     bits, generators = _minimal_bits(g)
     form = CanonicalForm(g.vertex_count, bits)
-    _reps[g] = (tuple(colours), form, generators, [])
-    _classes.setdefault(key, []).append(g)
+    if code is None:
+        _reps[g] = (tuple(colours), form, generators, [])
+        _classes.setdefault(key, []).append(g)
+    else:
+        _reps[g] = (None, form, generators, [])
+        _codes[code] = g
     return form, generators
+
+
+def _matchable(r: Graph) -> Rep:
+    """Representative ``r``'s entry, its stable colouring built on first
+    need: a coded representative is labelled without one."""
+    rep = _reps[r]
+    if rep[0] is None:
+        rep = _reps[r] = (tuple(_stable(r)[1]), *rep[1:])
+    return rep
+
+
+def _memo(g: Graph, form: CanonicalForm) -> None:
+    if len(_forms) > STORE_LIMIT:
+        _forms.clear()
+    _forms[g.neighbor_masks] = form
+
+
+def _code(g: Graph) -> str | None:
+    """``g``'s tree code if every component has at most as many edges as
+    vertices, else ``None``; two codes are equal iff their graphs are
+    isomorphic (see the module docstring).  Leaves are peeled in rounds,
+    each round every vertex of degree at most one, and a vertex peeled
+    gets the AHU code ``(...)`` of the sorted codes peeled into it, which
+    its neighbour left, if any, takes in turn."""
+    masks = g.neighbor_masks
+    n = len(masks)
+    deg = [m.bit_count() for m in masks]
+    if sum(deg) > 2 * n:
+        return None
+    # Each vertex's children's codes, replaced by its own once peeled.
+    code: list = [[] for _ in masks]
+    parts = []
+    left = (1 << n) - 1
+    layer = [v for v, d in enumerate(deg) if d <= 1]
+    while layer:
+        peeled = 0
+        for v in layer:
+            peeled |= 1 << v
+            kids = code[v]
+            kids.sort()
+            code[v] = "(" + "".join(kids) + ")"
+        left ^= peeled
+        up_next = []
+        for v in layer:
+            up = masks[v] & left
+            if up:
+                w = up.bit_length() - 1
+                code[w].append(code[v])
+                deg[w] -= 1
+                if deg[w] == 1:
+                    up_next.append(w)
+            elif not deg[v]:
+                # A tree's last round is its centre: one vertex ...
+                parts.append(code[v])
+            else:
+                # ... or two adjacent ones.
+                w = (masks[v] & peeled).bit_length() - 1
+                if v < w:
+                    a, b = sorted((code[v], code[w]))
+                    parts.append("[" + a + b + "]")
+        layer = up_next
+    # What is left is the 2-core, and a pseudoforest's is disjoint cycles.
+    core = left
+    while left:
+        v = left.bit_length() - 1
+        ring = []
+        while True:
+            m = masks[v] & core
+            if m.bit_count() != 2:
+                return None
+            left ^= 1 << v
+            kids = code[v]
+            kids.sort()
+            ring.append("(" + "".join(kids) + ")")
+            m &= left
+            if not m:
+                break
+            v = m.bit_length() - 1
+        # The least rotation or reflection; as codes are prefix-free, it
+        # starts with a least code.
+        low = min(ring)
+        best = None
+        for side in (ring, ring[::-1]):
+            joined = "".join(side)
+            at = 0
+            for c in side:
+                if c == low:
+                    turn = joined[at:] + joined[:at]
+                    if best is None or turn < best:
+                        best = turn
+                at += len(c)
+        parts.append("<" + best + ">")
+    parts.sort()
+    return "".join(parts)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -95,6 +95,28 @@ def graphs(draw, max_vertices=8):
     return build(n, edges)
 
 
+@st.composite
+def pseudoforests(draw, max_vertices=12):
+    """A graph each of whose components is a tree or has one cycle: a
+    random forest, then in some of its trees one more edge."""
+    n = draw(st.integers(0, max_vertices))
+    root = list(range(n))
+    edges = []
+    for v in range(1, n):
+        parent = draw(st.integers(-1, v - 1))  # -1 starts a new tree
+        if parent >= 0:
+            edges.append((parent, v))
+            root[v] = root[parent]
+    for r in sorted(set(root)):
+        tree = [v for v in range(n) if root[v] == r]
+        free = [
+            (a, b) for a, b in itertools.combinations(tree, 2) if (a, b) not in edges
+        ]
+        if free and draw(st.booleans()):
+            edges.append(draw(st.sampled_from(free)))
+    return build(n, edges)
+
+
 def random_graph(rng, max_vertices: int, min_vertices: int = 0) -> Graph:
     n = rng.randint(min_vertices, max_vertices)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

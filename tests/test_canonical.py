@@ -10,6 +10,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from bipminor import canonical, relations
 from bipminor.canonical import (
     CanonicalForm,
+    _code,
     _labelling,
     _minimal_bits,
     are_isomorphic,
@@ -27,6 +28,7 @@ from oracles import (
     eager_min_bits,
     graphs,
     permute,
+    pseudoforests,
     random_forest,
     random_graph,
     random_sparse_connected,
@@ -187,6 +189,137 @@ class TestPaddingLemma:
         assert len(closure) == members
         for cf in closure:
             self._assert_padded(cf.to_graph())
+
+
+def _has_dense_component(g):
+    """True iff some component has more edges than vertices (networkx)."""
+    x = to_networkx(g)
+    return any(
+        x.subgraph(part).number_of_edges() > len(part)
+        for part in nx.connected_components(x)
+    )
+
+
+class TestTreeCodes:
+    """A pseudoforest's tree code is complete: equal codes iff isomorphic."""
+
+    def test_all_graphs_of_at_most_seven_vertices(self):
+        # networkx's atlas lists every graph of at most 7 vertices once.
+        rng = random.Random(116)
+        atlas = [build(x.number_of_nodes(), list(x.edges())) for x in nx.graph_atlas_g()]
+        assert len(atlas) == 1253
+        by_code = {}
+        for g in atlas:
+            code = _code(g)
+            assert (code is None) == _has_dense_component(g), g
+            if code is not None:
+                assert _code(shuffled(g, rng)) == code, g
+                by_code.setdefault(code, []).append(g)
+        # Equal codes: isomorphic.  Unequal codes: not isomorphic, checked
+        # on every pair that vertex and edge counts and degrees leave open.
+        assert all(len(same) == 1 for same in by_code.values())
+        buckets = {}
+        for g in (same[0] for same in by_code.values()):
+            degrees = sorted(map(int.bit_count, g.neighbor_masks))
+            buckets.setdefault((g.edge_count, *degrees), []).append(g)
+        pairs = [
+            (a, b)
+            for bucket in buckets.values()
+            for i, a in enumerate(bucket)
+            for b in bucket[i + 1:]
+        ]
+        assert len(pairs) > 20
+        assert not any(brute_isomorphic(a, b) for a, b in pairs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pseudoforests(max_vertices=12), st.randoms(use_true_random=False))
+    def test_coded_form_is_a_cold_labelling(self, g, rng):
+        h = shuffled(g, rng)
+        cold = CanonicalForm(h.vertex_count, _minimal_bits(h)[0])
+        relations.clear_caches()
+        assert _code(g) == _code(h) is not None
+        canonical_form(g)
+        assert canonical_form(h) == cold
+        # h took g's form by its code.
+        assert list(canonical._reps) == [g]
+
+    def test_trees_with_two_centres(self):
+        # Two centres, 0 and 1: a leaf and a 2-path at 0, a 2-path at 1.
+        tree = build(7, [(0, 1), (0, 2), (0, 3), (3, 4), (1, 5), (5, 6)])
+        swapped = permute(tree, [1, 0, 5, 6, 2, 3, 4])
+        # The leaf moved from centre 0 to the middle of its 2-path.
+        moved = build(7, [(0, 1), (0, 3), (3, 2), (3, 4), (1, 5), (5, 6)])
+        trees = [path(2), path(4), path(6), tree, swapped, moved]
+        assert all(_code(t).startswith("[") for t in trees)
+        for a in trees:
+            for b in trees:
+                assert (_code(a) == _code(b)) == brute_isomorphic(a, b)
+        assert _code(tree) == _code(swapped) != _code(moved)
+
+    def test_a_chiral_unicyclic_graph(self):
+        # C_4 with horns of 1 and 2 vertices on adjacent vertices: the
+        # hanging trees read (1, 2, 0, 0) one way round and (2, 1, 0, 0),
+        # which is no rotation of it, the other.  Only the reflection
+        # identifies the two.  Horns on opposite vertices give another graph.
+        chiral, mirrored = bull(4, [1, 2]), bull(4, [2, 1])
+        opposite = build(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (2, 5), (5, 6)])
+        assert brute_isomorphic(chiral, mirrored)
+        assert _code(chiral) == _code(mirrored)
+        assert not brute_isomorphic(chiral, opposite)
+        assert _code(chiral) != _code(opposite)
+        relations.clear_caches()
+        canonical_form(chiral)
+        assert canonical_form(mirrored).canonical_bits == brute_min_bits(mirrored)
+
+    def test_isolated_vertices(self):
+        assert [_code(build(n, [])) for n in range(4)] == ["", "()", "()()", "()()()"]
+        k2_k1, p3 = build(3, [(1, 2)]), path(3)
+        assert _code(k2_k1) != _code(p3)
+        assert _code(build(4, [(0, 1), (2, 3)])) != _code(build(4, [(1, 2)]))
+        # A component with two cycles leaves the graph uncoded, beside any
+        # number of isolated vertices.
+        theta = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
+        assert _code(build(6, theta)) is None
+        rng = random.Random(117)
+        relations.clear_caches()
+        for g in [build(5, [(2, 3)]), build(6, [(0, 5), (5, 2), (2, 0)]), FOREST]:
+            canonical_form(g)
+            h = shuffled(g, rng)
+            cold = _minimal_bits(h)[0]
+            assert canonical_form(h).canonical_bits == cold
+            assert h.vertex_count > 7 or cold == brute_min_bits(h)
+
+    def test_a_known_code_takes_no_refinement_and_no_labelling(self, monkeypatch):
+        # The form comes from the code alone; the generators from one match
+        # against the class's representative, whose colouring is then kept.
+        rng = random.Random(118)
+        relations.clear_caches()
+        graphs = [bull(5, [1, 2]), FOREST, cycle(9), path(7)]
+        for g in graphs:
+            canonical_form(g)
+        stable, matched = canonical._stable, []
+
+        def refuse(*args):
+            raise AssertionError("a coded graph was labelled or refined")
+
+        def counting(g):
+            matched.append(g)
+            return stable(g)
+
+        monkeypatch.setattr(canonical, "_minimal_bits", refuse)
+        monkeypatch.setattr(canonical, "_isomorphism", refuse)
+        monkeypatch.setattr(canonical, "_stable", refuse)
+        shuffles = [shuffled(g, rng) for g in graphs]
+        for g, h in zip(graphs, shuffles):
+            assert canonical_form(h) == canonical_form(g)
+        monkeypatch.undo()
+        monkeypatch.setattr(canonical, "_minimal_bits", refuse)
+        monkeypatch.setattr(canonical, "_stable", counting)
+        for g, h in zip(graphs, shuffles):
+            _assert_full_orbits(h, automorphism_generators(h))
+        # One refinement of each graph and of its representative.
+        assert matched == [x for g, h in zip(graphs, shuffles) for x in (h, g)]
+        assert all(canonical._reps[g][0] is not None for g in graphs)
 
 
 class TestAutomorphisms:
@@ -418,14 +551,25 @@ class TestClassCache:
         assert canonical._isomorphism(nbrs(k3), [0, 1, 2], k3, [2, 0, 1], []) == [1, 2, 0]
 
     def test_colliding_keys_give_exact_forms(self, monkeypatch, empty_cache):
-        # With every certificate hashed to one key, each graph is matched
-        # against every representative so far, of any size, before labelling.
+        # With every certificate hashed to one key, each graph without a
+        # tree code is matched against every such representative so far, of
+        # any size, before labelling.  Most small random graphs have a code,
+        # so 150 graphs with more edges than vertices, which have none, follow.
         monkeypatch.setattr(canonical, "hash", lambda key: 0, raising=False)
         rng = random.Random(112)
         for _ in range(150):
             g = random_graph(rng, 6)
             assert canonical_form(g).canonical_bits == brute_min_bits(g)
             assert canonical_form(shuffled(g, rng)) == canonical_form(g)
+        dense = 0
+        while dense < 150:
+            g = random_graph(rng, 6)
+            if g.edge_count > g.vertex_count:
+                dense += 1
+                assert canonical_form(g).canonical_bits == brute_min_bits(g)
+                assert canonical_form(shuffled(g, rng)) == canonical_form(g)
+        # They all sit under the one key.
+        assert len(canonical._classes[0]) > 40
 
     def test_a_kept_path_gives_the_fresh_match(self):
         rng = random.Random(114)
@@ -434,7 +578,9 @@ class TestClassCache:
         for g in pool:
             relations.clear_caches()
             canonical_form(g)
-            colours, _, _, path = canonical._reps[g]
+            # A representative with a tree code gets its colouring on first
+            # need; _matchable builds it as a match would.
+            colours, _, _, path = canonical._matchable(g)
             levels = None
             for _ in range(5):
                 h = shuffled(g, rng)
