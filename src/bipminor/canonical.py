@@ -1,41 +1,36 @@
-"""Exact canonical forms, automorphisms and isomorphism tests for small graphs.
+"""Exact canonical forms and isomorphism tests for small graphs.
 
 The canonical form of a graph is the lexicographically minimal
 upper-triangular adjacency bit sequence over all vertex orderings, read
 column by column (the same bit order graph6 uses).  Each isomorphism
 class is labelled once per process; every other graph of the class is
-identified with the labelled one, by its tree code when it is a
-pseudoforest and otherwise by an isomorphism search.
+identified with it, by its tree code when it is a pseudoforest and
+otherwise by an isomorphism search.
 
-**The class cache.**  Under its key the cache keeps each class's
-representative, the first graph of the class labelled, with its form,
-automorphism generators, stable colouring and path.  A graph that is not
-itself a representative gets the form of its class's representative.
-Its key is its tree code (below) when it is a pseudoforest, and
-otherwise its certificate: the hash of the sorted colour-refinement
-(1-WL) signatures of every round from the all-equal colouring, built
-from ints only so that it does not depend on the hash seed.  A tree code
-is complete, so a pseudoforest whose code is known takes the form with
-no match; only ``automorphism_generators`` matches it, against the one
-representative of its code, whose stable colouring is built on first
-need.  A graph keyed by certificate is refined and matched against each
-representative under it by an individualisation-refinement isomorphism
-search (McKay 1981; McKay and Piperno, *Practical graph isomorphism II*,
-2014) that checks every edge at the leaf, so non-isomorphic graphs that
-share a certificate, such as ``C_6`` and two triangles, are never
-confused.  The representative's side of that search is one chain of
-individualised cells and refined colourings, the same for every graph
-matched against it; it is kept as the representative's path, built one
-level at a time as matches first reach it, with a hash of each level's
-refinement rounds, so a match refines only the graph's own side.  A hash
-that agrees only admits a branch; the leaf's edge check still decides.
-On a match ``phi`` (graph vertex ``v`` to representative vertex
-``phi[v]``) the graph gets the representative's form and its generators
-conjugated by ``phi``, ``q[v] = inv[p[phi[v]]]``, which generate the
-graph's own automorphism group.  The form memo keeps the form of each
-graph matched, or keyed by a known code, under its neighbour masks.
-Only a graph whose key has no representative of its class is labelled,
-and it becomes a representative.  The cache and the memo each start
+**The class cache.**  A pseudoforest is keyed by its tree code (below),
+which is complete, so the cache maps each code known straight to its
+form: a pseudoforest whose code is known takes the form with no
+refinement, match or labelling.  Any other graph is keyed by its
+certificate: the hash of the sorted colour-refinement (1-WL) signatures
+of every round from the all-equal colouring, built from ints only so that
+it does not depend on the hash seed.  Under its certificate the cache
+keeps each class's representative, the first graph of the class labelled,
+with its stable colouring, form and path.  A graph keyed by certificate
+is refined and matched against each representative under it by an
+individualisation-refinement isomorphism search (McKay 1981; McKay and
+Piperno, *Practical graph isomorphism II*, 2014) that checks every edge
+at the leaf, so non-isomorphic graphs that share a certificate, such as
+``C_6`` and two triangles, are never confused.  The representative's
+side of that search is one chain of individualised cells and refined
+colourings, the same for every graph matched against it; it is kept as
+the representative's path, built one level at a time as matches first
+reach it, with a hash of each level's refinement rounds, so a match
+refines only the graph's own side.  A hash that agrees only admits a
+branch; the leaf's edge check still decides.  A match gives the graph its
+representative's form.  Only a graph whose code or certificate has no
+class of its own yet is labelled.  The form memo keeps the form of every
+graph ``canonical_form`` answers, under its neighbour masks.  The cache,
+its codes and representatives counted together, and the memo each start
 again empty once they hold more than ``STORE_LIMIT`` entries, the limit
 that also bounds ``relations._store``, and the memo empties with the
 cache; no result depends on what they hold.  ``are_isomorphic`` compares
@@ -122,9 +117,7 @@ of the placed vertices that fits the blocks gives the columns so far.
   maps every block onto itself, setwise, maps an earlier child onto it.
   Automorphisms that fix every placed vertex would not do: in ``7K_2``
   they leave the orders of the edges to multiply.  The search starts with
-  no automorphisms.  At the end it adds the transpositions of consecutive
-  members of each of the best leaf's blocks (any order of a block fits,
-  so they are automorphisms); no comparison of two leaves finds them.
+  no automorphisms.
 - **No cell bound.**  An eager search, which places tied vertices one
   order at a time, can also cut a tied node once the sorted next columns
   ``c_k`` bound column ``depth + k`` by ``c_k << k``.  After a join that
@@ -135,15 +128,10 @@ A leaf is a sequence of segments, reached by one path that places each
 segment in increasing vertex order, and the search visits leaves in the
 lexicographic order of these paths.  A leaf is skipped only when its
 bits exceed the best's or when an automorphism found maps it onto an
-earlier leaf, so the result is the exact minimum.  Any automorphism maps
-the best leaf onto a leaf with equal bits, which automorphisms found map
-onto a leaf compared with the best; so it is a product of automorphisms
-found and of swaps inside the best's blocks, and the generators returned
-generate the full automorphism group.  ``automorphism_generators``
-returns them (or their conjugates), so a caller can act on orbits
-(``relations._moves`` emits one successor move per orbit); only the
-generating set, never the group, depends on which graph of the class was
-labelled first.
+earlier leaf, so the result is the exact minimum.  The automorphisms
+found are returned beside the bits, so that a test can check each of
+them; they need not generate the whole group, and nothing else reads
+them.
 """
 
 from __future__ import annotations
@@ -164,15 +152,14 @@ STORE_LIMIT = 20_000
 # cell individualised, the refined colouring and the hash of the rounds.
 Level = tuple[int, tuple[int, ...], int]
 
-# The class cache: each representative maps to its stable colouring (or
-# ``None`` until a match first needs it), form, generators and path; each
-# certificate to its representatives that have no tree code; and each tree
-# code to its representative.  The form memo maps the neighbour masks of
-# each graph matched to its form.
-Rep = tuple["tuple[int, ...] | None", "CanonicalForm", tuple[Perm, ...], list[Level]]
+# The class cache: each tree code maps to its form; each representative,
+# a graph with no tree code, to its stable colouring, form and path; and
+# each certificate to its representatives.  The form memo maps the
+# neighbour masks of each graph answered to its form.
+Rep = tuple[tuple[int, ...], "CanonicalForm", list[Level]]
+_codes: dict[str, "CanonicalForm"] = {}
 _reps: dict[Graph, Rep] = {}
 _classes: dict[int, list[Graph]] = {}
-_codes: dict[str, Graph] = {}
 _forms: dict[tuple[int, ...], "CanonicalForm"] = {}
 
 
@@ -195,17 +182,14 @@ class CanonicalForm:
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of ``g``, of any size; the searches bound the size of
     the graphs they label by checking their host."""
-    form = _forms.get(g.neighbor_masks)
-    if form is not None:
-        return form
-    rep = _reps.get(g)
-    if rep is not None:
-        return rep[1]
-    code = _code(g)
-    if code not in _codes:
-        return _classify(g, code)[0]
-    form = _reps[_codes[code]][1]
-    _memo(g, form)
+    masks = g.neighbor_masks
+    form = _forms.get(masks)
+    if form is None:
+        code = _code(g)
+        form = _codes[code] if code in _codes else _classify(g, code)
+        if len(_forms) > STORE_LIMIT:
+            _forms.clear()
+        _forms[masks] = form
     return form
 
 
@@ -234,13 +218,6 @@ def padded(form: CanonicalForm, k: int) -> CanonicalForm:
     return CanonicalForm(len(cols), bits)
 
 
-def automorphism_generators(g: Graph) -> tuple[Perm, ...]:
-    """Permutations of ``g``'s vertices that generate its automorphism
-    group (empty when the group is trivial); computed with, or conjugated
-    from, the canonical form of its class."""
-    return _labelling(g)[1]
-
-
 def clear_cache() -> None:
     """Empty the class cache and the form memo."""
     _reps.clear()
@@ -249,59 +226,26 @@ def clear_cache() -> None:
     _forms.clear()
 
 
-def _labelling(g: Graph) -> tuple[CanonicalForm, tuple[Perm, ...]]:
-    rep = _reps.get(g)
-    return _classify(g, _code(g)) if rep is None else (rep[1], rep[2])
-
-
-def _classify(g: Graph, code: str | None) -> tuple[CanonicalForm, tuple[Perm, ...]]:
-    """The form and generators of ``g``, which is not a representative,
-    with ``code``, its tree code: matched against the representatives of
-    its code or certificate, or labelled as a new representative."""
+def _classify(g: Graph, code: str | None) -> CanonicalForm:
+    """The form of ``g``, whose tree code ``code`` is ``None`` or not yet
+    known: matched against the representatives of its certificate, or
+    labelled."""
     if code is None:
         nbrs, colours, rounds = _stable(g)
         key = hash((g.vertex_count, *rounds))
-        candidates = _classes.get(key, ())
-    elif code in _codes:
-        nbrs, colours = _stable(g)[:2]
-        candidates = (_codes[code],)
-    else:
-        candidates = ()
-    for r in candidates:
-        r_colours, form, generators, path = _matchable(r)
-        phi = _isomorphism(nbrs, colours, r, r_colours, path)
-        if phi is not None:
-            _memo(g, form)
-            inv = [0] * g.vertex_count
-            for v, w in enumerate(phi):
-                inv[w] = v
-            return form, tuple(tuple(inv[p[w]] for w in phi) for p in generators)
-    if len(_reps) > STORE_LIMIT:
+        for r in _classes.get(key, ()):
+            r_colours, form, path = _reps[r]
+            if _isomorphism(nbrs, colours, r, r_colours, path) is not None:
+                return form
+    if len(_codes) + len(_reps) > STORE_LIMIT:
         clear_cache()
-    bits, generators = _minimal_bits(g)
-    form = CanonicalForm(g.vertex_count, bits)
+    form = CanonicalForm(g.vertex_count, _minimal_bits(g)[0])
     if code is None:
-        _reps[g] = (tuple(colours), form, generators, [])
+        _reps[g] = (tuple(colours), form, [])
         _classes.setdefault(key, []).append(g)
     else:
-        _reps[g] = (None, form, generators, [])
-        _codes[code] = g
-    return form, generators
-
-
-def _matchable(r: Graph) -> Rep:
-    """Representative ``r``'s entry, its stable colouring built on first
-    need: a coded representative is labelled without one."""
-    rep = _reps[r]
-    if rep[0] is None:
-        rep = _reps[r] = (tuple(_stable(r)[1]), *rep[1:])
-    return rep
-
-
-def _memo(g: Graph, form: CanonicalForm) -> None:
-    if len(_forms) > STORE_LIMIT:
-        _forms.clear()
-    _forms[g.neighbor_masks] = form
+        _codes[code] = form
+    return form
 
 
 def _code(g: Graph) -> str | None:
@@ -599,6 +543,8 @@ def _peers(candidates: int, placed: int, masks: Sequence[int]) -> dict[int, int]
 
 
 def _minimal_bits(g: Graph) -> tuple[int, tuple[Perm, ...]]:
+    """The least bits of ``g`` over all vertex orders (see the module
+    docstring), and the automorphisms the search found and pruned with."""
     n = g.vertex_count
     if n <= 1:
         return 0, ()
@@ -749,16 +695,6 @@ def _minimal_bits(g: Graph) -> tuple[int, tuple[Perm, ...]]:
         return n
 
     extend(0, full, [], False)
-
-    # Any order that fits a block gives the best's bits, so swapping two of
-    # its members is an automorphism; with those, every automorphism is a
-    # product of the ones found.
-    for members in best_blocks:
-        for a, b in zip(members, members[1:]):
-            p = list(range(n))
-            p[a], p[b] = b, a
-            generators.append(tuple(p))
-
     bits = 0
     for j, col in enumerate(best_cols):
         bits = (bits << j) | col

@@ -55,12 +55,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import canonical
-from .canonical import CanonicalForm, Perm, automorphism_generators, canonical_form, padded
+from .canonical import CanonicalForm, canonical_form, padded
 from .graph_core import (
-    Edge,
     Graph,
     GraphError,
     check_size_cap,
@@ -216,47 +215,19 @@ def _cycle_rank(g: Graph) -> int:
 
 
 def _moves(g: Graph) -> Iterator[tuple[Step, Graph]]:
-    """Single-operation successors of a core, contractions first, in a
-    fixed order: contractions and edge deletions only.
+    """Single-operation successors of a core in a fixed order: every
+    admissible contraction, with the least ``w``, then every edge
+    deletion, each in sorted order.
 
     No move uses an isolated vertex except to delete it, so the searches
     strip isolated vertices from every child and count them instead.  Any
     other vertex deletion is reached by deleting the vertex's edges
     first, through graphs that are themselves reachable, and then the
-    isolated vertex, so no search loses a state.  Moves that an
-    automorphism of ``g`` maps onto each other give isomorphic children,
-    so only the first move of each orbit is yielded.  A search that skips
-    children it has already seen keeps the same states and the same
-    witness steps as with every move of each orbit yielded."""
-    gens = automorphism_generators(g)
-    pairs = {(p.u, p.v): p for p in admissible_pairs(g)}
-    for u, v in _orbit_firsts(pairs, gens):
-        p = pairs[(u, v)]
-        yield AdmissibleContraction(u, v, p.w), contract_set(g, {u, v})
-    for u, v in _orbit_firsts(sorted(g.edges), gens):
+    isolated vertex, so no search loses a state."""
+    for p in admissible_pairs(g):
+        yield AdmissibleContraction(p.u, p.v, p.w), contract_set(g, {p.u, p.v})
+    for u, v in sorted(g.edges):
         yield EdgeDeletion(u, v), delete_edge(g, u, v)
-
-
-def _orbit_firsts(pairs: Iterable[Edge], gens: tuple[Perm, ...]) -> Iterator[Edge]:
-    """The vertex pairs, in order, whose orbit under ``gens`` holds no
-    earlier pair; ``pairs`` must be closed under the action."""
-    if not gens:
-        yield from pairs
-        return
-    covered: set = set()
-    for x in pairs:
-        if x in covered:
-            continue
-        covered.add(x)
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for p in gens:
-                z = normalize_edge(p[y[0]], p[y[1]])
-                if z not in covered:
-                    covered.add(z)
-                    stack.append(z)
-        yield x
 
 
 def bipartite_minor_trace(h: Graph, g: Graph) -> OpTrace | None:

@@ -5,16 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import networkx as nx
-from networkx.algorithms.isomorphism import GraphMatcher
 
 from bipminor import canonical, relations
 from bipminor.canonical import (
     CanonicalForm,
     _code,
-    _labelling,
     _minimal_bits,
     are_isomorphic,
-    automorphism_generators,
     canonical_form,
     padded,
 )
@@ -107,7 +104,8 @@ class TestCanonicalForm:
         assert canonical_form(h) == canonical_form(g)
         assert are_isomorphic(g, h)
         assert not are_isomorphic(g, path(15))
-        assert len(automorphism_generators(h)) >= 2
+        for x in (build(17, []), g, h):
+            _assert_labelling(x)
 
     def test_size_cap_is_the_search_cap(self, monkeypatch):
         # The cap bounds the search, not the labelling: with the variable
@@ -124,40 +122,23 @@ class TestCanonicalForm:
         assert canonical_form(host) in closure
 
 
-def _networkx_orbits(g):
-    """Vertex and edge orbits of the full automorphism group."""
-    G = to_networkx(g)
-    vertex = {v: {v} for v in g.vertices}
-    edge = {e: {e} for e in g.edges}
-    for iso in GraphMatcher(G, G).isomorphisms_iter():
-        for v in g.vertices:
-            vertex[v].add(iso[v])
-        for u, v in g.edges:
-            edge[(u, v)].add(normalize_edge(iso[u], iso[v]))
-    return vertex, edge
+def _assert_automorphisms(g, gens):
+    """Each of ``gens`` permutes g's vertices and maps edges onto edges."""
+    for p in gens:
+        assert sorted(p) == list(g.vertices), (g, p)
+        assert {normalize_edge(p[u], p[v]) for u, v in g.edges} == g.edges, (g, p)
 
 
-def _generated_orbit(x, gens, act):
-    seen = {x}
-    stack = [x]
-    while stack:
-        y = stack.pop()
-        for p in gens:
-            image = act(p, y)
-            if image not in seen:
-                seen.add(image)
-                stack.append(image)
-    return seen
-
-
-def _assert_full_orbits(g, gens):
-    """The orbits ``gens`` generate are those of the full group."""
-    vertex, edge = _networkx_orbits(g)
-    for v in g.vertices:
-        assert _generated_orbit(v, gens, lambda p, w: p[w]) == vertex[v], (g, v)
-    for e in g.edges:
-        got = _generated_orbit(e, gens, lambda p, f: normalize_edge(p[f[0]], p[f[1]]))
-        assert got == edge[e], (g, e)
+def _assert_labelling(g):
+    """``_minimal_bits`` gives the least bits, checked by brute force up to
+    seven vertices and by the eager search beyond, and prunes only with
+    automorphisms."""
+    bits, gens = _minimal_bits(g)
+    if g.vertex_count <= 7:
+        assert bits == brute_min_bits(g), g
+    else:
+        assert bits == eager_min_bits(g)[0], g
+    _assert_automorphisms(g, gens)
 
 
 class TestPaddingLemma:
@@ -240,8 +221,9 @@ class TestTreeCodes:
         assert _code(g) == _code(h) is not None
         canonical_form(g)
         assert canonical_form(h) == cold
-        # h took g's form by its code.
-        assert list(canonical._reps) == [g]
+        # h took g's form by its code, which maps straight to the form.
+        assert canonical._codes == {_code(g): cold}
+        assert canonical._reps == {}
 
     def test_trees_with_two_centres(self):
         # Two centres, 0 and 1: a leaf and a 2-path at 0, a 2-path at 1.
@@ -290,72 +272,50 @@ class TestTreeCodes:
             assert h.vertex_count > 7 or cold == brute_min_bits(h)
 
     def test_a_known_code_takes_no_refinement_and_no_labelling(self, monkeypatch):
-        # The form comes from the code alone; the generators from one match
-        # against the class's representative, whose colouring is then kept.
+        # The form comes from the code alone: no refinement, no match and no
+        # labelling, and a coded class keeps no representative graph.
         rng = random.Random(118)
         relations.clear_caches()
         graphs = [bull(5, [1, 2]), FOREST, cycle(9), path(7)]
         for g in graphs:
             canonical_form(g)
-        stable, matched = canonical._stable, []
 
         def refuse(*args):
             raise AssertionError("a coded graph was labelled or refined")
 
-        def counting(g):
-            matched.append(g)
-            return stable(g)
-
         monkeypatch.setattr(canonical, "_minimal_bits", refuse)
         monkeypatch.setattr(canonical, "_isomorphism", refuse)
         monkeypatch.setattr(canonical, "_stable", refuse)
-        shuffles = [shuffled(g, rng) for g in graphs]
-        for g, h in zip(graphs, shuffles):
-            assert canonical_form(h) == canonical_form(g)
-        monkeypatch.undo()
-        monkeypatch.setattr(canonical, "_minimal_bits", refuse)
-        monkeypatch.setattr(canonical, "_stable", counting)
-        for g, h in zip(graphs, shuffles):
-            _assert_full_orbits(h, automorphism_generators(h))
-        # One refinement of each graph and of its representative.
-        assert matched == [x for g, h in zip(graphs, shuffles) for x in (h, g)]
-        assert all(canonical._reps[g][0] is not None for g in graphs)
+        for g in graphs:
+            assert canonical_form(shuffled(g, rng)) == canonical_form(g)
+        assert len(canonical._codes) == len(graphs)
+        assert canonical._reps == canonical._classes == {}
 
 
 class TestAutomorphisms:
+    """The automorphisms ``_minimal_bits`` prunes with, which it returns
+    beside the bits; they need not generate the whole group."""
+
     def test_generators_map_edges_onto_edges(self):
         rng = random.Random(109)
         graphs = [cycle(9), dog(6, [4, 4]), bull(5, [1, 1]), build(6, [])]
         graphs += [random_graph(rng, 9) for _ in range(150)]
         for g in graphs:
-            for p in automorphism_generators(g):
-                assert sorted(p) == list(g.vertices)
-                assert {normalize_edge(p[u], p[v]) for u, v in g.edges} == g.edges
+            _assert_labelling(g)
 
-    def test_orbits_match_full_group(self):
+    def test_generators_on_eight_vertex_graphs(self):
         rng = random.Random(110)
         graphs = [cycle(8), dog(4, [3, 3]), build(5, []), build(4, [(0, 1), (2, 3)])]
         graphs += [random_graph(rng, 8) for _ in range(120)]
         graphs += [random_sparse_connected(rng, 8, extra=2) for _ in range(80)]
         for g in graphs:
-            _assert_full_orbits(g, automorphism_generators(g))
-
-
-def _vertex_orbits(g, gens):
-    return {frozenset(_generated_orbit(v, gens, lambda p, w: p[w])) for v in g.vertices}
-
-
-def _edge_orbits(g, gens):
-    act = lambda p, f: normalize_edge(p[f[0]], p[f[1]])  # noqa: E731
-    return {frozenset(_generated_orbit(e, gens, act)) for e in g.edges}
+            _assert_labelling(g)
 
 
 def _assert_as_eager(g, bits, gens):
-    """The form and the vertex and edge orbits of the eager search."""
-    want, want_gens = eager_min_bits(g)
-    assert bits == want, g
-    assert _vertex_orbits(g, gens) == _vertex_orbits(g, want_gens), g
-    assert _edge_orbits(g, gens) == _edge_orbits(g, want_gens), g
+    """The form of the eager search, found with automorphisms only."""
+    assert bits == eager_min_bits(g)[0], g
+    _assert_automorphisms(g, gens)
 
 
 # The forest P3 + P5 + 2K1: its isolated vertices and leaves tie on many
@@ -367,14 +327,14 @@ class TestBlocks:
     def test_exact_on_forests_with_isolated_vertices(self):
         # Disconnected sparse graphs are where blocks, joins and the
         # setwise stabiliser cut most; a cut that dropped a subtree holding
-        # the minimum or an automorphism would show as a wrong form or a
-        # smaller orbit.
+        # the minimum would show as a wrong form, and a pruning map that is
+        # no automorphism as a generator that moves an edge off the edges.
         rng = random.Random(113)
         for _ in range(24):
             g = random_forest(rng, 8, min_vertices=4)
             bits, gens = _minimal_bits(g)
             assert bits == brute_min_bits(g), g
-            _assert_full_orbits(g, gens)
+            _assert_automorphisms(g, gens)
 
     def test_invariant_under_relabelling(self):
         # A cut that depended on vertex numbers beyond the order of ties
@@ -415,7 +375,7 @@ class TestBlocks:
         bits, gens = _minimal_bits(g)
         assert len(calls) <= bound
         monkeypatch.undo()
-        # These groups are too large to list, so the eager search checks.
+        # Brute force cannot reach these, so the eager search checks.
         _assert_as_eager(g, bits, gens)
 
 
@@ -520,17 +480,18 @@ class TestClassCache:
     @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
     def test_match_agrees_with_a_cold_labelling(self, g, rng):
         h = shuffled(g, rng)
-        cold_bits, cold_gens = _minimal_bits(h)
+        cold = CanonicalForm(h.vertex_count, _minimal_bits(h)[0])
         relations.clear_caches()
-        _labelling(g)
-        form, gens = _labelling(h)
-        # h was matched to g, not labelled (unless it is g itself).
-        assert list(canonical._reps) == [g]
-        assert form == CanonicalForm(h.vertex_count, cold_bits)
-        for p in gens:
-            assert sorted(p) == list(h.vertices)
-            assert {normalize_edge(p[u], p[v]) for u, v in h.edges} == h.edges
-        assert _vertex_orbits(h, gens) == _vertex_orbits(h, cold_gens)
+        canonical_form(g)
+        assert canonical_form(h) == cold
+        # h was matched to g, or took its form by g's code, and was not
+        # labelled: the cache holds g's class alone.
+        if _code(g) is None:
+            assert list(canonical._reps) == [g]
+            assert canonical._codes == {}
+        else:
+            assert canonical._codes == {_code(g): cold}
+            assert canonical._reps == {}
 
     @pytest.mark.parametrize("pair", SAME_CERTIFICATE, ids=["C6-2C3", "K33-prism"])
     def test_same_certificate_different_forms(self, pair, empty_cache):
@@ -540,7 +501,8 @@ class TestClassCache:
         assert canonical_form(g) != canonical_form(h)
         assert canonical_form(g).canonical_bits == brute_min_bits(g)
         assert canonical_form(h).canonical_bits == brute_min_bits(h)
-        assert set(canonical._reps) == {g, h}
+        # Each was labelled as a class of its own.
+        assert len(canonical._codes) + len(canonical._reps) == 2
 
     def test_leaf_checks_every_edge(self):
         # Discrete colourings pair the vertices at once; only the edges can
@@ -575,12 +537,17 @@ class TestClassCache:
         rng = random.Random(114)
         pool = [cycle(8), dog(6, [4, 4]), bull(5, [1, 2]), FOREST]
         pool += [random_graph(rng, 9) for _ in range(30)]
+        uncoded = 0
         for g in pool:
             relations.clear_caches()
             canonical_form(g)
-            # A representative with a tree code gets its colouring on first
-            # need; _matchable builds it as a match would.
-            colours, _, _, path = canonical._matchable(g)
+            if _code(g) is None:
+                colours, _, path = canonical._reps[g]
+                uncoded += 1
+            else:
+                # A coded class keeps no representative; build the path here
+                # as a representative's would be built.
+                colours, path = tuple(canonical._stable(g)[1]), []
             levels = None
             for _ in range(5):
                 h = shuffled(g, rng)
@@ -592,6 +559,7 @@ class TestClassCache:
                 assert levels in (None, len(path))
                 levels = len(path)
             assert levels <= g.vertex_count
+        assert uncoded > 10
 
     def test_the_memo_keeps_graphs_above_the_cap(self, monkeypatch, empty_cache):
         monkeypatch.delenv("BIPMINOR_SIZE_CAP", raising=False)
@@ -599,8 +567,9 @@ class TestClassCache:
         h = shuffled(g, random.Random(115))
         form = canonical_form(g)
         assert canonical_form(h) == form
-        assert canonical._forms == {h.neighbor_masks: form}
-        monkeypatch.setattr(canonical, "_labelling", None)
+        assert canonical._forms == {g.neighbor_masks: form, h.neighbor_masks: form}
+        monkeypatch.setattr(canonical, "_code", None)
+        monkeypatch.setattr(canonical, "_classify", None)
         assert canonical_form(h) == form
 
     def test_closure_labels_each_member_once(self, monkeypatch, empty_cache):

@@ -6,6 +6,7 @@ import pytest
 from bipminor import canonical, relations
 from bipminor.canonical import are_isomorphic, canonical_form
 from bipminor.cli.harness import random_connected_graphs
+from bipminor.cli.serialize import validate_witness, witness_document
 from bipminor.families import bull, cycle, dog, h_tree, path
 from bipminor.graph_core import (
     GraphError,
@@ -232,22 +233,20 @@ class TestBipartiteMinor:
         assert positives > 10 and negatives > 5
 
     def test_moves_keep_the_first_move_to_each_child(self):
-        # Orbit pruning may drop a move only when an earlier move already
-        # reaches an isomorphic child; otherwise the searches' witnesses
-        # would change.  The searches expand cores, graphs without isolated
-        # vertices, and no move deletes a vertex.
+        # Every move is yielded, so the first move to each child is too:
+        # every admissible contraction, with its least middle vertex, then
+        # every edge deletion, each in sorted order, as the cycle-scan
+        # oracle finds them.  The searches expand cores, graphs without
+        # isolated vertices, and no move deletes a vertex.
         for g in (strip_isolated(x)[0] for x in _move_hosts()):
+            middles = brute_middles(g)
             every = [
-                (AdmissibleContraction(p.u, p.v, p.w), contract_set(g, {p.u, p.v}))
-                for p in admissible_pairs(g)
+                (AdmissibleContraction(u, v, min(middles[u, v])), contract_set(g, {u, v}))
+                for u, v in sorted(brute_admissible_pairs(g))
             ]
             every += [(EdgeDeletion(u, v), delete_edge(g, u, v)) for u, v in sorted(g.edges)]
-            firsts: dict = {}
-            for step, child in every:
-                firsts.setdefault(canonical_form(child), (step, child))
             got = list(_moves(g))
-            assert [m for m in every if m in got] == got
-            assert set(firsts.values()) <= set(got)
+            assert got == every
             # The searches check the size cap on the host alone: no move
             # adds a vertex, and every move shrinks |V| + |E|.
             for _, child in got:
@@ -334,6 +333,32 @@ class TestBipartiteMinor:
         assert bipminor_by_unpruned_search(h, cycle(4))
         trace = bipartite_minor_trace(h, cycle(4))
         assert trace is not None and are_isomorphic(trace.replay(cycle(4)), h)
+
+    def test_a_core_reached_by_two_counts_keeps_the_larger(self, monkeypatch):
+        # No graph is known where two moves reach one core isolating
+        # different numbers of vertices, so a stub makes one: on P_3 a fake
+        # contraction of 0 and 2 over 1 reaches K_2 isolating none, before
+        # the edge deletions reach K_2 + K_1 isolating one.  The store must
+        # keep the larger count, or K_2 + K_1 and 3K_1 leave the closure;
+        # and the replay must take a move with at least the count the walk
+        # carried, or it takes the fake contraction, which does not replay.
+        p3, moves = path(3), relations._moves
+
+        def stubbed(g):
+            if g == p3:
+                yield AdmissibleContraction(0, 2, 1), contract_set(g, {0, 2})
+            yield from moves(g)
+
+        monkeypatch.setattr(relations, "_store", {})
+        monkeypatch.setattr(relations, "_moves", stubbed)
+        k2_k1 = build(3, [(0, 1)])
+        closure = bipartite_minor_closure(p3)
+        assert canonical_form(k2_k1) in closure
+        assert canonical_form(build(3, [])) in closure
+        trace = bipartite_minor_trace(k2_k1, p3)
+        assert trace is not None
+        assert are_isomorphic(trace.replay(p3), k2_k1)
+        assert validate_witness(witness_document("bipartite_minor", True, p3, k2_k1, trace))
 
     def test_every_positive_trace_replays(self):
         rng = random.Random(33)
@@ -813,7 +838,7 @@ class TestClosureStore:
         label = canonical._minimal_bits
 
         def recording(g):
-            sizes.append(len(canonical._reps))
+            sizes.append(len(canonical._codes) + len(canonical._reps))
             return label(g)
 
         monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
@@ -833,7 +858,8 @@ class TestClosureStore:
         label = canonical._minimal_bits
 
         def recording(g):
-            seen.append((len(canonical._reps), len(canonical._forms)))
+            classes = len(canonical._codes) + len(canonical._reps)
+            seen.append((classes, len(canonical._forms)))
             return label(g)
 
         monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
@@ -846,7 +872,7 @@ class TestClosureStore:
         assert got == want
         # Every labelling that found the class cache emptied found the memo
         # emptied too, and the memo was filled in between.
-        emptied = [forms for reps, forms in seen if reps == 0]
+        emptied = [forms for classes, forms in seen if classes == 0]
         assert len(emptied) > 3 and set(emptied) == {0}
         assert max(forms for _, forms in seen) > 0
 
