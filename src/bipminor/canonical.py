@@ -15,27 +15,21 @@ certificate: the hash of the sorted colour-refinement (1-WL) signatures
 of every round from the all-equal colouring, built from ints only so that
 it does not depend on the hash seed.  Under its certificate the cache
 keeps each class's representative, the first graph of the class labelled,
-with its stable colouring, form and path.  A graph keyed by certificate
-is refined and matched against each representative under it by an
+with its stable colouring and form.  A graph keyed by certificate is
+refined and matched against each representative under it by an
 individualisation-refinement isomorphism search (McKay 1981; McKay and
-Piperno, *Practical graph isomorphism II*, 2014) that checks every edge
-at the leaf, so non-isomorphic graphs that share a certificate, such as
-``C_6`` and two triangles, are never confused.  The representative's
-side of that search is one chain of individualised cells and refined
-colourings, the same for every graph matched against it; it is kept as
-the representative's path, built one level at a time as matches first
-reach it, with a hash of each level's refinement rounds, so a match
-refines only the graph's own side.  A hash that agrees only admits a
-branch; the leaf's edge check still decides.  A match gives the graph its
-representative's form.  Only a graph whose code or certificate has no
-class of its own yet is labelled.  The form memo keeps the form of every
-graph ``canonical_form`` answers, under its neighbour masks.  The cache,
-its codes and representatives counted together, and the memo each start
-again empty once they hold more than ``STORE_LIMIT`` entries, the limit
-that also bounds ``relations._store``, and the memo empties with the
-cache; no result depends on what they hold.  ``are_isomorphic`` compares
-two certificates and runs the same search on a path of its own, and
-labels neither graph.
+Piperno, *Practical graph isomorphism II*, 2014) that refines both sides
+as it descends and checks every edge at the leaf, so non-isomorphic
+graphs that share a certificate, such as ``C_6`` and two triangles, are
+never confused.  A match gives the graph its representative's form.
+Only a graph whose code or certificate has no class of its own yet is
+labelled.  The form memo keeps the form of every graph ``canonical_form``
+answers, under its neighbour masks.  The cache, its codes and
+representatives counted together, and the memo each start again empty
+once they hold more than ``STORE_LIMIT`` entries, the limit that also
+bounds ``relations._store``, and the memo empties with the cache; no
+result depends on what they hold.  ``are_isomorphic`` compares two
+certificates and runs the same search, and labels neither graph.
 
 **Tree codes.**  A pseudoforest is a graph each of whose components has
 at most as many edges as vertices: a tree, or a unicyclic graph.  Its
@@ -148,15 +142,11 @@ Perm = tuple[int, ...]
 # closure store in ``relations`` start again empty once past it.
 STORE_LIMIT = 20_000
 
-# One level of a representative's individualisation-refinement path: the
-# cell individualised, the refined colouring and the hash of the rounds.
-Level = tuple[int, tuple[int, ...], int]
-
 # The class cache: each tree code maps to its form; each representative,
-# a graph with no tree code, to its stable colouring, form and path; and
-# each certificate to its representatives.  The form memo maps the
-# neighbour masks of each graph answered to its form.
-Rep = tuple[tuple[int, ...], "CanonicalForm", list[Level]]
+# a graph with no tree code, to its stable colouring and form; and each
+# certificate to its representatives.  The form memo maps the neighbour
+# masks of each graph answered to its form.
+Rep = tuple[tuple[int, ...], "CanonicalForm"]
 _codes: dict[str, "CanonicalForm"] = {}
 _reps: dict[Graph, Rep] = {}
 _classes: dict[int, list[Graph]] = {}
@@ -234,14 +224,14 @@ def _classify(g: Graph, code: str | None) -> CanonicalForm:
         nbrs, colours, rounds = _stable(g)
         key = hash((g.vertex_count, *rounds))
         for r in _classes.get(key, ()):
-            r_colours, form, path = _reps[r]
-            if _isomorphism(nbrs, colours, r, r_colours, path) is not None:
+            r_colours, form = _reps[r]
+            if _isomorphism(nbrs, colours, r, r_colours) is not None:
                 return form
     if len(_codes) + len(_reps) > STORE_LIMIT:
         clear_cache()
     form = CanonicalForm(g.vertex_count, _minimal_bits(g)[0])
     if code is None:
-        _reps[g] = (tuple(colours), form, [])
+        _reps[g] = (tuple(colours), form)
         _classes.setdefault(key, []).append(g)
     else:
         _codes[code] = form
@@ -333,7 +323,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     h_colours, h_rounds = _stable(h)[1:]
     if g_rounds != h_rounds:
         return False
-    return _isomorphism(g_nbrs, g_colours, h, h_colours, []) is not None
+    return _isomorphism(g_nbrs, g_colours, h, h_colours) is not None
 
 
 def _stable(g: Graph) -> tuple[list[list[int]], list[int], list[tuple[tuple, ...]]]:
@@ -379,7 +369,6 @@ def _isomorphism(
     g_colours: Sequence[int],
     h: Graph,
     h_colours: Sequence[int],
-    path: list[Level],
 ) -> list[int] | None:
     """An isomorphism ``phi`` from g onto h (``phi[v]`` is the image of
     ``v``) that respects the two stable colourings, or ``None``.
@@ -388,19 +377,16 @@ def _isomorphism(
     cell of two or more vertices, the lowest vertex of the first such cell
     gets a colour of its own and h is refined again; each vertex of g's
     cell of that colour is tried in its place, and a branch whose
-    refinement rounds hash differently from h's is cut.  At a discrete
-    colouring the vertices pair up by colour, and the pairing is returned
-    only if it is a bijection that maps every neighbourhood onto its
-    image's.  h's side is one chain, the same for every g: ``path`` holds
-    its levels from ``h_colours`` on, and the search extends it as it goes
-    deeper, so a path kept with h is refined once for all its matches."""
+    refinement rounds differ from h's is cut.  At a discrete colouring the
+    vertices pair up by colour, and the pairing is returned only if it is
+    a bijection that maps every neighbourhood onto its image's."""
     n = len(g_nbrs)
     h_masks = h.neighbor_masks
     if len(h_masks) != n:
         return None
     h_nbrs: list[list[int]] | None = None
 
-    def search(depth: int, gc: Sequence[int], hc: Sequence[int]) -> list[int] | None:
+    def search(gc: Sequence[int], hc: Sequence[int]) -> list[int] | None:
         nonlocal h_nbrs
         count = max(hc, default=-1) + 1
         if count == n:
@@ -417,31 +403,28 @@ def _isomorphism(
                 if image != h_masks[phi[v]]:
                     return None
             return phi
-        if depth == len(path):
-            if h_nbrs is None:
-                h_nbrs = _neighbours(h)
-            sizes = [0] * count
-            for c in hc:
-                sizes[c] += 1
-            cell = next(c for c, size in enumerate(sizes) if size > 1)
-            h_split = list(hc)
-            h_split[hc.index(cell)] = count
-            h_next, h_rounds = _refine(h_nbrs, h_split)
-            path.append((cell, tuple(h_next), hash(tuple(h_rounds))))
-        cell, h_next, h_hash = path[depth]
+        sizes = [0] * count
+        for c in hc:
+            sizes[c] += 1
+        cell = next(c for c, size in enumerate(sizes) if size > 1)
+        if h_nbrs is None:
+            h_nbrs = _neighbours(h)
+        h_split = list(hc)
+        h_split[hc.index(cell)] = count
+        h_next, h_rounds = _refine(h_nbrs, h_split)
         for y, c in enumerate(gc):
             if c != cell:
                 continue
             g_split = list(gc)
             g_split[y] = count
             g_next, g_rounds = _refine(g_nbrs, g_split)
-            if hash(tuple(g_rounds)) == h_hash:
-                phi = search(depth + 1, g_next, h_next)
+            if g_rounds == h_rounds:
+                phi = search(g_next, h_next)
                 if phi is not None:
                     return phi
         return None
 
-    return search(0, g_colours, h_colours)
+    return search(g_colours, h_colours)
 
 
 def _orbit(mask: int, generators: list[Perm] | tuple[Perm, ...]) -> int:

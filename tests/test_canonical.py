@@ -509,8 +509,8 @@ class TestClassCache:
         # tell the path P_3 from the triangle.
         p3, k3 = path(3), cycle(3)
         nbrs = canonical._neighbours
-        assert canonical._isomorphism(nbrs(p3), [0, 1, 2], k3, [0, 1, 2], []) is None
-        assert canonical._isomorphism(nbrs(k3), [0, 1, 2], k3, [2, 0, 1], []) == [1, 2, 0]
+        assert canonical._isomorphism(nbrs(p3), [0, 1, 2], k3, [0, 1, 2]) is None
+        assert canonical._isomorphism(nbrs(k3), [0, 1, 2], k3, [2, 0, 1]) == [1, 2, 0]
 
     def test_colliding_keys_give_exact_forms(self, monkeypatch, empty_cache):
         # With every certificate hashed to one key, each graph without a
@@ -533,7 +533,7 @@ class TestClassCache:
         # They all sit under the one key.
         assert len(canonical._classes[0]) > 40
 
-    def test_a_kept_path_gives_the_fresh_match(self):
+    def test_a_match_is_an_isomorphism(self):
         rng = random.Random(114)
         pool = [cycle(8), dog(6, [4, 4]), bull(5, [1, 2]), FOREST]
         pool += [random_graph(rng, 9) for _ in range(30)]
@@ -542,23 +542,23 @@ class TestClassCache:
             relations.clear_caches()
             canonical_form(g)
             if _code(g) is None:
-                colours, _, path = canonical._reps[g]
+                colours = canonical._reps[g][0]
                 uncoded += 1
             else:
-                # A coded class keeps no representative; build the path here
-                # as a representative's would be built.
-                colours, path = tuple(canonical._stable(g)[1]), []
-            levels = None
+                # A coded class keeps no representative; refine g here as a
+                # representative's colouring would be.
+                colours = tuple(canonical._stable(g)[1])
             for _ in range(5):
                 h = shuffled(g, rng)
                 nbrs, h_colours, _ = canonical._stable(h)
-                kept = canonical._isomorphism(nbrs, h_colours, g, colours, path)
-                assert kept is not None
-                assert kept == canonical._isomorphism(nbrs, h_colours, g, colours, [])
-                # The first match built the path; later ones only read it.
-                assert levels in (None, len(path))
-                levels = len(path)
-            assert levels <= g.vertex_count
+                phi = canonical._isomorphism(nbrs, h_colours, g, colours)
+                assert phi is not None
+                assert sorted(phi) == list(range(g.vertex_count))
+                assert all(
+                    (g.neighbor_masks[phi[v]] >> phi[w]) & 1
+                    for v, nb in enumerate(nbrs)
+                    for w in nb
+                )
         assert uncoded > 10
 
     def test_the_memo_keeps_graphs_above_the_cap(self, monkeypatch, empty_cache):

@@ -1,11 +1,12 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from bipminor import canonical, relations
 from bipminor.canonical import are_isomorphic, canonical_form
-from bipminor.cli.harness import random_connected_graphs
+from bipminor.cli.harness import enumerate_connected_bipartite, random_connected_graphs
 from bipminor.cli.serialize import validate_witness, witness_document
 from bipminor.families import bull, cycle, dog, h_tree, path
 from bipminor.graph_core import (
@@ -54,6 +55,7 @@ from oracles import (
     permute,
     random_graph,
     random_sparse_connected,
+    to_networkx,
 )
 
 
@@ -194,6 +196,21 @@ class TestBipartiteMinor:
 
     def test_larger_graph_never_below_smaller(self):
         assert not is_bipartite_minor(cycle(6), cycle(4))
+
+    def test_bipartite_analogue_of_wagners_theorem(self):
+        """Chudnovsky, Kalai, Nevo, Novik and Seymour, *Bipartite minors*
+        (JCTB 2016), abstract: "a bipartite graph is planar if and only if
+        it does not contain K_{3,3} as a bipartite minor."  Checked on every
+        connected bipartite graph of at most 9 vertices against networkx's
+        planarity test, which shares no code with the search."""
+        k33 = build(6, [(a, b) for a in range(3) for b in range(3, 6)])
+        graphs = enumerate_connected_bipartite(9)
+        nonplanar = 0
+        for g in graphs:
+            planar, _ = nx.check_planarity(to_networkx(g))
+            nonplanar += not planar
+            assert is_bipartite_minor(k33, g) != planar
+        assert (len(graphs), nonplanar) == (984, 176)
 
     def test_matches_unpruned_reference_search(self):
         rng = random.Random(32)
