@@ -1,11 +1,18 @@
 """Exact canonical forms and isomorphism tests for small graphs.
 
 The canonical form of a graph is the lexicographically minimal
-upper-triangular adjacency bit sequence over all vertex orderings, read
-column by column (the same bit order graph6 uses).  Each isomorphism
-class is labelled once per process; every other graph of the class is
-identified with it, by its tree code when it is a pseudoforest and
-otherwise by an isomorphism search.
+upper-triangular adjacency bit sequence, read column by column (the same
+bit order graph6 uses), over the **cell orders**: the vertex orderings
+that list the cells of the graph's stable colouring in colour order, each
+cell in any order.  The stable colouring is what colour refinement
+(``_refine``) gives from the all-equal colouring.  It depends on no labels
+and not on the hash seed, so an isomorphism maps the cell orders of one
+graph onto those of the other, and two graphs have equal forms iff they
+are isomorphic.  A graph whose stable colouring has one cell, such as a
+regular graph, is minimised over all orders.  Each isomorphism class is
+labelled once per process; every other graph of the class is identified
+with it, by its tree code when it is a pseudoforest and otherwise by an
+isomorphism search.
 
 **The class cache.**  A pseudoforest is keyed by its tree code (below),
 which is complete, so the cache maps each code known straight to its
@@ -23,13 +30,15 @@ as it descends and checks every edge at the leaf, so non-isomorphic
 graphs that share a certificate, such as ``C_6`` and two triangles, are
 never confused.  A match gives the graph its representative's form.
 Only a graph whose code or certificate has no class of its own yet is
-labelled.  The form memo keeps the form of every graph ``canonical_form``
-answers, under its neighbour masks.  The cache, its codes and
-representatives counted together, and the memo each start again empty
-once they hold more than ``STORE_LIMIT`` entries, the limit that also
-bounds ``relations._store``, and the memo empties with the cache; no
-result depends on what they hold.  ``are_isomorphic`` compares two
-certificates and runs the same search, and labels neither graph.
+labelled, inside the stable colouring that its certificate gave, or that
+one refinement gives a pseudoforest.  The form memo keeps the form of
+every graph ``canonical_form`` answers, under its neighbour masks.  The
+cache, its codes and representatives counted together, and the memo each
+start again empty once they hold more than ``STORE_LIMIT`` entries, the
+limit that also bounds ``relations._store``, and the memo empties with
+the cache; no result depends on what they hold.  ``are_isomorphic``
+compares two certificates and runs the same search, and labels neither
+graph.
 
 **Tree codes.**  A pseudoforest is a graph each of whose components has
 at most as many edges as vertices: a tree, or a unicyclic graph.  Its
@@ -71,28 +80,40 @@ is built in one pass over the rounds, with no recursion, so it serves
 graphs of any size.
 
 **Labelling** is a branch and bound over ordered partitions of the placed
-vertices into **blocks** (McKay, *Practical graph isomorphism*, 1981).
-Placing a vertex at position j fixes column j: its adjacency to the j
-vertices placed before it, first placed most significant.  A block is a
-run of positions whose order inside the run is still open: every order
-of the placed vertices that fits the blocks gives the columns so far.
+vertices into **blocks** (McKay, *Practical graph isomorphism*, 1981),
+kept inside the stable colouring: individualisation-refinement's first
+step (McKay and Piperno 2014), with the lex-min search over what it
+leaves open.  Placing a vertex at position j fixes column j: its
+adjacency to the j vertices placed before it, first placed most
+significant.  A block is a run of positions whose order inside the run is
+still open: every order of the placed vertices that fits the blocks gives
+the columns so far.
 
+- **Cells.**  The positions are dealt out to the cells in colour order,
+  each cell as many as it has vertices, and only the unplaced vertices of
+  the cell that holds the next position are candidates for it.  A
+  position **opens** its cell when it is the cell's first.
 - **Columns.**  An unplaced vertex's next column is its minimum over every
   order that fits the blocks.  Inside each block its non-neighbours come
   first, so block by block it is ``c = (c << |B|) | ((1 << |N(w) & B|) -
-  1)``.  Columns have fixed width, so only the vertices of least next
+  1)``.  Columns have fixed width, so only the candidates of least next
   column can come next; they are tried in increasing vertex order.
 - **Placing.**  Placing ``z`` splits every block into its non-neighbours of
   ``z`` followed by its neighbours, which fixes ``z``'s column for every
   order that still fits, and appends ``{z}``.  The exception is a
-  **join**: when ``z``'s column is the last column shifted once, ``z`` is
-  adjacent to no member of the last block and has the same neighbours as
-  its members in the earlier blocks, so ``z`` joins that block and its
-  order stays open.  All candidates of such a node can join, and only
-  those above the last vertex joined are tried, so each set of them joins
-  once, in increasing order.  A candidate below the last join that has no
-  neighbour among those above it could never join nor stop being a
-  candidate, so a child that would leave one is not entered.
+  **join**: when ``z``'s position does not open a cell and ``z``'s column
+  is the last column shifted once, ``z`` is adjacent to no member of the
+  last block and has the same neighbours as its members in the earlier
+  blocks, so ``z`` joins that block and its order stays open.  All
+  candidates of such a node can join, and only those above the last
+  vertex joined are tried, so each set of them joins once, in increasing
+  order.  A candidate below the last join that has no neighbour among
+  those above it could never join nor stop being a candidate, so a child
+  that would leave one is not entered.  A vertex that opens a cell is
+  placed alone, whatever its column, so every block lies inside one cell
+  and every order that fits the blocks is a cell order.  Which positions
+  are joins is read off the positions that open cells and the columns, so
+  two leaves with equal columns have the same joins.
 - **Incumbent.**  A node whose prefix equals the best leaf's prefix is
   cut when its column exceeds the best's column at that depth.  A node
   whose prefix is already smaller is not compared, until a leaf below it
@@ -101,7 +122,9 @@ of the placed vertices that fits the blocks gives the columns so far.
 - **Automorphisms.**  Any order that fits a leaf's blocks gives its bits,
   so a leaf whose bits equal the best leaf's gives the automorphism that
   maps the best's blocks onto its own, members paired in the order they
-  were placed.  A segment, a vertex placed alone and the joins after it,
+  were placed.  An automorphism maps the stable colouring onto itself, so
+  it maps cell orders onto cell orders and each node's candidates onto
+  its image's.  A segment, a vertex placed alone and the joins after it,
   starts at the same positions in both leaves.  The search backjumps to
   just above the first segment start after the node where the two paths
   part, or to that node itself when the automorphism maps its last block
@@ -112,17 +135,17 @@ of the placed vertices that fits the blocks gives the columns so far.
   Automorphisms that fix every placed vertex would not do: in ``7K_2``
   they leave the orders of the edges to multiply.  The search starts with
   no automorphisms.
-- **No cell bound.**  An eager search, which places tied vertices one
-  order at a time, can also cut a tied node once the sorted next columns
-  ``c_k`` bound column ``depth + k`` by ``c_k << k``.  After a join that
-  bound fails: as the last block grows, a vertex's ones in it move to
-  lower bits, so its column can fall below ``c << 1``.
+- **No sorted-column bound.**  An eager search, which places tied
+  vertices one order at a time, can also cut a tied node once the sorted
+  next columns ``c_k`` bound column ``depth + k`` by ``c_k << k``.  After a
+  join that bound fails: as the last block grows, a vertex's ones in it
+  move to lower bits, so its column can fall below ``c << 1``.
 
 A leaf is a sequence of segments, reached by one path that places each
 segment in increasing vertex order, and the search visits leaves in the
 lexicographic order of these paths.  A leaf is skipped only when its
 bits exceed the best's or when an automorphism found maps it onto an
-earlier leaf, so the result is the exact minimum.  The automorphisms
+earlier leaf, so the result is the exact minimum over cell orders.  The automorphisms
 found are returned beside the bits, so that a test can check each of
 them; they need not generate the whole group, and nothing else reads
 them.
@@ -157,8 +180,9 @@ _forms: dict[tuple[int, ...], "CanonicalForm"] = {}
 class CanonicalForm:
     """Isomorphism-invariant fingerprint of a graph.
 
-    ``canonical_bits`` is the minimal ``graph_core.upper_bits`` over all
-    vertex orderings.  Two graphs have equal forms iff they are isomorphic.
+    ``canonical_bits`` is the minimal ``graph_core.upper_bits`` over the
+    vertex orderings that list the cells of the graph's stable colouring in
+    colour order.  Two graphs have equal forms iff they are isomorphic.
     """
 
     vertex_count: int
@@ -188,12 +212,17 @@ def padded(form: CanonicalForm, k: int) -> CanonicalForm:
     ``-k`` of its isolated vertices removed; nothing is labelled.
 
     Padding lemma: the form of ``X + kK_1`` is X's form with k zero
-    columns in front.  In any order, swapping an isolated vertex at
-    position p+1 with the vertex at position p turns the columns
-    ``[a][0...0]`` into ``[0...0][a,0]`` and moves a zero bit behind the
-    other bit in every later column, which never makes the bits larger.
-    So some least order places the isolated vertices first, and after
-    them X in its own least order, each of its columns led by k zeros."""
+    columns in front.  A graph's isolated vertices form the first cell of
+    its stable colouring: in every refinement round an isolated vertex's
+    signature, colour 0 and no neighbours' colours, is the least.  No
+    other signature names an isolated vertex's colour, so the other
+    vertices, the core, get the colours they get in the core alone, each
+    raised by one, and the later cells are the core's cells in the core's
+    order.  So each cell order of a graph lists its isolated vertices
+    first, with zero columns, and then its core in one of the core's own
+    cell orders, each column led by a zero per isolated vertex.  The least
+    is the core's least behind those zero columns, in ``X + kK_1`` as in
+    X."""
     n = form.vertex_count
     bits = form.canonical_bits
     cols = []
@@ -219,9 +248,9 @@ def clear_cache() -> None:
 def _classify(g: Graph, code: str | None) -> CanonicalForm:
     """The form of ``g``, whose tree code ``code`` is ``None`` or not yet
     known: matched against the representatives of its certificate, or
-    labelled."""
+    labelled inside its stable colouring."""
+    nbrs, colours, rounds = _stable(g)
     if code is None:
-        nbrs, colours, rounds = _stable(g)
         key = hash((g.vertex_count, *rounds))
         for r in _classes.get(key, ()):
             r_colours, form = _reps[r]
@@ -229,7 +258,7 @@ def _classify(g: Graph, code: str | None) -> CanonicalForm:
                 return form
     if len(_codes) + len(_reps) > STORE_LIMIT:
         clear_cache()
-    form = CanonicalForm(g.vertex_count, _minimal_bits(g)[0])
+    form = CanonicalForm(g.vertex_count, _minimal_bits(g, colours)[0])
     if code is None:
         _reps[g] = (tuple(colours), form)
         _classes.setdefault(key, []).append(g)
@@ -525,14 +554,25 @@ def _peers(candidates: int, placed: int, masks: Sequence[int]) -> dict[int, int]
     return groups
 
 
-def _minimal_bits(g: Graph) -> tuple[int, tuple[Perm, ...]]:
-    """The least bits of ``g`` over all vertex orders (see the module
+def _minimal_bits(g: Graph, colours: Sequence[int]) -> tuple[int, tuple[Perm, ...]]:
+    """The least bits of ``g`` over the vertex orders that list the cells of
+    its stable colouring ``colours`` in colour order (see the module
     docstring), and the automorphisms the search found and pruned with."""
     n = g.vertex_count
     if n <= 1:
         return 0, ()
     masks = g.neighbor_masks
     full = (1 << n) - 1
+    cells = [0] * (max(colours) + 1)
+    for v, c in enumerate(colours):
+        cells[c] |= 1 << v
+    # The cell that holds each position, and whether the position opens it.
+    cell_at: list[int] = []
+    opens: list[bool] = []
+    for cell in cells:
+        size = cell.bit_count()
+        cell_at += [cell] * size
+        opens += [True] + [False] * (size - 1)
 
     generators: list[Perm] = []
     best_cols: list[int] = []
@@ -572,13 +612,14 @@ def _minimal_bits(g: Graph) -> tuple[int, tuple[Perm, ...]]:
         while best_order[k] == order[k]:
             k += 1
         # A segment runs from a vertex placed alone through the joins after
-        # it; position p starts one iff its column is not the one before
-        # shifted, so both leaves have the same segments, and perm maps
-        # each onto its counterpart.  At the first segment start d after k,
-        # perm maps the best's node onto ours, so the subtree of ours is the
-        # image of one already searched: resume at the node above it.
+        # it; position p is a join iff it does not open a cell and its
+        # column is the one before shifted, so both leaves have the same
+        # segments, and perm maps each onto its counterpart.  At the first
+        # segment start d after k, perm maps the best's node onto ours, so
+        # the subtree of ours is the image of one already searched: resume
+        # at the node above it.
         d = k + 1
-        while d < n and cols[d] == cols[d - 1] << 1:
+        while d < n and not opens[d] and cols[d] == cols[d - 1] << 1:
             d += 1
         if d > k + 1:
             # Mid-segment, the node at depth k can resume instead when perm
@@ -586,7 +627,7 @@ def _minimal_bits(g: Graph) -> tuple[int, tuple[Perm, ...]]:
             # best's child onto ours: a later sibling's subtree then maps
             # onto an earlier one's.
             s = k
-            while s > 0 and cols[s] == cols[s - 1] << 1:
+            while s > 0 and not opens[s] and cols[s] == cols[s - 1] << 1:
                 s -= 1
             last = order[s:k]
             if perm[best_order[k]] == order[k] and {perm[v] for v in last} == set(last):
@@ -601,13 +642,13 @@ def _minimal_bits(g: Graph) -> tuple[int, tuple[Perm, ...]]:
         while True:
             if not rest:
                 return leaf(blocks, tied)
-            min_col, candidates = _columns(blocks, rest, masks)
+            min_col, candidates = _columns(blocks, rest & cell_at[depth], masks)
             if tied:
                 ref = best_cols[depth]
                 if min_col > ref:
                     return n
                 tied = min_col == ref
-            join = bool(depth) and min_col == cols[-1] << 1
+            join = not opens[depth] and min_col == cols[-1] << 1
             # Each set joins the last block once, in increasing order.
             kids = candidates & -(2 << order[-1]) if join else candidates
             if not kids:

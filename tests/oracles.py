@@ -9,7 +9,10 @@ graphs are listed from every Prüfer sequence and from every edge subset
 of ``K_{a,b}``.  These stay independent of the library's production
 search paths.  The one exception to naivety, ``eager_min_bits``, is an
 eager labelling search kept as a second, independently written check on
-the lazy one in ``canonical``.
+the lazy one in ``canonical``.  Both labelling oracles minimise over the
+orders that list the cells of ``stable_cells`` in turn, as canonical forms
+do, or over the orders of any cells passed in: one cell of every vertex
+gives every order.
 """
 
 from __future__ import annotations
@@ -152,10 +155,34 @@ def random_forest(rng, max_vertices: int, min_vertices: int = 1) -> Graph:
     return build(n, edges)
 
 
-def brute_min_bits(g: Graph) -> int:
-    """Minimum upper-triangle bit string over all vertex orderings."""
+def stable_cells(g: Graph) -> list[list[int]]:
+    """The cells of g's stable colouring, in colour order: from the
+    all-equal colouring, each round colours a vertex by the rank of its
+    signature (its colour, its neighbours' colours sorted), and rounds stop
+    when the number of colours stops growing."""
+    colour = {v: 0 for v in g.vertices}
+    while True:
+        signature = {
+            v: (colour[v], tuple(sorted(colour[w] for w in g.neighbors(v))))
+            for v in g.vertices
+        }
+        ranked = sorted(set(signature.values()))
+        if len(ranked) == len(set(colour.values())):
+            break
+        colour = {v: ranked.index(signature[v]) for v in g.vertices}
+    count = len(set(colour.values()))
+    return [[v for v in g.vertices if colour[v] == c] for c in range(count)]
+
+
+def brute_min_bits(g: Graph, cells: list[list[int]] | None = None) -> int:
+    """Minimum upper-triangle bit string over the vertex orderings that list
+    ``cells`` in turn, each cell in any order; by default the cells of
+    ``stable_cells(g)``."""
+    if cells is None:
+        cells = stable_cells(g)
     best = None
-    for perm in itertools.permutations(range(g.vertex_count)):
+    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+        perm = [v for part in parts for v in part]
         bits = 0
         for j in range(1, g.vertex_count):
             for i in range(j):
@@ -165,15 +192,21 @@ def brute_min_bits(g: Graph) -> int:
     return best if best is not None else 0
 
 
-def eager_min_bits(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The canonical bits and automorphism generators of an eager branch
-    and bound, an independent check on ``canonical._minimal_bits``: each
-    node places one vertex at a time, so every order of tied vertices is a
-    subtree of its own.  The unplaced vertices sit in ``(column, mask)``
-    cells, sorted by running column; only the first cell's vertices can
-    come next.  A node tied with the best leaf is cut when its column, or
-    the bound ``c_k << k`` on column ``depth + k`` from the k-th cell value
-    counted with multiplicity, exceeds the best's.  A leaf equal to the
+def eager_min_bits(
+    g: Graph, cells: list[list[int]] | None = None
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The least bits over the orders that list ``cells`` in turn (by
+    default ``stable_cells(g)``) and the automorphism generators of an
+    eager branch and bound, an independent check on
+    ``canonical._minimal_bits``: each node places one vertex at a time, so
+    every order of tied vertices is a subtree of its own.  The unplaced
+    vertices sit in ``(column, mask)`` groups, each inside one cell, sorted
+    by cell and then by running column; only the first group's vertices
+    can come next.  A node tied with the best leaf is cut when its column,
+    or the bound ``c_k << k`` on column ``depth + k`` from the k-th group
+    value counted with multiplicity, exceeds the best's: the vertex at that
+    position lies in the same cell as the k-th, and at most k of the cell's
+    vertices with smaller values come before it.  A leaf equal to the
     best gives an automorphism and a backjump to where the two orders part;
     a sibling is skipped when an automorphism found so far that fixes the
     prefix pointwise maps a tried sibling onto it.  The transpositions of
@@ -183,6 +216,8 @@ def eager_min_bits(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     if n <= 1:
         return 0, ()
     masks = g.neighbor_masks
+    if cells is None:
+        cells = stable_cells(g)
 
     def orbit(mask, gens):
         covered = frontier = mask
@@ -196,9 +231,9 @@ def eager_min_bits(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
             covered |= frontier
         return covered
 
-    def place(cells, bit, mu):
+    def place(groups, bit, mu):
         out = []
-        for c, m in cells:
+        for c, m in groups:
             m &= ~bit
             if m & ~mu:
                 out.append((c << 1, m & ~mu))
@@ -206,9 +241,9 @@ def eager_min_bits(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
                 out.append((c << 1 | 1, m & mu))
         return out
 
-    def beyond(cells, depth):
+    def beyond(groups, depth):
         k = depth
-        for c, m in cells:
+        for c, m in groups:
             for _ in range(bin(m).count("1")):
                 bound, ref = c << (k - depth), best_cols[k]
                 if bound != ref:
@@ -231,8 +266,8 @@ def eager_min_bits(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     path_order: list[int] = []
     improvements = [0]
 
-    def extend(depth, placed, cells, tied):
-        if not cells:
+    def extend(depth, placed, groups, tied):
+        if not groups:
             if not tied:
                 best_cols[:], best_order[:] = path_cols, path_order
                 improvements[0] += 1
@@ -246,12 +281,12 @@ def eager_min_bits(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
             while best_order[k] == path_order[k]:
                 k += 1
             return k
-        col, candidates = cells[0]
+        col, candidates = groups[0]
         if tied:
             if col > best_cols[depth]:
                 return n
             tied = col == best_cols[depth]
-            if tied and beyond(cells, depth):
+            if tied and beyond(groups, depth):
                 return n
         child_tied, entry, tried = tied, improvements[0], 0
         for u in range(n):
@@ -263,7 +298,7 @@ def eager_min_bits(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
                 continue
             path_cols.append(col)
             path_order.append(u)
-            jump = extend(depth + 1, placed | bit, place(cells, bit, masks[u]), child_tied)
+            jump = extend(depth + 1, placed | bit, place(groups, bit, masks[u]), child_tied)
             del path_cols[depth:], path_order[depth:]
             if jump < depth:
                 return jump
@@ -272,7 +307,9 @@ def eager_min_bits(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
             tried |= bit
         return n
 
-    extend(0, 0, [(0, (1 << n) - 1)], False)
+    # Splitting keeps each cell's groups sorted, so the groups start as the
+    # cells themselves, in order.
+    extend(0, 0, [(0, sum(1 << v for v in cell)) for cell in cells], False)
     bits = 0
     for j, col in enumerate(best_cols):
         bits = (bits << j) | col

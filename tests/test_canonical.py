@@ -16,7 +16,13 @@ from bipminor.canonical import (
     padded,
 )
 from bipminor.families import bull, cycle, dog, path
-from bipminor.graph_core import SizeCapExceeded, build, contract_set, normalize_edge
+from bipminor.graph_core import (
+    SizeCapExceeded,
+    build,
+    contract_set,
+    normalize_edge,
+    strip_isolated,
+)
 from bipminor.relations import bipartite_minor_closure
 
 from oracles import (
@@ -29,6 +35,7 @@ from oracles import (
     random_forest,
     random_graph,
     random_sparse_connected,
+    stable_cells,
     to_networkx,
 )
 
@@ -37,6 +44,12 @@ def shuffled(g, rng):
     order = list(g.vertices)
     rng.shuffle(order)
     return permute(g, order)
+
+
+def label(g):
+    """``_minimal_bits`` called as ``_classify`` calls it: with g's stable
+    colouring, so over the orders that list its cells in colour order."""
+    return _minimal_bits(g, canonical._stable(g)[1])
 
 
 # Non-isomorphic pairs that colour refinement does not tell apart: C_6 and
@@ -130,10 +143,10 @@ def _assert_automorphisms(g, gens):
 
 
 def _assert_labelling(g):
-    """``_minimal_bits`` gives the least bits, checked by brute force up to
-    seven vertices and by the eager search beyond, and prunes only with
-    automorphisms."""
-    bits, gens = _minimal_bits(g)
+    """``_minimal_bits`` gives the least bits over cell orders, checked by
+    brute force up to seven vertices and by the eager search beyond, and
+    prunes only with automorphisms."""
+    bits, gens = label(g)
     if g.vertex_count <= 7:
         assert bits == brute_min_bits(g), g
     else:
@@ -152,7 +165,7 @@ class TestPaddingLemma:
             bigger = build(g.vertex_count + k, g.edges)
             if rng is not None:
                 bigger = shuffled(bigger, rng)
-            bits, _ = _minimal_bits(bigger)
+            bits, _ = label(bigger)
             assert padded(form, k) == CanonicalForm(bigger.vertex_count, bits)
             assert padded(padded(form, k), -k) == form
 
@@ -216,7 +229,7 @@ class TestTreeCodes:
     @given(pseudoforests(max_vertices=12), st.randoms(use_true_random=False))
     def test_coded_form_is_a_cold_labelling(self, g, rng):
         h = shuffled(g, rng)
-        cold = CanonicalForm(h.vertex_count, _minimal_bits(h)[0])
+        cold = CanonicalForm(h.vertex_count, label(h)[0])
         relations.clear_caches()
         assert _code(g) == _code(h) is not None
         canonical_form(g)
@@ -267,7 +280,7 @@ class TestTreeCodes:
         for g in [build(5, [(2, 3)]), build(6, [(0, 5), (5, 2), (2, 0)]), FOREST]:
             canonical_form(g)
             h = shuffled(g, rng)
-            cold = _minimal_bits(h)[0]
+            cold = label(h)[0]
             assert canonical_form(h).canonical_bits == cold
             assert h.vertex_count > 7 or cold == brute_min_bits(h)
 
@@ -332,7 +345,7 @@ class TestBlocks:
         rng = random.Random(113)
         for _ in range(24):
             g = random_forest(rng, 8, min_vertices=4)
-            bits, gens = _minimal_bits(g)
+            bits, gens = label(g)
             assert bits == brute_min_bits(g), g
             _assert_automorphisms(g, gens)
 
@@ -342,15 +355,15 @@ class TestBlocks:
         rng = random.Random(116)
         for _ in range(300):
             g = random_graph(rng, 9, min_vertices=6)
-            want = _minimal_bits(g)[0]
+            want = label(g)[0]
             for _ in range(3):
-                assert _minimal_bits(shuffled(g, rng))[0] == want, g
+                assert label(shuffled(g, rng))[0] == want, g
 
     @pytest.mark.parametrize(
         "g, bound",
         [
-            # The eager search placed 804 vertices on the forest and 11570
-            # on D(10,4,4), with its cell bound.
+            # Over all orders, the eager search placed 804 vertices on the
+            # forest and 11570 on D(10,4,4), with its sorted-column bound.
             (FOREST, 60),
             (dog(10, [4, 4]), 200),
             # 7K_2: pruning with only the automorphisms that fix every
@@ -372,7 +385,7 @@ class TestBlocks:
             return columns(*args)
 
         monkeypatch.setattr(canonical, "_columns", counting)
-        bits, gens = _minimal_bits(g)
+        bits, gens = label(g)
         assert len(calls) <= bound
         monkeypatch.undo()
         # Brute force cannot reach these, so the eager search checks.
@@ -383,7 +396,7 @@ class TestEagerOracle:
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_vertices=10))
     def test_matches_the_eager_search(self, g):
-        _assert_as_eager(g, *_minimal_bits(g))
+        _assert_as_eager(g, *label(g))
 
     def test_matches_on_sparse_graphs_beyond_brute_force(self):
         rng = random.Random(117)
@@ -393,7 +406,86 @@ class TestEagerOracle:
             if g.vertex_count >= 12:
                 pool.append(shuffled(g, rng))
         for g in pool:
-            _assert_as_eager(g, *_minimal_bits(g))
+            _assert_as_eager(g, *label(g))
+
+
+def _from_networkx(x):
+    x = nx.convert_node_labels_to_integers(x)
+    return build(x.number_of_nodes(), list(x.edges()))
+
+
+def _disjoint_copies(k, g):
+    n = g.vertex_count
+    return build(k * n, [(i * n + u, i * n + v) for i in range(k) for u, v in g.edges])
+
+
+# Graphs whose stable colouring has one cell, so that every order is a
+# cell order.
+ONE_CELL = {
+    **{f"C{n}": cycle(n) for n in range(3, 13)},
+    **{f"K{n}": _from_networkx(nx.complete_graph(n)) for n in range(2, 9)},
+    "cube": _from_networkx(nx.hypercube_graph(3)),
+    "Petersen": _from_networkx(nx.petersen_graph()),
+    "7K2": _disjoint_copies(7, path(2)),
+}
+
+VERTEX_TRANSITIVE = {
+    "cube": ONE_CELL["cube"],
+    "Q4": _from_networkx(nx.hypercube_graph(4)),
+    "Petersen": ONE_CELL["Petersen"],
+    "Heawood": _from_networkx(nx.heawood_graph()),
+    "Moebius-Kantor": _from_networkx(nx.moebius_kantor_graph()),
+    "K66": _from_networkx(nx.complete_bipartite_graph(6, 6)),
+    "K12": _from_networkx(nx.complete_graph(12)),
+    "C12": cycle(12),
+    "3C5": _disjoint_copies(3, cycle(5)),
+    "7K2": ONE_CELL["7K2"],
+}
+
+
+class TestCellOrders:
+    """Forms are least over the orders that list the cells of the stable
+    colouring in colour order.  That colouring depends on no labels, so a
+    relabelling maps the allowed orders onto themselves and keeps the form."""
+
+    @pytest.mark.parametrize("g", ONE_CELL.values(), ids=ONE_CELL.keys())
+    def test_one_cell_keeps_the_all_orders_minimum(self, g):
+        every_order = [list(g.vertices)]
+        assert stable_cells(g) == every_order
+        if g.vertex_count <= 7:
+            want = brute_min_bits(g, every_order)
+        else:
+            want = eager_min_bits(g, every_order)[0]
+        assert canonical_form(g).canonical_bits == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
+    def test_relabelling_keeps_the_labelling(self, g, rng):
+        assert label(shuffled(g, rng))[0] == label(g)[0]
+
+    @pytest.mark.parametrize(
+        "g", VERTEX_TRANSITIVE.values(), ids=VERTEX_TRANSITIVE.keys()
+    )
+    def test_vertex_transitive_graphs(self, g):
+        # One cell and a large group: every tie is an automorphism.
+        rng = random.Random(119)
+        want, gens = label(g)
+        _assert_automorphisms(g, gens)
+        for _ in range(5):
+            assert label(shuffled(g, rng))[0] == want
+
+    def test_cores_of_the_2x6_grid_closure(self):
+        # The closure labels each class once, on whichever core reaches it
+        # first; a cold labelling of a relabelled core must give that form.
+        edges = [(v, v + 1) for v in range(11) if v != 5]
+        edges += [(v, v + 6) for v in range(6)]
+        closure = bipartite_minor_closure(build(12, edges))
+        assert len(closure) == 4491
+        cores = dict.fromkeys(strip_isolated(cf.to_graph())[0] for cf in sorted(closure))
+        assert len(cores) == 2210
+        rng = random.Random(120)
+        for core in cores:
+            assert label(shuffled(core, rng))[0] == canonical_form(core).canonical_bits
 
 
 class TestAreIsomorphic:
@@ -459,7 +551,7 @@ class TestAreIsomorphic:
         assert not are_isomorphic(cycle(6), two_triangles)
 
     def test_needs_no_labelling(self, monkeypatch):
-        def refuse(g):
+        def refuse(g, colours):
             raise AssertionError("are_isomorphic labelled a graph")
 
         monkeypatch.setattr(canonical, "_minimal_bits", refuse)
@@ -480,7 +572,7 @@ class TestClassCache:
     @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
     def test_match_agrees_with_a_cold_labelling(self, g, rng):
         h = shuffled(g, rng)
-        cold = CanonicalForm(h.vertex_count, _minimal_bits(h)[0])
+        cold = CanonicalForm(h.vertex_count, label(h)[0])
         relations.clear_caches()
         canonical_form(g)
         assert canonical_form(h) == cold
@@ -575,9 +667,9 @@ class TestClassCache:
     def test_closure_labels_each_member_once(self, monkeypatch, empty_cache):
         labelled = []
 
-        def counting(g):
+        def counting(g, colours):
             labelled.append(g)
-            return _minimal_bits(g)
+            return _minimal_bits(g, colours)
 
         monkeypatch.setattr(canonical, "_minimal_bits", counting)
         closure = bipartite_minor_closure(cycle(10))

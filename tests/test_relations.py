@@ -819,9 +819,9 @@ class TestClosureStore:
         labelled, moved = [], []
         label, moves = canonical._minimal_bits, relations._moves
 
-        def recording_labels(g):
+        def recording_labels(g, colours):
             labelled.append(g)
-            return label(g)
+            return label(g, colours)
 
         def recording_moves(g):
             moved.append(g)
@@ -854,9 +854,9 @@ class TestClosureStore:
         sizes = []
         label = canonical._minimal_bits
 
-        def recording(g):
+        def recording(g, colours):
             sizes.append(len(canonical._codes) + len(canonical._reps))
-            return label(g)
+            return label(g, colours)
 
         monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
         monkeypatch.setattr(canonical, "_minimal_bits", recording)
@@ -874,10 +874,10 @@ class TestClosureStore:
         seen = []
         label = canonical._minimal_bits
 
-        def recording(g):
+        def recording(g, colours):
             classes = len(canonical._codes) + len(canonical._reps)
             seen.append((classes, len(canonical._forms)))
-            return label(g)
+            return label(g, colours)
 
         monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
         monkeypatch.setattr(canonical, "_minimal_bits", recording)
