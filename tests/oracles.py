@@ -11,8 +11,7 @@ search paths.  The one exception to naivety, ``eager_min_bits``, is an
 eager labelling search kept as a second, independently written check on
 the lazy one in ``canonical``.  Both labelling oracles minimise over the
 orders that list the cells of ``stable_cells`` in turn, as canonical forms
-do, or over the orders of any cells passed in: one cell of every vertex
-gives every order.
+do.
 """
 
 from __future__ import annotations
@@ -174,12 +173,10 @@ def stable_cells(g: Graph) -> list[list[int]]:
     return [[v for v in g.vertices if colour[v] == c] for c in range(count)]
 
 
-def brute_min_bits(g: Graph, cells: list[list[int]] | None = None) -> int:
+def brute_min_bits(g: Graph) -> int:
     """Minimum upper-triangle bit string over the vertex orderings that list
-    ``cells`` in turn, each cell in any order; by default the cells of
-    ``stable_cells(g)``."""
-    if cells is None:
-        cells = stable_cells(g)
+    the cells of ``stable_cells(g)`` in turn, each cell in any order."""
+    cells = stable_cells(g)
     best = None
     for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
         perm = [v for part in parts for v in part]
@@ -192,11 +189,9 @@ def brute_min_bits(g: Graph, cells: list[list[int]] | None = None) -> int:
     return best if best is not None else 0
 
 
-def eager_min_bits(
-    g: Graph, cells: list[list[int]] | None = None
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The least bits over the orders that list ``cells`` in turn (by
-    default ``stable_cells(g)``) and the automorphism generators of an
+def eager_min_bits(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The least bits over the orders that list the cells of
+    ``stable_cells(g)`` in turn and the automorphism generators of an
     eager branch and bound, an independent check on
     ``canonical._minimal_bits``: each node places one vertex at a time, so
     every order of tied vertices is a subtree of its own.  The unplaced
@@ -216,8 +211,7 @@ def eager_min_bits(
     if n <= 1:
         return 0, ()
     masks = g.neighbor_masks
-    if cells is None:
-        cells = stable_cells(g)
+    cells = stable_cells(g)
 
     def orbit(mask, gens):
         covered = frontier = mask

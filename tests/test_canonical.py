@@ -450,18 +450,13 @@ class TestCellOrders:
 
     @pytest.mark.parametrize("g", ONE_CELL.values(), ids=ONE_CELL.keys())
     def test_one_cell_keeps_the_all_orders_minimum(self, g):
-        every_order = [list(g.vertices)]
-        assert stable_cells(g) == every_order
+        # One cell of every vertex allows every order.
+        assert stable_cells(g) == [list(g.vertices)]
         if g.vertex_count <= 7:
-            want = brute_min_bits(g, every_order)
+            want = brute_min_bits(g)
         else:
-            want = eager_min_bits(g, every_order)[0]
+            want = eager_min_bits(g)[0]
         assert canonical_form(g).canonical_bits == want
-
-    @settings(max_examples=150, deadline=None)
-    @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
-    def test_relabelling_keeps_the_labelling(self, g, rng):
-        assert label(shuffled(g, rng))[0] == label(g)[0]
 
     @pytest.mark.parametrize(
         "g", VERTEX_TRANSITIVE.values(), ids=VERTEX_TRANSITIVE.keys()
