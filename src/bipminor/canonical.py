@@ -5,40 +5,26 @@ upper-triangular adjacency bit sequence, read column by column (the same
 bit order graph6 uses), over the **cell orders**: the vertex orderings
 that list the cells of the graph's stable colouring in colour order, each
 cell in any order.  The stable colouring is what colour refinement
-(``_refine``) gives from the all-equal colouring.  It depends on no labels
+(``_stable``) gives from the all-equal colouring.  It depends on no labels
 and not on the hash seed, so an isomorphism maps the cell orders of one
 graph onto those of the other, and two graphs have equal forms iff they
 are isomorphic.  A graph whose stable colouring has one cell, such as a
-regular graph, is minimised over all orders.  Each isomorphism class is
-labelled once per process; every other graph of the class is identified
-with it, by its tree code when it is a pseudoforest and otherwise by an
-isomorphism search.
+regular graph, is minimised over all orders.
 
-**The class cache.**  A pseudoforest is keyed by its tree code (below),
-which is complete, so the cache maps each code known straight to its
+**The memo and the code table.**  ``canonical_form`` looks a graph up in
+three steps.  The form memo keeps the form of every graph answered, under
+its neighbour masks.  A pseudoforest is keyed by its tree code (below),
+which is complete, so the code table maps each code known straight to its
 form: a pseudoforest whose code is known takes the form with no
-refinement, match or labelling.  Any other graph is keyed by its
-certificate: the hash of the sorted colour-refinement (1-WL) signatures
-of every round from the all-equal colouring, built from ints only so that
-it does not depend on the hash seed.  Under its certificate the cache
-keeps each class's representative, the first graph of the class labelled,
-with its stable colouring and form.  A graph keyed by certificate is
-refined and matched against each representative under it by an
-individualisation-refinement isomorphism search (McKay 1981; McKay and
-Piperno, *Practical graph isomorphism II*, 2014) that refines both sides
-as it descends and checks every edge at the leaf, so non-isomorphic
-graphs that share a certificate, such as ``C_6`` and two triangles, are
-never confused.  A match gives the graph its representative's form.
-Only a graph whose code or certificate has no class of its own yet is
-labelled, inside the stable colouring that its certificate gave, or that
-one refinement gives a pseudoforest.  The form memo keeps the form of
-every graph ``canonical_form`` answers, under its neighbour masks.  The
-cache, its codes and representatives counted together, and the memo each
-start again empty once they hold more than ``STORE_LIMIT`` entries, the
-limit that also bounds ``relations._store``, and the memo empties with
-the cache; no result depends on what they hold.  ``are_isomorphic``
-compares two certificates and runs the same search, and labels neither
-graph.
+refinement or labelling.  Any other graph, and a pseudoforest whose code
+is new, is labelled inside its stable colouring; that labelling is the
+only way a graph is identified.  The memo starts again empty once it
+holds more than ``STORE_LIMIT`` entries, the limit that also bounds
+``relations._store``.  The code table, once past the same limit, empties
+with the memo; the memo empties alone far more often, and emptying the
+table with it would relabel the coded classes that a long closure meets
+again.  No result depends on what they hold.  ``are_isomorphic`` compares
+two forms.
 
 **Tree codes.**  A pseudoforest is a graph each of whose components has
 at most as many edges as vertices: a tree, or a unicyclic graph.  Its
@@ -161,18 +147,13 @@ from .graph_core import Graph, from_upper_bits
 # A permutation ``p`` of the vertices maps vertex ``v`` to ``p[v]``.
 Perm = tuple[int, ...]
 
-# Entries a process-wide cache may hold: the class cache below and the
-# closure store in ``relations`` start again empty once past it.
+# Entries a process-wide cache may hold: the code table and the form memo
+# below, and the closure store in ``relations``, start again empty past it.
 STORE_LIMIT = 20_000
 
-# The class cache: each tree code maps to its form; each representative,
-# a graph with no tree code, to its stable colouring and form; and each
-# certificate to its representatives.  The form memo maps the neighbour
-# masks of each graph answered to its form.
-Rep = tuple[tuple[int, ...], "CanonicalForm"]
+# The code table maps each tree code known to its form; the form memo maps
+# the neighbour masks of each graph answered to its form.
 _codes: dict[str, "CanonicalForm"] = {}
-_reps: dict[Graph, Rep] = {}
-_classes: dict[int, list[Graph]] = {}
 _forms: dict[tuple[int, ...], "CanonicalForm"] = {}
 
 
@@ -194,13 +175,21 @@ class CanonicalForm:
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical form of ``g``, of any size; the searches bound the size of
-    the graphs they label by checking their host."""
+    """Canonical form of ``g``, of any size: from the form memo, else from
+    the code table by ``g``'s tree code, else by labelling ``g`` inside its
+    stable colouring.  The searches bound the size of the graphs they label
+    by checking their host."""
     masks = g.neighbor_masks
     form = _forms.get(masks)
     if form is None:
         code = _code(g)
-        form = _codes[code] if code in _codes else _classify(g, code)
+        form = _codes.get(code)
+        if form is None:
+            if len(_codes) > STORE_LIMIT:
+                clear_cache()
+            form = CanonicalForm(g.vertex_count, _minimal_bits(g, _stable(g))[0])
+            if code is not None:
+                _codes[code] = form
         if len(_forms) > STORE_LIMIT:
             _forms.clear()
         _forms[masks] = form
@@ -238,33 +227,9 @@ def padded(form: CanonicalForm, k: int) -> CanonicalForm:
 
 
 def clear_cache() -> None:
-    """Empty the class cache and the form memo."""
-    _reps.clear()
-    _classes.clear()
+    """Empty the code table and the form memo."""
     _codes.clear()
     _forms.clear()
-
-
-def _classify(g: Graph, code: str | None) -> CanonicalForm:
-    """The form of ``g``, whose tree code ``code`` is ``None`` or not yet
-    known: matched against the representatives of its certificate, or
-    labelled inside its stable colouring."""
-    nbrs, colours, rounds = _stable(g)
-    if code is None:
-        key = hash((g.vertex_count, *rounds))
-        for r in _classes.get(key, ()):
-            r_colours, form = _reps[r]
-            if _isomorphism(nbrs, colours, r, r_colours) is not None:
-                return form
-    if len(_codes) + len(_reps) > STORE_LIMIT:
-        clear_cache()
-    form = CanonicalForm(g.vertex_count, _minimal_bits(g, colours)[0])
-    if code is None:
-        _reps[g] = (tuple(colours), form)
-        _classes.setdefault(key, []).append(g)
-    else:
-        _codes[code] = form
-    return form
 
 
 def _code(g: Graph) -> str | None:
@@ -347,113 +312,30 @@ def _code(g: Graph) -> str | None:
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """True iff an edge-preserving vertex bijection exists."""
-    g_nbrs, g_colours, g_rounds = _stable(g)
-    h_colours, h_rounds = _stable(h)[1:]
-    if g_rounds != h_rounds:
-        return False
-    return _isomorphism(g_nbrs, g_colours, h, h_colours) is not None
+    """True iff an edge-preserving vertex bijection exists: iff ``g`` and
+    ``h`` have equal canonical forms."""
+    return canonical_form(g) == canonical_form(h)
 
 
-def _stable(g: Graph) -> tuple[list[list[int]], list[int], list[tuple[tuple, ...]]]:
-    """``g``'s neighbour lists, and its stable colouring and refinement
-    rounds from the all-equal colouring (the rounds are the certificate)."""
-    nbrs = _neighbours(g)
-    return (nbrs, *_refine(nbrs, [0] * g.vertex_count))
-
-
-def _refine(
-    nbrs: list[list[int]], colours: Sequence[int]
-) -> tuple[Sequence[int], list[tuple[tuple, ...]]]:
-    """Colour refinement (1-WL) of ``colours``, which must be the integers
-    ``0..k-1``, to the coarsest stable colouring that refines it.  Each
-    round gives a vertex the signature (its colour, its neighbours' colours
-    sorted) and recolours it by the rank of its signature, so colours
-    depend on no labelling.  Returns the stable colouring and the sorted
-    signatures of every round."""
-    n = len(colours)
-    count = max(colours, default=-1) + 1
-    rounds = []
+def _stable(g: Graph) -> list[int]:
+    """``g``'s stable colouring: colour refinement (1-WL) from the all-equal
+    colouring.  Each round gives a vertex the signature (its colour, its
+    neighbours' colours sorted) and recolours it by the rank of its
+    signature, so colours depend on no labelling; rounds stop when the
+    number of colours stops growing."""
+    n = g.vertex_count
+    nbrs = [[w for w in range(n) if (m >> w) & 1] for m in g.neighbor_masks]
+    colours = [0] * n
+    count = 1
     while count < n:
         get = colours.__getitem__
         sigs = [(c, *sorted(map(get, nb))) for c, nb in zip(colours, nbrs)]
-        ordered = tuple(sorted(sigs))
-        rounds.append(ordered)
-        rank = {s: i for i, s in enumerate(dict.fromkeys(ordered))}
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         if len(rank) == count:
             break
         colours = [rank[s] for s in sigs]
         count = len(rank)
-    return colours, rounds
-
-
-def _neighbours(g: Graph) -> list[list[int]]:
-    """Each vertex's neighbours in increasing order."""
-    n = g.vertex_count
-    return [[w for w in range(n) if (m >> w) & 1] for m in g.neighbor_masks]
-
-
-def _isomorphism(
-    g_nbrs: list[list[int]],
-    g_colours: Sequence[int],
-    h: Graph,
-    h_colours: Sequence[int],
-) -> list[int] | None:
-    """An isomorphism ``phi`` from g onto h (``phi[v]`` is the image of
-    ``v``) that respects the two stable colourings, or ``None``.
-
-    Individualisation-refinement (McKay 1981): while h's colouring has a
-    cell of two or more vertices, the lowest vertex of the first such cell
-    gets a colour of its own and h is refined again; each vertex of g's
-    cell of that colour is tried in its place, and a branch whose
-    refinement rounds differ from h's is cut.  At a discrete colouring the
-    vertices pair up by colour, and the pairing is returned only if it is
-    a bijection that maps every neighbourhood onto its image's."""
-    n = len(g_nbrs)
-    h_masks = h.neighbor_masks
-    if len(h_masks) != n:
-        return None
-    h_nbrs: list[list[int]] | None = None
-
-    def search(gc: Sequence[int], hc: Sequence[int]) -> list[int] | None:
-        nonlocal h_nbrs
-        count = max(hc, default=-1) + 1
-        if count == n:
-            at = [0] * n
-            for w, c in enumerate(hc):
-                at[c] = w
-            phi = [at[c] for c in gc]
-            if len(set(phi)) != n:
-                return None
-            for v, nb in enumerate(g_nbrs):
-                image = 0
-                for w in nb:
-                    image |= 1 << phi[w]
-                if image != h_masks[phi[v]]:
-                    return None
-            return phi
-        sizes = [0] * count
-        for c in hc:
-            sizes[c] += 1
-        cell = next(c for c, size in enumerate(sizes) if size > 1)
-        if h_nbrs is None:
-            h_nbrs = _neighbours(h)
-        h_split = list(hc)
-        h_split[hc.index(cell)] = count
-        h_next, h_rounds = _refine(h_nbrs, h_split)
-        for y, c in enumerate(gc):
-            if c != cell:
-                continue
-            g_split = list(gc)
-            g_split[y] = count
-            g_next, g_rounds = _refine(g_nbrs, g_split)
-            if g_rounds == h_rounds:
-                phi = search(g_next, h_next)
-                if phi is not None:
-                    return phi
-        return None
-
-    return search(g_colours, h_colours)
+    return colours
 
 
 def _orbit(mask: int, generators: list[Perm] | tuple[Perm, ...]) -> int:

@@ -298,13 +298,13 @@ def is_bipartite_minor(h: Graph, g: Graph) -> bool:
 # move to it isolates.  An entry costs about 600 bytes besides its graph
 # (CPython 3.11, 64-bit), most of it the (core, count) pairs of its
 # children, and ``verify all`` leaves 920 (1,718 when the store held every
-# form).  It is bounded by ``canonical.STORE_LIMIT``, as the class cache
-# is.
+# form).  It is bounded by ``canonical.STORE_LIMIT``, as the code table
+# and the form memo are.
 _store: dict[CanonicalForm, tuple[Graph, tuple[tuple[CanonicalForm, int], ...] | None]] = {}
 
 
 def clear_caches() -> None:
-    """Empty every process-wide cache: ``canonical``'s class cache and form
+    """Empty every process-wide cache: ``canonical``'s code table and form
     memo, and the operation graph.  No result depends on what they hold;
     only the time of the next searches does."""
     canonical.clear_cache()

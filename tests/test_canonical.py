@@ -47,13 +47,15 @@ def shuffled(g, rng):
 
 
 def label(g):
-    """``_minimal_bits`` called as ``_classify`` calls it: with g's stable
-    colouring, so over the orders that list its cells in colour order."""
-    return _minimal_bits(g, canonical._stable(g)[1])
+    """``_minimal_bits`` called as ``canonical_form`` calls it: with g's
+    stable colouring, so over the orders that list its cells in colour
+    order."""
+    return _minimal_bits(g, canonical._stable(g))
 
 
-# Non-isomorphic pairs that colour refinement does not tell apart: C_6 and
-# two triangles (2-regular), K_{3,3} and the triangular prism (3-regular).
+# Non-isomorphic pairs that colour refinement (the 1-WL certificate) does
+# not tell apart: C_6 and two triangles (2-regular), K_{3,3} and the
+# triangular prism (3-regular).
 SAME_CERTIFICATE = [
     (cycle(6), build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
     (
@@ -69,6 +71,15 @@ class TestCanonicalForm:
         for _ in range(250):
             g = random_graph(rng, 6)
             assert canonical_form(g).canonical_bits == brute_min_bits(g)
+        # Most small random graphs have a tree code, so 150 with more edges
+        # than vertices, which have none and are always labelled, follow.
+        dense = 0
+        while dense < 150:
+            g = random_graph(rng, 6)
+            if g.edge_count > g.vertex_count:
+                dense += 1
+                assert canonical_form(g).canonical_bits == brute_min_bits(g)
+                assert canonical_form(shuffled(g, rng)) == canonical_form(g)
 
     def test_matches_brute_force_on_seven_vertices(self):
         rng = random.Random(108)
@@ -236,7 +247,6 @@ class TestTreeCodes:
         assert canonical_form(h) == cold
         # h took g's form by its code, which maps straight to the form.
         assert canonical._codes == {_code(g): cold}
-        assert canonical._reps == {}
 
     def test_trees_with_two_centres(self):
         # Two centres, 0 and 1: a leaf and a 2-path at 0, a 2-path at 1.
@@ -285,8 +295,8 @@ class TestTreeCodes:
             assert h.vertex_count > 7 or cold == brute_min_bits(h)
 
     def test_a_known_code_takes_no_refinement_and_no_labelling(self, monkeypatch):
-        # The form comes from the code alone: no refinement, no match and no
-        # labelling, and a coded class keeps no representative graph.
+        # The form comes from the code alone: no refinement and no
+        # labelling.
         rng = random.Random(118)
         relations.clear_caches()
         graphs = [bull(5, [1, 2]), FOREST, cycle(9), path(7)]
@@ -297,12 +307,10 @@ class TestTreeCodes:
             raise AssertionError("a coded graph was labelled or refined")
 
         monkeypatch.setattr(canonical, "_minimal_bits", refuse)
-        monkeypatch.setattr(canonical, "_isomorphism", refuse)
         monkeypatch.setattr(canonical, "_stable", refuse)
         for g in graphs:
             assert canonical_form(shuffled(g, rng)) == canonical_form(g)
         assert len(canonical._codes) == len(graphs)
-        assert canonical._reps == canonical._classes == {}
 
 
 class TestAutomorphisms:
@@ -545,16 +553,6 @@ class TestAreIsomorphic:
         two_triangles = build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert not are_isomorphic(cycle(6), two_triangles)
 
-    def test_needs_no_labelling(self, monkeypatch):
-        def refuse(g, colours):
-            raise AssertionError("are_isomorphic labelled a graph")
-
-        monkeypatch.setattr(canonical, "_minimal_bits", refuse)
-        rng = random.Random(111)
-        for g in [cycle(8), dog(6, [4, 4]), random_graph(rng, 9)]:
-            assert are_isomorphic(g, shuffled(g, rng))
-        assert not are_isomorphic(*SAME_CERTIFICATE[0])
-
 
 @pytest.fixture
 def empty_cache():
@@ -563,6 +561,8 @@ def empty_cache():
 
 
 class TestClassCache:
+    """The code table and the form memo: no form depends on them."""
+
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
     def test_match_agrees_with_a_cold_labelling(self, g, rng):
@@ -571,82 +571,21 @@ class TestClassCache:
         relations.clear_caches()
         canonical_form(g)
         assert canonical_form(h) == cold
-        # h was matched to g, or took its form by g's code, and was not
-        # labelled: the cache holds g's class alone.
+        # A coded h took its form by g's code, which the table holds alone;
+        # an uncoded h was labelled, and the table holds nothing.
         if _code(g) is None:
-            assert list(canonical._reps) == [g]
             assert canonical._codes == {}
         else:
             assert canonical._codes == {_code(g): cold}
-            assert canonical._reps == {}
 
     @pytest.mark.parametrize("pair", SAME_CERTIFICATE, ids=["C6-2C3", "K33-prism"])
     def test_same_certificate_different_forms(self, pair, empty_cache):
         g, h = pair
-        assert canonical._stable(g)[2] == canonical._stable(h)[2]
+        assert stable_cells(g) == stable_cells(h)
         assert not are_isomorphic(g, h)
         assert canonical_form(g) != canonical_form(h)
         assert canonical_form(g).canonical_bits == brute_min_bits(g)
         assert canonical_form(h).canonical_bits == brute_min_bits(h)
-        # Each was labelled as a class of its own.
-        assert len(canonical._codes) + len(canonical._reps) == 2
-
-    def test_leaf_checks_every_edge(self):
-        # Discrete colourings pair the vertices at once; only the edges can
-        # tell the path P_3 from the triangle.
-        p3, k3 = path(3), cycle(3)
-        nbrs = canonical._neighbours
-        assert canonical._isomorphism(nbrs(p3), [0, 1, 2], k3, [0, 1, 2]) is None
-        assert canonical._isomorphism(nbrs(k3), [0, 1, 2], k3, [2, 0, 1]) == [1, 2, 0]
-
-    def test_colliding_keys_give_exact_forms(self, monkeypatch, empty_cache):
-        # With every certificate hashed to one key, each graph without a
-        # tree code is matched against every such representative so far, of
-        # any size, before labelling.  Most small random graphs have a code,
-        # so 150 graphs with more edges than vertices, which have none, follow.
-        monkeypatch.setattr(canonical, "hash", lambda key: 0, raising=False)
-        rng = random.Random(112)
-        for _ in range(150):
-            g = random_graph(rng, 6)
-            assert canonical_form(g).canonical_bits == brute_min_bits(g)
-            assert canonical_form(shuffled(g, rng)) == canonical_form(g)
-        dense = 0
-        while dense < 150:
-            g = random_graph(rng, 6)
-            if g.edge_count > g.vertex_count:
-                dense += 1
-                assert canonical_form(g).canonical_bits == brute_min_bits(g)
-                assert canonical_form(shuffled(g, rng)) == canonical_form(g)
-        # They all sit under the one key.
-        assert len(canonical._classes[0]) > 40
-
-    def test_a_match_is_an_isomorphism(self):
-        rng = random.Random(114)
-        pool = [cycle(8), dog(6, [4, 4]), bull(5, [1, 2]), FOREST]
-        pool += [random_graph(rng, 9) for _ in range(30)]
-        uncoded = 0
-        for g in pool:
-            relations.clear_caches()
-            canonical_form(g)
-            if _code(g) is None:
-                colours = canonical._reps[g][0]
-                uncoded += 1
-            else:
-                # A coded class keeps no representative; refine g here as a
-                # representative's colouring would be.
-                colours = tuple(canonical._stable(g)[1])
-            for _ in range(5):
-                h = shuffled(g, rng)
-                nbrs, h_colours, _ = canonical._stable(h)
-                phi = canonical._isomorphism(nbrs, h_colours, g, colours)
-                assert phi is not None
-                assert sorted(phi) == list(range(g.vertex_count))
-                assert all(
-                    (g.neighbor_masks[phi[v]] >> phi[w]) & 1
-                    for v, nb in enumerate(nbrs)
-                    for w in nb
-                )
-        assert uncoded > 10
 
     def test_the_memo_keeps_graphs_above_the_cap(self, monkeypatch, empty_cache):
         monkeypatch.delenv("BIPMINOR_SIZE_CAP", raising=False)
@@ -656,7 +595,7 @@ class TestClassCache:
         assert canonical_form(h) == form
         assert canonical._forms == {g.neighbor_masks: form, h.neighbor_masks: form}
         monkeypatch.setattr(canonical, "_code", None)
-        monkeypatch.setattr(canonical, "_classify", None)
+        monkeypatch.setattr(canonical, "_minimal_bits", None)
         assert canonical_form(h) == form
 
     def test_closure_labels_each_member_once(self, monkeypatch, empty_cache):

@@ -855,14 +855,14 @@ class TestClosureStore:
         label = canonical._minimal_bits
 
         def recording(g, colours):
-            sizes.append(len(canonical._codes) + len(canonical._reps))
+            sizes.append(len(canonical._codes))
             return label(g, colours)
 
         monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
         monkeypatch.setattr(canonical, "_minimal_bits", recording)
         assert run() == want
-        # Each labelling found at most the limit in the cache, and the cache
-        # was emptied several times.
+        # Each labelling found at most the limit in the code table, and the
+        # table was emptied several times.
         assert max(sizes) == 20
         assert sum(a > b for a, b in zip(sizes, sizes[1:])) > 3
         assert sum(trace is not None for trace in want[1]) > 5
@@ -875,8 +875,7 @@ class TestClosureStore:
         label = canonical._minimal_bits
 
         def recording(g, colours):
-            classes = len(canonical._codes) + len(canonical._reps)
-            seen.append((classes, len(canonical._forms)))
+            seen.append((len(canonical._codes), len(canonical._forms)))
             return label(g, colours)
 
         monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
@@ -887,9 +886,9 @@ class TestClosureStore:
             got.append(bipartite_minor_closure(g))
             assert len(canonical._forms) <= 21
         assert got == want
-        # Every labelling that found the class cache emptied found the memo
+        # Every labelling that found the code table emptied found the memo
         # emptied too, and the memo was filled in between.
-        emptied = [forms for classes, forms in seen if classes == 0]
+        emptied = [forms for codes, forms in seen if codes == 0]
         assert len(emptied) > 3 and set(emptied) == {0}
         assert max(forms for _, forms in seen) > 0
 
