@@ -113,9 +113,7 @@ the columns so far.
   its image's.  A segment, a vertex placed alone and the joins after it,
   starts at the same positions in both leaves.  The search backjumps to
   just above the first segment start after the node where the two paths
-  part, or to that node itself when the automorphism maps its last block
-  onto itself and the best's child there onto the current one: either
-  way, the subtree it leaves is the image of one already searched.  At
+  part: the subtree it leaves is the image of one already searched.  At
   every node, a child is skipped when an automorphism found so far that
   maps every block onto itself, setwise, maps an earlier child onto it.
   Automorphisms that fix every placed vertex would not do: in ``7K_2``
@@ -197,8 +195,8 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 
 def padded(form: CanonicalForm, k: int) -> CanonicalForm:
-    """The form of the graph with ``k`` isolated vertices added, or with
-    ``-k`` of its isolated vertices removed; nothing is labelled.
+    """The form of the graph with ``k >= 0`` isolated vertices added;
+    nothing is labelled.
 
     Padding lemma: the form of ``X + kK_1`` is X's form with k zero
     columns in front.  A graph's isolated vertices form the first cell of
@@ -212,18 +210,14 @@ def padded(form: CanonicalForm, k: int) -> CanonicalForm:
     cell orders, each column led by a zero per isolated vertex.  The least
     is the core's least behind those zero columns, in ``X + kK_1`` as in
     X."""
-    n = form.vertex_count
-    bits = form.canonical_bits
-    cols = []
-    for j in range(n - 1, -1, -1):
-        cols.append(bits & ((1 << j) - 1))
-        bits >>= j
-    cols.reverse()
-    cols = [0] * k + cols if k >= 0 else cols[-k:]
-    bits = 0
-    for j, col in enumerate(cols):
-        bits = (bits << j) | col
-    return CanonicalForm(len(cols), bits)
+    n, bits = form.vertex_count, form.canonical_bits
+    out = 0
+    shift = n * (n - 1) // 2
+    for j in range(n):
+        # Column j keeps its value and moves to position j + k.
+        shift -= j
+        out = (out << (j + k)) | ((bits >> shift) & ((1 << j) - 1))
+    return CanonicalForm(n + k, out)
 
 
 def clear_cache() -> None:
@@ -503,17 +497,6 @@ def _minimal_bits(g: Graph, colours: Sequence[int]) -> tuple[int, tuple[Perm, ..
         d = k + 1
         while d < n and not opens[d] and cols[d] == cols[d - 1] << 1:
             d += 1
-        if d > k + 1:
-            # Mid-segment, the node at depth k can resume instead when perm
-            # maps its last block, the joins so far, onto itself and the
-            # best's child onto ours: a later sibling's subtree then maps
-            # onto an earlier one's.
-            s = k
-            while s > 0 and not opens[s] and cols[s] == cols[s - 1] << 1:
-                s -= 1
-            last = order[s:k]
-            if perm[best_order[k]] == order[k] and {perm[v] for v in last} == set(last):
-                return k
         return d - 1
 
     def extend(depth: int, rest: int, blocks: list[int], tied: bool) -> int:
@@ -537,10 +520,14 @@ def _minimal_bits(g: Graph, colours: Sequence[int]) -> tuple[int, tuple[Perm, ..
                 return n
             if kids & (kids - 1):
                 break
-            # A lone child is placed without branching.
+            # A lone child is placed without branching, and a lone join
+            # child passes ``_stuck``: a candidate below the last placed
+            # vertex x was one when x was placed, as columns only grow as
+            # blocks refine, and the test on x (or on its segment's start)
+            # gave it a neighbour among the candidates above x not adjacent
+            # to x.  That one is still a candidate, so it is u, and no
+            # candidate below u can join.
             u = kids.bit_length() - 1
-            if join and _stuck(u, candidates, masks):
-                return n
             blocks = _child(blocks, kids, masks[u], join)
             cols.append(min_col)
             order.append(u)

@@ -210,11 +210,13 @@ def validate_witness(doc: Mapping) -> bool:
     # vertices.
     if not isinstance(steps, Mapping):
         raise GraphError(f"{relation} witness steps must map target vertices to lists")
+    if set(steps) != {str(i) for i in range(target.vertex_count)}:
+        raise GraphError(f"{relation} witness steps must be keyed by exactly the target vertices")
     sets = []
     for i in range(target.vertex_count):
-        members = steps.get(str(i))
+        members = steps[str(i)]
         if not isinstance(members, list):
-            raise GraphError(f"branch set {i} is missing or not a list")
+            raise GraphError(f"branch set {i} is not a list")
         if relation == "subgraph" and len(members) != 1:
             raise GraphError(f"image of target vertex {i} is not one vertex")
         sets.append(frozenset(_vertex(x) for x in members))

@@ -41,8 +41,9 @@ cut no path to the target.  A witness is the path the walk took, not always a
 shortest one; it deletes a vertex's edges one by one.  The stored graphs
 carry their own labels, so the trace names its steps by replay: from the
 host, it takes at each graph of the path the first move of its core
-whose stripped child has the next core, with enough isolated vertices,
-and then deletes the isolated vertices beyond the target's, least first.
+whose stripped child has the next core (by the count lemma at
+``_children``, it isolates as many vertices as the walk's step), and then
+deletes the isolated vertices beyond the target's, least first.
 Both check the size cap on the host alone: no move adds a vertex.
 
 ``is_minor`` uses the equivalent branch-set formulation: disjoint
@@ -54,7 +55,6 @@ host's connected vertex sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
 from typing import Callable, Iterator, Sequence
 
 from . import canonical
@@ -237,8 +237,8 @@ def bipartite_minor_trace(h: Graph, g: Graph) -> OpTrace | None:
     check_size_cap(g)
     if h.vertex_count > g.vertex_count or h.edge_count > g.edge_count:
         return None
-    isolated = strip_isolated(h)[1]
-    target = padded(canonical_form(h), -isolated)
+    core, isolated = strip_isolated(h)
+    target = canonical_form(core)
     rank_floor = _cycle_rank(h)
 
     def keep(x: Graph, j: int) -> bool:
@@ -258,15 +258,12 @@ def bipartite_minor_trace(h: Graph, g: Graph) -> OpTrace | None:
     while reached[path[-1]][1] is not None:
         path.append(reached[path[-1]][1])
     # Name each step on the host's own labels: replay the path, taking at
-    # each graph the first move of its core that reaches the next core
-    # with at least as many isolated vertices as the walk carried there.
+    # each graph the first move of its core that reaches the next core.
     steps: list[Step] = []
     cur = g
-    for x, y in pairwise(reversed(path)):
-        need = reached[y][0] - reached[x][0]
+    for y in reversed(path[:-1]):
         for move, child in _moves(strip_isolated(cur)[0]):
-            child_core, i = strip_isolated(child)
-            if i >= need and canonical_form(child_core) == y:
+            if canonical_form(strip_isolated(child)[0]) == y:
                 break
         else:
             raise RuntimeError(f"no move of the walk's path reaches {y}")
@@ -294,12 +291,12 @@ def is_bipartite_minor(h: Graph, g: Graph) -> bool:
 
 # The operation graph shared by every search in the process, over cores:
 # each core form reached maps to its first labelled graph and, once
-# expanded, to its distinct child cores, each with the most vertices a
-# move to it isolates.  An entry costs about 600 bytes besides its graph
-# (CPython 3.11, 64-bit), most of it the (core, count) pairs of its
-# children, and ``verify all`` leaves 920 (1,718 when the store held every
-# form).  It is bounded by ``canonical.STORE_LIMIT``, as the code table
-# and the form memo are.
+# expanded, to its distinct child cores, each with the one number of
+# vertices every move to it isolates (the count lemma at ``_children``).
+# An entry costs about 600 bytes besides its graph (CPython 3.11, 64-bit),
+# most of it the (core, count) pairs of its children, and ``verify all``
+# leaves 920 (1,718 when the store held every form).  It is bounded by
+# ``canonical.STORE_LIMIT``, as the code table and the form memo are.
 _store: dict[CanonicalForm, tuple[Graph, tuple[tuple[CanonicalForm, int], ...] | None]] = {}
 
 
@@ -312,17 +309,27 @@ def clear_caches() -> None:
 
 
 def _children(cf: CanonicalForm) -> tuple[tuple[CanonicalForm, int], ...]:
-    """The distinct cores one move from the core ``cf``, each with the most
-    vertices a move to it isolates, expanding ``cf`` on first use."""
+    """The distinct cores one move from the core ``cf``, each with the
+    number of vertices a move to it isolates, expanding ``cf`` on first use.
+
+    Count lemma: every move from a core X to one child core isolates the
+    same number of vertices.  A contraction of u and v isolates none and
+    leaves |V|-1 vertices and at most |E|-1 edges, exactly |E|-1 when u
+    and v are non-adjacent with one common neighbour w; an edge deletion
+    that isolates i vertices leaves |V|-i vertices and |E|-1 edges.  So
+    the only possible clash is such a contraction against the deletion of
+    a pendant edge, which keeps X's 2-core.  Pull the edges of the
+    contracted graph's 2-core back into X (one from the merged vertex to x
+    as ux or vx) and add the cycle through u, w, v: the result has minimum
+    degree two, so it lies in X's 2-core, and at least one more edge, as
+    the cycle holds both uw and vw.  So the two children's 2-cores differ."""
     g, kids = _store[cf]
     if kids is None:
         found: dict[CanonicalForm, int] = {}
         for _, child in _moves(g):
             core, i = strip_isolated(child)
             ccf = canonical_form(core)
-            # A child with more isolated vertices beside the same core
-            # reaches everything the other does.
-            found[ccf] = max(i, found.get(ccf, 0))
+            found[ccf] = i
             if ccf not in _store:
                 _store[ccf] = (core, None)
         kids = tuple(found.items())

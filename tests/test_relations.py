@@ -7,7 +7,6 @@ import pytest
 from bipminor import canonical, relations
 from bipminor.canonical import are_isomorphic, canonical_form
 from bipminor.cli.harness import enumerate_connected_bipartite, random_connected_graphs
-from bipminor.cli.serialize import validate_witness, witness_document
 from bipminor.families import bull, cycle, dog, h_tree, path
 from bipminor.graph_core import (
     GraphError,
@@ -351,31 +350,29 @@ class TestBipartiteMinor:
         trace = bipartite_minor_trace(h, cycle(4))
         assert trace is not None and are_isomorphic(trace.replay(cycle(4)), h)
 
-    def test_a_core_reached_by_two_counts_keeps_the_larger(self, monkeypatch):
-        # No graph is known where two moves reach one core isolating
-        # different numbers of vertices, so a stub makes one: on P_3 a fake
-        # contraction of 0 and 2 over 1 reaches K_2 isolating none, before
-        # the edge deletions reach K_2 + K_1 isolating one.  The store must
-        # keep the larger count, or K_2 + K_1 and 3K_1 leave the closure;
-        # and the replay must take a move with at least the count the walk
-        # carried, or it takes the fake contraction, which does not replay.
-        p3, moves = path(3), relations._moves
-
-        def stubbed(g):
-            if g == p3:
-                yield AdmissibleContraction(0, 2, 1), contract_set(g, {0, 2})
-            yield from moves(g)
-
+    def test_every_move_to_one_core_isolates_as_many(self, monkeypatch):
+        # The count lemma at ``relations._children``: all moves from a core
+        # to one child core isolate the same number of vertices, so the
+        # store keeps one count per child and the replay needs no count.
+        rng = random.Random(48)
+        hosts = [cycle(10), dog(6, [4]), *_move_hosts()]
+        hosts += [random_sparse_connected(rng, 8, extra=4) for _ in range(40)]
+        assert sum(not is_bipartite(g) for g in hosts) > 10
         monkeypatch.setattr(relations, "_store", {})
-        monkeypatch.setattr(relations, "_moves", stubbed)
-        k2_k1 = build(3, [(0, 1)])
-        closure = bipartite_minor_closure(p3)
-        assert canonical_form(k2_k1) in closure
-        assert canonical_form(build(3, [])) in closure
-        trace = bipartite_minor_trace(k2_k1, p3)
-        assert trace is not None
-        assert are_isomorphic(trace.replay(p3), k2_k1)
-        assert validate_witness(witness_document("bipartite_minor", True, p3, k2_k1, trace))
+        for g in hosts:
+            bipartite_minor_closure(g)
+        near = 0
+        for core, _ in relations._store.values():
+            counts: dict = {}
+            for _, child in _moves(core):
+                x, i = strip_isolated(child)
+                counts.setdefault(canonical_form(x), set()).add(i)
+            assert all(len(c) == 1 for c in counts.values()), core
+            # The one clash the sizes allow: a contraction and a pendant
+            # edge's deletion, both leaving |V|-1 vertices and |E|-1 edges.
+            sizes = {(cf.vertex_count, cf.to_graph().edge_count, i) for cf, (i,) in counts.items()}
+            near += any((v, e, 0) in sizes and (v, e, 1) in sizes for v, e, _ in sizes)
+        assert near > 10
 
     def test_every_positive_trace_replays(self):
         rng = random.Random(33)
@@ -871,26 +868,38 @@ class TestClosureStore:
         graphs = _hosts_and_blocks()[:20]
         relations.clear_caches()
         want = [bipartite_minor_closure(g) for g in graphs]
-        seen = []
-        label = canonical._minimal_bits
+        seen = []  # the memo's size at each labelling
+        emptied = []  # and at the first labelling after each emptying
+        fresh = False
+        label, clear = canonical._minimal_bits, canonical.clear_cache
 
         def recording(g, colours):
-            seen.append((len(canonical._codes), len(canonical._forms)))
+            nonlocal fresh
+            seen.append(len(canonical._forms))
+            if fresh:
+                emptied.append(seen[-1])
+                fresh = False
             return label(g, colours)
+
+        def clearing():
+            nonlocal fresh
+            clear()
+            fresh = True
 
         monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
         monkeypatch.setattr(canonical, "_minimal_bits", recording)
+        monkeypatch.setattr(canonical, "clear_cache", clearing)
         relations.clear_caches()
         got = []
         for g in graphs:
             got.append(bipartite_minor_closure(g))
             assert len(canonical._forms) <= 21
         assert got == want
-        # Every labelling that found the code table emptied found the memo
-        # emptied too, and the memo was filled in between.
-        emptied = [forms for codes, forms in seen if codes == 0]
+        # The code table was emptied several times, each time with the
+        # memo: the first labelling after each emptying found the memo
+        # empty, and the memo was filled in between.
         assert len(emptied) > 3 and set(emptied) == {0}
-        assert max(forms for _, forms in seen) > 0
+        assert max(seen) > 0
 
     def test_clear_caches_leaves_no_module_state(self):
         # Every dict, list and set held by ``canonical`` or ``relations`` is

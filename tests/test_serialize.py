@@ -250,8 +250,8 @@ def _subgraph_doc():
     )
 
 
-def _set_step(doc, value):
-    doc["steps"]["0"] = value
+def _set_step(doc, value, key="0"):
+    doc["steps"][key] = value
     return doc
 
 
@@ -272,6 +272,11 @@ class TestMalformedWitnessDocuments:
             pytest.param(_set_step(_subgraph_doc(), [6]), id="subgraph-image-outside-source"),
             pytest.param(_set_step(_subgraph_doc(), []), id="subgraph-image-empty"),
             pytest.param(_set_step(_subgraph_doc(), [5, 4]), id="subgraph-image-two-vertices"),
+            # Both targets have fewer than eight vertices, so "7" names none.
+            pytest.param(_set_step(_minor_doc(), "junk", "7"), id="minor-extra-vertex"),
+            pytest.param(_set_step(_minor_doc(), [99], "x"), id="minor-junk-key"),
+            pytest.param(_set_step(_subgraph_doc(), "junk", "7"), id="subgraph-extra-vertex"),
+            pytest.param(_set_step(_subgraph_doc(), [99], "x"), id="subgraph-junk-key"),
             pytest.param({**_subgraph_doc(), "source": 5}, id="source-an-integer"),
             pytest.param({**_subgraph_doc(), "target": None}, id="target-is-null"),
             pytest.param({**_subgraph_doc(), "holds": 1}, id="holds-an-integer"),
