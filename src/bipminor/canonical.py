@@ -65,74 +65,52 @@ So two pseudoforests have equal codes iff they are isomorphic.  The code
 is built in one pass over the rounds, with no recursion, so it serves
 graphs of any size.
 
-**Labelling** is a branch and bound over ordered partitions of the placed
-vertices into **blocks** (McKay, *Practical graph isomorphism*, 1981),
-kept inside the stable colouring: individualisation-refinement's first
-step (McKay and Piperno 2014), with the lex-min search over what it
-leaves open.  Placing a vertex at position j fixes column j: its
-adjacency to the j vertices placed before it, first placed most
-significant.  A block is a run of positions whose order inside the run is
-still open: every order of the placed vertices that fits the blocks gives
-the columns so far.
+**Labelling** is an eager branch and bound over vertex orders, kept
+inside the stable colouring: individualisation-refinement's first step
+(McKay and Piperno 2014), with the lex-min search over what it leaves
+open.  Each node places one vertex.  Placing a vertex at position j fixes
+column j: its adjacency to the j vertices placed before it, first placed
+most significant.
 
-- **Cells.**  The positions are dealt out to the cells in colour order,
-  each cell as many as it has vertices, and only the unplaced vertices of
-  the cell that holds the next position are candidates for it.  A
-  position **opens** its cell when it is the cell's first.
-- **Columns.**  An unplaced vertex's next column is its minimum over every
-  order that fits the blocks.  Inside each block its non-neighbours come
-  first, so block by block it is ``c = (c << |B|) | ((1 << |N(w) & B|) -
-  1)``.  Columns have fixed width, so only the candidates of least next
-  column can come next; they are tried in increasing vertex order.
-- **Placing.**  Placing ``z`` splits every block into its non-neighbours of
-  ``z`` followed by its neighbours, which fixes ``z``'s column for every
-  order that still fits, and appends ``{z}``.  The exception is a
-  **join**: when ``z``'s position does not open a cell and ``z``'s column
-  is the last column shifted once, ``z`` is adjacent to no member of the
-  last block and has the same neighbours as its members in the earlier
-  blocks, so ``z`` joins that block and its order stays open.  All
-  candidates of such a node can join, and only those above the last
-  vertex joined are tried, so each set of them joins once, in increasing
-  order.  A candidate below the last join that has no neighbour among
-  those above it could never join nor stop being a candidate, so a child
-  that would leave one is not entered.  A vertex that opens a cell is
-  placed alone, whatever its column, so every block lies inside one cell
-  and every order that fits the blocks is a cell order.  Which positions
-  are joins is read off the positions that open cells and the columns, so
-  two leaves with equal columns have the same joins.
+- **Groups.**  The unplaced vertices sit in groups of equal columns so
+  far, their adjacency to the placed vertices.  The groups start as the
+  cells in colour order, and placing a vertex splits each group into its
+  non-neighbours and then its neighbours, whose columns gain a 0 and a 1.
+  So the groups stay in cell order and, inside a cell, in increasing
+  column, and the first group holds the vertices of least next column in
+  the cell that holds the next position.  Only they are candidates, tried
+  in increasing vertex order.
+- **Twins.**  A candidate is skipped when an unplaced vertex below it is
+  its twin: the two have the same neighbours apart from each other.
+  Swapping two twins is an automorphism, so they share a colour, and as
+  neither is placed they share their placed neighbours and so a group.
+  The swap fixes every placed vertex and maps the lower one's subtree
+  onto the candidate's.  No vertex has both an adjacent and a
+  non-adjacent twin, so twins form classes, and only the least of each
+  class is tried.  A node with one candidate left places it in a loop:
+  the search recurses only where it branches, not once per vertex.
 - **Incumbent.**  A node whose prefix equals the best leaf's prefix is
   cut when its column exceeds the best's column at that depth.  A node
   whose prefix is already smaller is not compared, until a leaf below it
   becomes the new best; from then on its remaining children are compared
   against that best too (the re-tie).
-- **Automorphisms.**  Any order that fits a leaf's blocks gives its bits,
-  so a leaf whose bits equal the best leaf's gives the automorphism that
-  maps the best's blocks onto its own, members paired in the order they
-  were placed.  An automorphism maps the stable colouring onto itself, so
-  it maps cell orders onto cell orders and each node's candidates onto
-  its image's.  A segment, a vertex placed alone and the joins after it,
-  starts at the same positions in both leaves.  The search backjumps to
-  just above the first segment start after the node where the two paths
-  part: the subtree it leaves is the image of one already searched.  At
-  every node, a child is skipped when an automorphism found so far that
-  maps every block onto itself, setwise, maps an earlier child onto it.
-  Automorphisms that fix every placed vertex would not do: in ``7K_2``
-  they leave the orders of the edges to multiply.  The search starts with
-  no automorphisms.
-- **No sorted-column bound.**  An eager search, which places tied
-  vertices one order at a time, can also cut a tied node once the sorted
-  next columns ``c_k`` bound column ``depth + k`` by ``c_k << k``.  After a
-  join that bound fails: as the last block grows, a vertex's ones in it
-  move to lower bits, so its column can fall below ``c << 1``.
+- **Automorphisms.**  A leaf whose bits equal the best leaf's gives the
+  automorphism that maps the best's order onto its own, position by
+  position.  An automorphism maps the stable colouring onto itself, so it
+  maps cell orders onto cell orders and each node's candidates onto its
+  image's.  This one fixes the vertices the two orders place before they
+  part, at depth k, and maps the best's node at depth k + 1 onto the
+  leaf's, whose subtree is then the image of one already searched: the
+  search backjumps to the node at depth k.  At every node, a child is
+  skipped when an automorphism found so far that fixes every placed
+  vertex maps a child already tried onto it.  The search starts with no
+  automorphisms.
 
-A leaf is a sequence of segments, reached by one path that places each
-segment in increasing vertex order, and the search visits leaves in the
-lexicographic order of these paths.  A leaf is skipped only when its
-bits exceed the best's or when an automorphism found maps it onto an
-earlier leaf, so the result is the exact minimum over cell orders.  The automorphisms
-found are returned beside the bits, so that a test can check each of
-them; they need not generate the whole group, and nothing else reads
-them.
+A leaf is skipped only when its bits exceed the best's or when an
+automorphism maps it onto a leaf already searched, so the result is the
+exact minimum over cell orders.  The automorphisms found are returned
+beside the bits, so that a test can check each of them; they need not
+generate the whole group, and nothing else reads them.
 """
 
 from __future__ import annotations
@@ -332,7 +310,7 @@ def _stable(g: Graph) -> list[int]:
     return colours
 
 
-def _orbit(mask: int, generators: list[Perm] | tuple[Perm, ...]) -> int:
+def _orbit(mask: int, generators: list[Perm]) -> int:
     """The union of the orbits of the vertices in ``mask``, as a mask."""
     covered = frontier = mask
     while frontier:
@@ -348,86 +326,19 @@ def _orbit(mask: int, generators: list[Perm] | tuple[Perm, ...]) -> int:
     return covered
 
 
-def _columns(blocks: list[int], rest: int, masks: Sequence[int]) -> tuple[int, int]:
-    """The least next column of the unplaced vertices ``rest`` and the mask
-    of those that reach it.  A vertex's next column is its minimum over
-    every order that fits ``blocks``: inside each block its non-neighbours
-    come first, so the block adds a run of ones as long as its neighbours
-    there, at the low end of the block's bits.  Blocks compare in order,
-    so each keeps only the candidates with the fewest neighbours in it."""
-    col = 0
-    candidates = rest
-    for b in blocks:
-        if not b & (b - 1):
-            off = candidates & ~masks[b.bit_length() - 1]
-            if off:
-                candidates = off
-                col <<= 1
-            else:
-                col = col << 1 | 1
-            continue
-        least = -1
-        keep = 0
-        m = candidates
-        while m:
-            low = m & -m
-            m ^= low
-            k = (masks[low.bit_length() - 1] & b).bit_count()
-            if k == least:
-                keep |= low
-            elif k < least or least < 0:
-                least = k
-                keep = low
-        candidates = keep
-        col = (col << b.bit_count()) | ((1 << least) - 1)
-    return col, candidates
-
-
-def _child(blocks: list[int], bit: int, mu: int, join: bool) -> list[int]:
-    """The blocks after placing the vertex ``bit`` with neighbour mask
-    ``mu``: joined to the last block, or split every block into its
-    non-neighbours and then its neighbours and appended alone."""
-    if join:
-        return [*blocks[:-1], blocks[-1] | bit]
+def _place(groups: list[tuple[int, int]], bit: int, mu: int) -> list[tuple[int, int]]:
+    """The groups after placing the vertex ``bit``, whose neighbour mask is
+    ``mu``: it leaves its group, and each group splits into its
+    non-neighbours and then its neighbours, whose columns gain a 0 and a 1."""
     out = []
-    for b in blocks:
-        hi = b & mu
-        if hi != b:
-            out.append(b ^ hi)
+    for col, m in groups:
+        m &= ~bit
+        hi = m & mu
+        if hi != m:
+            out.append((col << 1, m ^ hi))
         if hi:
-            out.append(hi)
-    out.append(bit)
+            out.append((col << 1 | 1, hi))
     return out
-
-
-def _stuck(u: int, peers: int, masks: Sequence[int]) -> bool:
-    """True when no leaf lies below placing the candidate ``u``, where
-    ``peers`` holds the candidates that share ``u``'s neighbours among the
-    placed vertices.  Those of them not adjacent to ``u`` are the ones that
-    may join ``u``'s block.  One below ``u`` with no neighbour among those
-    above ``u`` can never join, since joins go in increasing order, and
-    never stops being able to, so the block never closes."""
-    joinable = peers & ~masks[u]
-    below = joinable & ((1 << u) - 1)
-    above = joinable & -(2 << u)
-    while below:
-        low = below & -below
-        if not masks[low.bit_length() - 1] & above:
-            return True
-        below ^= low
-    return False
-
-
-def _peers(candidates: int, placed: int, masks: Sequence[int]) -> dict[int, int]:
-    """The candidates grouped by their neighbours among the placed
-    vertices: each such neighbour mask maps to the mask of its group."""
-    groups: dict[int, int] = {}
-    while candidates:
-        low = candidates & -candidates
-        candidates ^= low
-        key = masks[low.bit_length() - 1] & placed
-        groups[key] = groups.get(key, 0) | low
-    return groups
 
 
 def _minimal_bits(g: Graph, colours: Sequence[int]) -> tuple[int, tuple[Perm, ...]]:
@@ -438,145 +349,105 @@ def _minimal_bits(g: Graph, colours: Sequence[int]) -> tuple[int, tuple[Perm, ..
     if n <= 1:
         return 0, ()
     masks = g.neighbor_masks
-    full = (1 << n) - 1
     cells = [0] * (max(colours) + 1)
     for v, c in enumerate(colours):
         cells[c] |= 1 << v
-    # The cell that holds each position, and whether the position opens it.
-    cell_at: list[int] = []
-    opens: list[bool] = []
-    for cell in cells:
-        size = cell.bit_count()
-        cell_at += [cell] * size
-        opens += [True] + [False] * (size - 1)
 
     generators: list[Perm] = []
     best_cols: list[int] = []
     best_order: list[int] = []
-    best_blocks: list[list[int]] = []  # the best leaf's blocks, in placement order
     improvements = 0  # how often best has changed
     cols: list[int] = []  # column chosen at each depth of the current path
     order: list[int] = []  # vertex placed at each depth of the current path
 
-    def leaf(blocks: list[int], tied: bool) -> int:
+    def leaf(tied: bool) -> int:
         """Take the leaf the current path reached; returns the depth to
         resume at, as ``extend`` does."""
         nonlocal improvements
-        index = [0] * n
-        for i, b in enumerate(blocks):
-            while b:
-                low = b & -b
-                index[low.bit_length() - 1] = i
-                b ^= low
-        members: list[list[int]] = [[] for _ in blocks]
-        for v in order:
-            members[index[v]].append(v)
         if not tied:
             best_cols[:] = cols
             best_order[:] = order
-            best_blocks[:] = members
             improvements += 1
             return n
-        # Any order that fits a leaf's blocks gives its bits, so pairing
-        # the two leaves block by block gives an automorphism.
         perm = [0] * n
-        for bs, cs in zip(best_blocks, members):
-            for b, c in zip(bs, cs):
-                perm[b] = c
+        for b, v in zip(best_order, order):
+            perm[b] = v
         generators.append(tuple(perm))
+        # perm fixes the common prefix and maps the best's node at depth
+        # k + 1 onto ours, so the subtree of ours is the image of one
+        # already searched: resume at the node where the two part.
         k = 0
         while best_order[k] == order[k]:
             k += 1
-        # A segment runs from a vertex placed alone through the joins after
-        # it; position p is a join iff it does not open a cell and its
-        # column is the one before shifted, so both leaves have the same
-        # segments, and perm maps each onto its counterpart.  At the first
-        # segment start d after k, perm maps the best's node onto ours, so
-        # the subtree of ours is the image of one already searched: resume
-        # at the node above it.
-        d = k + 1
-        while d < n and not opens[d] and cols[d] == cols[d - 1] << 1:
-            d += 1
-        return d - 1
+        return k
 
-    def extend(depth: int, rest: int, blocks: list[int], tied: bool) -> int:
+    def extend(depth: int, groups: list[tuple[int, int]], tied: bool) -> int:
         """Search below the current path; ``tied`` says its columns equal
         the best leaf's so far.  Returns the depth of the node the search
         resumes at: ``n`` to go on normally, less to backjump.  Appends to
         ``cols`` and ``order``, which the caller truncates."""
         while True:
-            if not rest:
-                return leaf(blocks, tied)
-            min_col, candidates = _columns(blocks, rest & cell_at[depth], masks)
+            if not groups:
+                return leaf(tied)
+            col, candidates = groups[0]
             if tied:
                 ref = best_cols[depth]
-                if min_col > ref:
+                if col > ref:
                     return n
-                tied = min_col == ref
-            join = not opens[depth] and min_col == cols[-1] << 1
-            # Each set joins the last block once, in increasing order.
-            kids = candidates & -(2 << order[-1]) if join else candidates
-            if not kids:
-                return n
+                tied = col == ref
+            # A candidate with a twin below it is skipped.  Twins form
+            # classes, so the least of each class is the one to test against.
+            kids = candidates
+            if candidates & (candidates - 1):
+                kids = 0
+                m = candidates
+                while m:
+                    bit = m & -m
+                    m ^= bit
+                    mu = masks[bit.bit_length() - 1]
+                    k = kids
+                    while k:
+                        low = k & -k
+                        if not (mu ^ masks[low.bit_length() - 1]) & ~(bit | low):
+                            break
+                        k ^= low
+                    else:
+                        kids |= bit
             if kids & (kids - 1):
                 break
-            # A lone child is placed without branching, and a lone join
-            # child passes ``_stuck``: a candidate below the last placed
-            # vertex x was one when x was placed, as columns only grow as
-            # blocks refine, and the test on x (or on its segment's start)
-            # gave it a neighbour among the candidates above x not adjacent
-            # to x.  That one is still a candidate, so it is u, and no
-            # candidate below u can join.
+            # A lone child is placed without branching.
             u = kids.bit_length() - 1
-            blocks = _child(blocks, kids, masks[u], join)
-            cols.append(min_col)
+            cols.append(col)
             order.append(u)
-            rest ^= kids
+            groups = _place(groups, kids, masks[u])
             depth += 1
 
         child_tied = tied
         entry_improvements = improvements
-        placed = full ^ rest
-        peers: dict[int, int] = {}
-        # tried: the children passed so far.  A child in their orbit under
-        # the automorphisms found that map every block onto itself is
-        # skipped; that orbit, pruned, is brought up to date only when a
-        # child is about to be searched.
-        tried = pruned = orbited = 0
+        # tried: the children searched so far.  A child in their orbit under
+        # the automorphisms found that fix every placed vertex, the path in
+        # ``order``, is skipped; that orbit, pruned, is brought up to date
+        # only when a child is about to be searched.
+        tried = pruned = orbited = checked = 0
         stabiliser: list[Perm] = []
-        checked = 0
-        others = kids
-        while others:
-            bit = others & -others
-            others ^= bit
-            u = bit.bit_length() - 1
-            group = candidates
-            if not join and candidates & ~masks[u] & (bit - 1):
-                # Only the candidates that share u's neighbours can join it.
-                peers = peers or _peers(candidates, placed, masks)
-                group = peers[masks[u] & placed]
-            if _stuck(u, group, masks):
-                tried |= bit
+        while kids:
+            bit = kids & -kids
+            kids ^= bit
+            if tried and len(generators) > checked:
+                for p in generators[checked:]:
+                    if all(p[v] == v for v in order):
+                        stabiliser.append(p)
+                        orbited = 0
+                checked = len(generators)
+            if stabiliser and tried != orbited:
+                pruned |= _orbit(tried & ~orbited, stabiliser)
+                orbited = tried
+            if pruned & bit:
                 continue
-            if tried:
-                if len(generators) > checked:
-                    # p maps a block onto itself iff it maps it into itself.
-                    new = [
-                        p for p in generators[checked:]
-                        if all(_orbit(b, (p,)) == b for b in blocks)
-                    ]
-                    checked = len(generators)
-                    if new:
-                        stabiliser += new
-                        pruned = orbited = 0
-                if stabiliser and tried != orbited:
-                    pruned |= _orbit(tried & ~orbited, stabiliser)
-                    orbited = tried
-                if pruned & bit:
-                    continue
-            cols.append(min_col)
+            u = bit.bit_length() - 1
+            cols.append(col)
             order.append(u)
-            jump = extend(depth + 1, rest ^ bit, _child(blocks, bit, masks[u], join), child_tied)
+            jump = extend(depth + 1, _place(groups, bit, masks[u]), child_tied)
             del cols[depth:]
             del order[depth:]
             if jump < depth:
@@ -587,9 +458,8 @@ def _minimal_bits(g: Graph, colours: Sequence[int]) -> tuple[int, tuple[Perm, ..
             tried |= bit
         return n
 
-    extend(0, full, [], False)
+    extend(0, [(0, cell) for cell in cells], False)
     bits = 0
     for j, col in enumerate(best_cols):
         bits = (bits << j) | col
     return bits, tuple(generators)
-

@@ -258,23 +258,19 @@ def bipartite_minor_trace(h: Graph, g: Graph) -> OpTrace | None:
     while reached[path[-1]][1] is not None:
         path.append(reached[path[-1]][1])
     # Name each step on the host's own labels: replay the path, taking at
-    # each graph the first move of its core that reaches the next core.
+    # each graph the first move that reaches the next core.  No move uses
+    # an isolated vertex, and stripping keeps the other vertices in their
+    # order, so a graph's moves are its core's, in the same order.
     steps: list[Step] = []
     cur = g
     for y in reversed(path[:-1]):
-        for move, child in _moves(strip_isolated(cur)[0]):
+        for step, child in _moves(cur):
             if canonical_form(strip_isolated(child)[0]) == y:
                 break
         else:
             raise RuntimeError(f"no move of the walk's path reaches {y}")
-        names = [v for v in cur.vertices if cur.neighbor_masks[v]]
-        if isinstance(move, AdmissibleContraction):
-            step: Step = AdmissibleContraction(names[move.u], names[move.v], names[move.w])
-            cur = contract_set(cur, {step.u, step.v})
-        else:
-            step = EdgeDeletion(names[move.u], names[move.v])
-            cur = delete_edge(cur, step.u, step.v)
         steps.append(step)
+        cur = child
     # Then delete the isolated vertices beyond the target's, least first;
     # each deletion shifts the labels above it down by one.
     lone = [v for v in cur.vertices if not cur.neighbor_masks[v]]

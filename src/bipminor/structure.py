@@ -265,29 +265,21 @@ def _connected_subsets(g: Graph) -> Candidates:
     masks = g.neighbor_masks
     out: Candidates = []
 
-    def nbr_of(mask: int) -> int:
-        acc = 0
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            acc |= masks[v]
-            m &= m - 1
-        return acc & ~mask
-
-    def grow(cur: int, banned: int) -> None:
-        nbr = nbr_of(cur)
+    def grow(cur: int, nbr: int, banned: int) -> None:
+        # nbr is the neighbourhood of cur.
         out.append((cur, nbr, cur.bit_count()))
         ext = nbr & ~banned
         taken = banned
         while ext:
-            u = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            grow(cur | (1 << u), taken)
-            taken |= 1 << u
+            low = ext & -ext
+            ext ^= low
+            new = cur | low
+            grow(new, (nbr | masks[low.bit_length() - 1]) & ~new, taken)
+            taken |= low
+
     for v in range(n):
         # Subsets whose minimum vertex is v: never grow below v.
-        below = (1 << v) - 1
-        grow(1 << v, below)
+        grow(1 << v, masks[v], (1 << v) - 1)
     out.sort(key=lambda t: (t[2], t[0]))
     return out
 

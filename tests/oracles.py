@@ -192,9 +192,10 @@ def brute_min_bits(g: Graph) -> int:
 def eager_min_bits(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The least bits over the orders that list the cells of
     ``stable_cells(g)`` in turn and the automorphism generators of an
-    eager branch and bound, an independent check on
-    ``canonical._minimal_bits``: each node places one vertex at a time, so
-    every order of tied vertices is a subtree of its own.  The unplaced
+    eager branch and bound, written apart from ``canonical._minimal_bits``
+    as a check on it.  Like it, each node places one vertex; unlike it,
+    the search seeds the twins' transpositions as automorphisms instead of
+    skipping twins, and cuts with a bound on later columns.  The unplaced
     vertices sit in ``(column, mask)`` groups, each inside one cell, sorted
     by cell and then by running column; only the first group's vertices
     can come next.  A node tied with the best leaf is cut when its column,
@@ -204,9 +205,8 @@ def eager_min_bits(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     vertices with smaller values come before it.  A leaf equal to the
     best gives an automorphism and a backjump to where the two orders part;
     a sibling is skipped when an automorphism found so far that fixes the
-    prefix pointwise maps a tried sibling onto it.  The transpositions of
-    twin vertices seed the automorphisms.  Fast enough for sparse graphs of
-    12 to 14 vertices, which brute force cannot reach."""
+    prefix pointwise maps a tried sibling onto it.  Fast enough for sparse
+    graphs of 12 to 14 vertices, which brute force cannot reach."""
     n = g.vertex_count
     if n <= 1:
         return 0, ()

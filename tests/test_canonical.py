@@ -145,6 +145,20 @@ class TestCanonicalForm:
         assert sorted(cf.vertex_count for cf in closure) == list(range(16))
         assert canonical_form(host) in closure
 
+    def test_labelling_has_no_recursion_limit(self):
+        # Both are larger than Python's default recursion limit of 1000:
+        # the search recurses only where a node has two or more children.
+        rng = random.Random(121)
+        edges = set()
+        while len(edges) < 3600:
+            u, v = sorted(rng.sample(range(1200), 2))
+            edges.add((u, v))
+        for g in (path(1050), build(1200, sorted(edges))):
+            bits, gens = label(g)
+            assert bits.bit_count() == g.edge_count
+            assert label(shuffled(g, rng))[0] == bits
+            _assert_automorphisms(g, gens)
+
 
 def _assert_automorphisms(g, gens):
     """Each of ``gens`` permutes g's vertices and maps edges onto edges."""
@@ -347,11 +361,14 @@ FOREST = build(10, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)])
 
 
 class TestBlocks:
+    """Where the search cuts most: forests with isolated vertices and graphs
+    with many automorphisms."""
+
     def test_exact_on_forests_with_isolated_vertices(self):
-        # Disconnected sparse graphs are where blocks, joins and the
-        # setwise stabiliser cut most; a cut that dropped a subtree holding
-        # the minimum would show as a wrong form, and a pruning map that is
-        # no automorphism as a generator that moves an edge off the edges.
+        # Disconnected sparse graphs are where twins, backjumps and orbits
+        # cut most; a cut that dropped a subtree holding the minimum would
+        # show as a wrong form, and a pruning map that is no automorphism as
+        # a generator that moves an edge off the edges.
         rng = random.Random(113)
         for _ in range(24):
             g = random_forest(rng, 8, min_vertices=4)
@@ -372,29 +389,31 @@ class TestBlocks:
     @pytest.mark.parametrize(
         "g, bound",
         [
-            # Over all orders, the eager search placed 804 vertices on the
-            # forest and 11570 on D(10,4,4), with its sorted-column bound.
+            # Over all orders, an eager search with a sorted-column bound
+            # placed 804 vertices on the forest and 11570 on D(10,4,4);
+            # inside the stable cells this one places 16 and 36.
             (FOREST, 60),
             (dog(10, [4, 4]), 200),
-            # 7K_2: pruning with only the automorphisms that fix every
-            # placed vertex lets the edges' orders multiply.
-            (build(14, [(2 * i, 2 * i + 1) for i in range(7)]), 60),
-            # The empty graph: one block, each set joined once.
+            # 7K_2: the orbits of the automorphisms that fix every placed
+            # vertex leave the edges' orders to multiply; 83 placements.
+            (build(14, [(2 * i, 2 * i + 1) for i in range(7)]), 100),
+            # The empty graph: all twins, so one leaf and no branching.
             (build(14, []), 14),
+            # K_{7,7}: two classes of twins, two leaves, 28 placements.
             (build(14, [(u, v) for u in range(7) for v in range(7, 14)]), 40),
         ],
         ids=["P3+P5+2K1", "D(10,4,4)", "7K2", "E14", "K77"],
     )
     def test_nodes_within_bound(self, monkeypatch, g, bound):
-        # One _columns call per node of the search.
+        # One _place call per vertex placed.
         calls = []
-        columns = canonical._columns
+        place = canonical._place
 
         def counting(*args):
             calls.append(None)
-            return columns(*args)
+            return place(*args)
 
-        monkeypatch.setattr(canonical, "_columns", counting)
+        monkeypatch.setattr(canonical, "_place", counting)
         bits, gens = label(g)
         assert len(calls) <= bound
         monkeypatch.undo()
