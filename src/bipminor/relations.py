@@ -40,10 +40,11 @@ on every graph between a vertex's edge deletions and its own, so they
 cut no path to the target.  A witness is the path the walk took, not always a
 shortest one; it deletes a vertex's edges one by one.  The stored graphs
 carry their own labels, so the trace names its steps by replay: from the
-host, it takes at each graph of the path the first move of its core
-whose stripped child has the next core (by the count lemma at
-``_children``, it isolates as many vertices as the walk's step), and then
-deletes the isolated vertices beyond the target's, least first.
+host, it takes at each graph of the path its first move (its core's
+moves, on its own labels) whose stripped child has the next core (by
+the count lemma at ``_children``, it isolates as many vertices as the
+walk's step), and then deletes the isolated vertices beyond the
+target's, least first.
 Both check the size cap on the host alone: no move adds a vertex.
 
 ``is_minor`` uses the equivalent branch-set formulation: disjoint
