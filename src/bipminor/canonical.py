@@ -1,29 +1,36 @@
 """Exact canonical forms and isomorphism tests for small graphs.
 
-The canonical form of a graph is the lexicographically minimal
-upper-triangular adjacency bit sequence, read column by column (the same
-bit order graph6 uses), over the **cell orders**: the vertex orderings
-that list the cells of the graph's stable colouring in colour order, each
-cell in any order.  The stable colouring is what colour refinement
-(``_stable``) gives from the all-equal colouring.  It depends on no labels
-and not on the hash seed, so an isomorphism maps the cell orders of one
-graph onto those of the other, and two graphs have equal forms iff they
-are isomorphic.  A graph whose stable colouring has one cell, such as a
-regular graph, is minimised over all orders.
+A graph's canonical form is a vertex count and an upper-triangular
+adjacency bit sequence, read column by column (the same bit order graph6
+uses), of one graph of its isomorphism class, picked in one of two ways.
+
+- A **pseudoforest** (below) has a tree code, which is complete: two
+  pseudoforests have equal codes iff they are isomorphic.  Its form is the
+  bits of the graph its code **spells** (``_spell``), a function of the
+  code alone.
+- **Any other graph** is labelled: its form is the lexicographically
+  minimal bits over the **cell orders**, the vertex orderings that list
+  the cells of the graph's stable colouring in colour order, each cell in
+  any order.  The stable colouring is what colour refinement (``_stable``)
+  gives from the all-equal colouring.  It depends on no labels and not on
+  the hash seed, so an isomorphism maps the cell orders of one graph onto
+  those of the other.  A graph whose stable colouring has one cell, such
+  as a regular graph, is minimised over all orders.
+
+So two graphs have equal forms iff they are isomorphic.  A form's bits
+determine its graph, a spelled graph is a pseudoforest and a labelled one
+is not, so forms of the two kinds never collide.
 
 **The memo and the code table.**  ``canonical_form`` looks a graph up in
 three steps.  The form memo keeps the form of every graph answered, under
-its neighbour masks.  A pseudoforest is keyed by its tree code (below),
-which is complete, so the code table maps each code known straight to its
-form: a pseudoforest whose code is known takes the form with no
-refinement or labelling.  Any other graph, and a pseudoforest whose code
-is new, is labelled inside its stable colouring; that labelling is the
-only way a graph is identified.  The memo starts again empty once it
-holds more than ``STORE_LIMIT`` entries, the limit that also bounds
-``relations._store``.  The code table, once past the same limit, empties
-with the memo; the memo empties alone far more often, and emptying the
-table with it would relabel the coded classes that a long closure meets
-again.  No result depends on what they hold.  ``are_isomorphic`` compares
+its neighbour masks.  A pseudoforest is keyed by its tree code: the code
+table maps each code known to its form, and a new code is spelled and
+stored there.  A pseudoforest is never refined or labelled; labelling
+inside the stable colouring is only for graphs with no code.  The memo
+starts again empty once it holds more than ``STORE_LIMIT`` entries, the
+limit that also bounds ``relations._store``.  The code table, once past
+the same limit, empties with the memo; the memo empties alone far more
+often.  No result depends on what they hold.  ``are_isomorphic`` compares
 two forms.
 
 **Tree codes.**  A pseudoforest is a graph each of whose components has
@@ -64,6 +71,14 @@ each round removes every vertex of degree at most one in what is left.
 So two pseudoforests have equal codes iff they are isomorphic.  The code
 is built in one pass over the rounds, with no recursion, so it serves
 graphs of any size.
+
+**Spelling** reads a code once and builds the graph it names.  Each
+top-level ``()`` part is an isolated vertex, and these are numbered first.
+Every other ``(`` is the next vertex, joined to the vertex whose
+parentheses enclose it; the two roots inside ``[...]`` are joined, and the
+roots inside ``<...>`` are joined in a cycle, in their order.  Reading the
+construction above backwards shows that the spelled graph is isomorphic
+to every graph with that code.
 
 **Labelling** is an eager branch and bound over vertex orders, kept
 inside the stable colouring: individualisation-refinement's first step
@@ -137,9 +152,11 @@ _forms: dict[tuple[int, ...], "CanonicalForm"] = {}
 class CanonicalForm:
     """Isomorphism-invariant fingerprint of a graph.
 
-    ``canonical_bits`` is the minimal ``graph_core.upper_bits`` over the
-    vertex orderings that list the cells of the graph's stable colouring in
-    colour order.  Two graphs have equal forms iff they are isomorphic.
+    ``canonical_bits`` is the ``graph_core.upper_bits`` of the graph that a
+    pseudoforest's tree code spells, or, for a graph with no code, the
+    minimal ``upper_bits`` over the vertex orderings that list the cells of
+    the graph's stable colouring in colour order.  Two graphs have equal
+    forms iff they are isomorphic.
     """
 
     vertex_count: int
@@ -152,20 +169,21 @@ class CanonicalForm:
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of ``g``, of any size: from the form memo, else from
-    the code table by ``g``'s tree code, else by labelling ``g`` inside its
-    stable colouring.  The searches bound the size of the graphs they label
-    by checking their host."""
+    the code table by ``g``'s tree code, spelling a new code, else by
+    labelling ``g`` inside its stable colouring.  The searches bound the
+    size of the graphs they label by checking their host."""
     masks = g.neighbor_masks
     form = _forms.get(masks)
     if form is None:
         code = _code(g)
-        form = _codes.get(code)
-        if form is None:
-            if len(_codes) > STORE_LIMIT:
-                clear_cache()
+        if code is None:
             form = CanonicalForm(g.vertex_count, _minimal_bits(g, _stable(g))[0])
-            if code is not None:
-                _codes[code] = form
+        else:
+            form = _codes.get(code)
+            if form is None:
+                if len(_codes) > STORE_LIMIT:
+                    clear_cache()
+                form = _codes[code] = _spell(code)
         if len(_forms) > STORE_LIMIT:
             _forms.clear()
         _forms[masks] = form
@@ -177,17 +195,26 @@ def padded(form: CanonicalForm, k: int) -> CanonicalForm:
     nothing is labelled.
 
     Padding lemma: the form of ``X + kK_1`` is X's form with k zero
-    columns in front.  A graph's isolated vertices form the first cell of
-    its stable colouring: in every refinement round an isolated vertex's
-    signature, colour 0 and no neighbours' colours, is the least.  No
-    other signature names an isolated vertex's colour, so the other
-    vertices, the core, get the colours they get in the core alone, each
-    raised by one, and the later cells are the core's cells in the core's
-    order.  So each cell order of a graph lists its isolated vertices
-    first, with zero columns, and then its core in one of the core's own
-    cell orders, each column led by a zero per isolated vertex.  The least
-    is the core's least behind those zero columns, in ``X + kK_1`` as in
-    X."""
+    columns in front, for both kinds of form.
+
+    - *Spelled.*  The code of ``X + kK_1`` is X's code with k more ``()``
+      parts; its other parts are X's, in the same order.  Spelling numbers
+      the ``()`` parts first and the rest in reading order, so the spelled
+      graph is X's with k isolated vertices in front: k zero columns, and
+      each of X's columns led by k zeros.
+    - *Labelled.*  A graph's isolated vertices form the first cell of its
+      stable colouring: in every refinement round an isolated vertex's
+      signature, colour 0 and no neighbours' colours, is the least.  No
+      other signature names an isolated vertex's colour, so the other
+      vertices, the core, get the colours they get in the core alone, each
+      raised by one, and the later cells are the core's cells in the
+      core's order.  So each cell order of a graph lists its isolated
+      vertices first, with zero columns, and then its core in one of the
+      core's own cell orders, each column led by a zero per isolated
+      vertex.  The least is the core's least behind those zero columns, in
+      ``X + kK_1`` as in X.
+
+    X has a code iff ``X + kK_1`` has one, so both sides are of one kind."""
     n, bits = form.vertex_count, form.canonical_bits
     out = 0
     shift = n * (n - 1) // 2
@@ -281,6 +308,51 @@ def _code(g: Graph) -> str | None:
         parts.append("<" + best + ">")
     parts.sort()
     return "".join(parts)
+
+
+def _spell(code: str) -> CanonicalForm:
+    """The form of the graph that the tree code ``code`` spells (see the
+    module docstring): its isolated vertices first, then every other ``(``
+    in reading order."""
+    # A vertex's earlier neighbours are read before it, so its column is
+    # known when it is read: bit j - 1 - i of column j is the pair ij.  The
+    # vertices not isolated are numbered from 0 here; numbering the
+    # isolated ones in front moves each column but keeps its value.
+    cols: list[int] = []
+    enclosing: list[int] = []  # the vertices whose parentheses are open
+    roots = None  # the roots read so far inside the open [...] or <...>
+    isolated = 0
+    for c in code:
+        if c == "(":
+            v = len(cols)
+            if enclosing:
+                cols.append(1 << (v - 1 - enclosing[-1]))
+            elif roots:
+                cols.append(1 << (v - 1 - roots[-1]))
+                roots.append(v)
+            else:
+                cols.append(0)
+                if roots is not None:
+                    roots.append(v)
+            enclosing.append(v)
+        elif c == ")":
+            v = enclosing.pop()
+            if not enclosing and roots is None and v == len(cols) - 1:
+                # A top-level () part: an isolated vertex.
+                cols.pop()
+                isolated += 1
+        elif c in "[<":
+            roots = []
+        else:
+            if c == ">":
+                # The last root closes the cycle at the first.
+                v = roots[-1]
+                cols[v] |= 1 << (v - 1 - roots[0])
+            roots = None
+    bits = 0
+    for j, col in enumerate(cols, isolated):
+        bits = (bits << j) | col
+    return CanonicalForm(isolated + len(cols), bits)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -165,12 +165,16 @@ def from_upper_bits(vertex_count: int, bits: int) -> Graph:
     if n < 0 or bits < 0 or bits >> (n * (n - 1) // 2):
         raise GraphError(f"{bits} is not an upper triangle on {n} vertices")
     masks = [0] * n
-    for j in range(n - 1, 0, -1):  # the pairs in reverse, lowest bit first
-        for i in range(j - 1, -1, -1):
-            if bits & 1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-            bits >>= 1
+    for j in range(n - 1, 0, -1):  # the columns in reverse, lowest first
+        col = bits & ((1 << j) - 1)
+        bits >>= j
+        # Bit j - 1 - i of column j is the pair ij; walk the set bits only.
+        while col:
+            low = col & -col
+            col ^= low
+            i = j - low.bit_length()
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
     return _derived(n, tuple(masks))
 
 

@@ -53,6 +53,36 @@ def label(g):
     return _minimal_bits(g, canonical._stable(g))
 
 
+def cold_form(g):
+    """g's form from no cache: spelled from its tree code, or labelled."""
+    code = _code(g)
+    if code is None:
+        return CanonicalForm(g.vertex_count, label(g)[0])
+    return canonical._spell(code)
+
+
+def _has_dense_component(g):
+    """True iff some component has more edges than vertices (networkx)."""
+    x = to_networkx(g)
+    return any(
+        x.subgraph(part).number_of_edges() > len(part)
+        for part in nx.connected_components(x)
+    )
+
+
+def _assert_form(g):
+    """g's form keeps its contract, checked by oracles apart from the
+    package: a graph with a component denser than a cycle takes the least
+    bits over cell orders (brute force), and any other, a pseudoforest,
+    the bits of a graph isomorphic to g (networkx)."""
+    form = canonical_form(g)
+    assert form.vertex_count == g.vertex_count, g
+    if _has_dense_component(g):
+        assert form.canonical_bits == brute_min_bits(g), g
+    else:
+        assert nx.is_isomorphic(to_networkx(form.to_graph()), to_networkx(g)), g
+
+
 # Non-isomorphic pairs that colour refinement (the 1-WL certificate) does
 # not tell apart: C_6 and two triangles (2-regular), K_{3,3} and the
 # triangular prism (3-regular).
@@ -70,15 +100,16 @@ class TestCanonicalForm:
         rng = random.Random(101)
         for _ in range(250):
             g = random_graph(rng, 6)
-            assert canonical_form(g).canonical_bits == brute_min_bits(g)
-        # Most small random graphs have a tree code, so 150 with more edges
-        # than vertices, which have none and are always labelled, follow.
+            _assert_form(g)
+        # Most small random graphs have a tree code and are spelled, so 150
+        # with more edges than vertices, which have none and are always
+        # labelled, follow.
         dense = 0
         while dense < 150:
             g = random_graph(rng, 6)
             if g.edge_count > g.vertex_count:
                 dense += 1
-                assert canonical_form(g).canonical_bits == brute_min_bits(g)
+                _assert_form(g)
                 assert canonical_form(shuffled(g, rng)) == canonical_form(g)
 
     def test_matches_brute_force_on_seven_vertices(self):
@@ -87,7 +118,7 @@ class TestCanonicalForm:
         graphs = [shuffled(g, rng) for g in graphs for _ in range(2)]
         graphs += [random_sparse_connected(rng, 7, extra=3) for _ in range(8)]
         for g in graphs:
-            assert canonical_form(g).canonical_bits == brute_min_bits(g)
+            _assert_form(g)
 
     def test_invariant_under_relabeling(self):
         rng = random.Random(102)
@@ -155,9 +186,12 @@ class TestCanonicalForm:
             edges.add((u, v))
         for g in (path(1050), build(1200, sorted(edges))):
             bits, gens = label(g)
-            assert bits.bit_count() == g.edge_count
+            form = CanonicalForm(g.vertex_count, bits)
+            assert label(form.to_graph())[0] == bits
             assert label(shuffled(g, rng))[0] == bits
             _assert_automorphisms(g, gens)
+        spelled = canonical_form(path(1050))
+        assert canonical_form(shuffled(spelled.to_graph(), rng)) == spelled
 
 
 def _assert_automorphisms(g, gens):
@@ -181,7 +215,8 @@ def _assert_labelling(g):
 
 class TestPaddingLemma:
     """The form of ``X + kK_1`` is X's form with k zero columns in front,
-    checked against a labelling of ``X + kK_1`` that no cache answers."""
+    checked against a spelling or labelling of ``X + kK_1`` that no cache
+    answers."""
 
     @staticmethod
     def _assert_padded(g, rng=None):
@@ -190,8 +225,7 @@ class TestPaddingLemma:
             bigger = build(g.vertex_count + k, g.edges)
             if rng is not None:
                 bigger = shuffled(bigger, rng)
-            bits, _ = label(bigger)
-            assert padded(form, k) == CanonicalForm(bigger.vertex_count, bits)
+            assert padded(form, k) == cold_form(bigger)
             # A trace's target is the form of the target's core.
             core, isolated = strip_isolated(bigger)
             assert padded(canonical_form(core), isolated) == padded(form, k)
@@ -212,25 +246,18 @@ class TestPaddingLemma:
             self._assert_padded(cf.to_graph())
 
 
-def _has_dense_component(g):
-    """True iff some component has more edges than vertices (networkx)."""
-    x = to_networkx(g)
-    return any(
-        x.subgraph(part).number_of_edges() > len(part)
-        for part in nx.connected_components(x)
-    )
+# networkx's atlas lists every graph of at most 7 vertices once.
+ATLAS = [build(x.number_of_nodes(), list(x.edges())) for x in nx.graph_atlas_g()]
 
 
 class TestTreeCodes:
     """A pseudoforest's tree code is complete: equal codes iff isomorphic."""
 
     def test_all_graphs_of_at_most_seven_vertices(self):
-        # networkx's atlas lists every graph of at most 7 vertices once.
         rng = random.Random(116)
-        atlas = [build(x.number_of_nodes(), list(x.edges())) for x in nx.graph_atlas_g()]
-        assert len(atlas) == 1253
+        assert len(ATLAS) == 1253
         by_code = {}
-        for g in atlas:
+        for g in ATLAS:
             code = _code(g)
             assert (code is None) == _has_dense_component(g), g
             if code is not None:
@@ -254,9 +281,9 @@ class TestTreeCodes:
 
     @settings(max_examples=150, deadline=None)
     @given(pseudoforests(max_vertices=12), st.randoms(use_true_random=False))
-    def test_coded_form_is_a_cold_labelling(self, g, rng):
+    def test_coded_form_is_a_cold_spelling(self, g, rng):
         h = shuffled(g, rng)
-        cold = CanonicalForm(h.vertex_count, label(h)[0])
+        cold = cold_form(h)
         relations.clear_caches()
         assert _code(g) == _code(h) is not None
         canonical_form(g)
@@ -289,8 +316,9 @@ class TestTreeCodes:
         assert not brute_isomorphic(chiral, opposite)
         assert _code(chiral) != _code(opposite)
         relations.clear_caches()
-        canonical_form(chiral)
-        assert canonical_form(mirrored).canonical_bits == brute_min_bits(mirrored)
+        form = canonical_form(chiral)
+        assert canonical_form(mirrored) == form == cold_form(mirrored)
+        assert nx.is_isomorphic(to_networkx(form.to_graph()), to_networkx(mirrored))
 
     def test_isolated_vertices(self):
         assert [_code(build(n, [])) for n in range(4)] == ["", "()", "()()", "()()()"]
@@ -306,9 +334,8 @@ class TestTreeCodes:
         for g in [build(5, [(2, 3)]), build(6, [(0, 5), (5, 2), (2, 0)]), FOREST]:
             canonical_form(g)
             h = shuffled(g, rng)
-            cold = label(h)[0]
-            assert canonical_form(h).canonical_bits == cold
-            assert h.vertex_count > 7 or cold == brute_min_bits(h)
+            assert canonical_form(h) == cold_form(h)
+            _assert_form(h)
 
     def test_a_known_code_takes_no_refinement_and_no_labelling(self, monkeypatch):
         # The form comes from the code alone: no refinement and no
@@ -327,6 +354,53 @@ class TestTreeCodes:
         for g in graphs:
             assert canonical_form(shuffled(g, rng)) == canonical_form(g)
         assert len(canonical._codes) == len(graphs)
+
+
+class TestSpelledForms:
+    """A pseudoforest's form is the graph its tree code spells, checked by
+    oracles that share no code with the spell or the code."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pseudoforests(max_vertices=12), st.randoms(use_true_random=False))
+    def test_spelled_graph_is_isomorphic(self, g, rng):
+        relations.clear_caches()
+        form = canonical_form(g)
+        assert form.vertex_count == g.vertex_count
+        assert nx.is_isomorphic(to_networkx(form.to_graph()), to_networkx(g))
+        # A relabelling, spelled from no cache, keeps the form.
+        relations.clear_caches()
+        assert canonical_form(shuffled(g, rng)) == form
+
+    def test_forms_are_distinct_exactly_when_not_isomorphic(self):
+        # Over every graph of at most 7 vertices, coded or not: a relabelled
+        # copy takes the same form, and the 1253 classes take 1253 forms.
+        # networkx finds no isomorphism inside any bucket of equal degree
+        # sequences, so the atlas holds one graph per class.
+        rng = random.Random(122)
+        buckets = {}
+        for g in ATLAS:
+            degrees = sorted(map(int.bit_count, g.neighbor_masks))
+            buckets.setdefault((g.vertex_count, *degrees), []).append(to_networkx(g))
+        assert not any(
+            nx.is_isomorphic(a, b)
+            for bucket in buckets.values()
+            for i, a in enumerate(bucket)
+            for b in bucket[i + 1:]
+        )
+        forms = []
+        for g in ATLAS:
+            relations.clear_caches()
+            forms.append(canonical_form(g))
+            assert canonical_form(shuffled(g, rng)) == forms[-1], g
+        assert len(set(forms)) == len(ATLAS)
+
+    def test_isolated_vertices_are_numbered_first(self):
+        # P3 + 2K1 + C4: the code lists the trees, the () parts and the
+        # cycles in code order; the spell puts the isolated vertices first.
+        g = build(9, [(0, 1), (1, 2), (5, 6), (6, 7), (7, 8), (5, 8)])
+        assert _code(g) == "(()())()()<()()()()>"
+        form = canonical._spell(_code(g))
+        assert form.to_graph().edges == {(2, 3), (2, 4), (5, 6), (5, 8), (6, 7), (7, 8)}
 
 
 class TestAutomorphisms:
@@ -485,7 +559,7 @@ class TestCellOrders:
             want = brute_min_bits(g)
         else:
             want = eager_min_bits(g)[0]
-        assert canonical_form(g).canonical_bits == want
+        assert label(g)[0] == want
 
     @pytest.mark.parametrize(
         "g", VERTEX_TRANSITIVE.values(), ids=VERTEX_TRANSITIVE.keys()
@@ -499,8 +573,9 @@ class TestCellOrders:
             assert label(shuffled(g, rng))[0] == want
 
     def test_cores_of_the_2x6_grid_closure(self):
-        # The closure labels each class once, on whichever core reaches it
-        # first; a cold labelling of a relabelled core must give that form.
+        # The closure spells or labels each class once, on whichever core
+        # reaches it first; a cold form of a relabelled core must be that
+        # form.
         edges = [(v, v + 1) for v in range(11) if v != 5]
         edges += [(v, v + 6) for v in range(6)]
         closure = bipartite_minor_closure(build(12, edges))
@@ -509,7 +584,7 @@ class TestCellOrders:
         assert len(cores) == 2210
         rng = random.Random(120)
         for core in cores:
-            assert label(shuffled(core, rng))[0] == canonical_form(core).canonical_bits
+            assert cold_form(shuffled(core, rng)) == canonical_form(core)
 
 
 class TestAreIsomorphic:
@@ -586,9 +661,9 @@ class TestClassCache:
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
-    def test_match_agrees_with_a_cold_labelling(self, g, rng):
+    def test_match_agrees_with_a_cold_form(self, g, rng):
         h = shuffled(g, rng)
-        cold = CanonicalForm(h.vertex_count, label(h)[0])
+        cold = cold_form(h)
         relations.clear_caches()
         canonical_form(g)
         assert canonical_form(h) == cold
@@ -605,8 +680,8 @@ class TestClassCache:
         assert stable_cells(g) == stable_cells(h)
         assert not are_isomorphic(g, h)
         assert canonical_form(g) != canonical_form(h)
-        assert canonical_form(g).canonical_bits == brute_min_bits(g)
-        assert canonical_form(h).canonical_bits == brute_min_bits(h)
+        _assert_form(g)
+        _assert_form(h)
 
     def test_the_memo_keeps_graphs_above_the_cap(self, monkeypatch, empty_cache):
         monkeypatch.delenv("BIPMINOR_SIZE_CAP", raising=False)
@@ -619,14 +694,39 @@ class TestClassCache:
         monkeypatch.setattr(canonical, "_minimal_bits", None)
         assert canonical_form(h) == form
 
-    def test_closure_labels_each_member_once(self, monkeypatch, empty_cache):
-        labelled = []
+    @pytest.mark.parametrize(
+        "host, members, uncoded_cores",
+        [(cycle(10), 272, 0), (dog(6, [4]), 172, 5)],
+        ids=["C10", "D(6,4)"],
+    )
+    def test_closure_refines_and_labels_only_uncoded_cores(
+        self, monkeypatch, empty_cache, host, members, uncoded_cores
+    ):
+        # A pseudoforest's form is spelled: every core of C_10's closure is
+        # one, so nothing is refined or labelled, and of D(6,4)'s only the
+        # cores with a component denser than a cycle are.
+        refined, labelled = [], []
+        stable = canonical._stable
 
-        def counting(g, colours):
+        def counting_stable(g):
+            refined.append(g)
+            return stable(g)
+
+        def counting_label(g, colours):
             labelled.append(g)
             return _minimal_bits(g, colours)
 
-        monkeypatch.setattr(canonical, "_minimal_bits", counting)
-        closure = bipartite_minor_closure(cycle(10))
-        assert len(closure) == 272
-        assert len(labelled) <= len(closure)
+        monkeypatch.setattr(canonical, "_stable", counting_stable)
+        monkeypatch.setattr(canonical, "_minimal_bits", counting_label)
+        closure = bipartite_minor_closure(host)
+        monkeypatch.undo()
+        assert len(closure) == members
+        uncoded = set()
+        for cf in closure:
+            g = cf.to_graph()
+            if _has_dense_component(g) and not strip_isolated(g)[1]:
+                uncoded.add(cf)
+        assert len(uncoded) == uncoded_cores
+        assert refined == labelled
+        assert {canonical_form(g) for g in labelled} == uncoded
+        assert all(strip_isolated(g)[1] == 0 for g in labelled)

@@ -806,25 +806,31 @@ class TestClosureStore:
         assert are_isomorphic(trace.replay(g), h)
 
     def test_trace_after_the_closure_labels_nothing(self, monkeypatch):
-        # The host's closure has labelled and expanded every core below it,
-        # so a trace from the host expands no core: it walks the store and
-        # replays its own steps through class-cache matches alone, with one
-        # call of _moves per step that is not a vertex deletion.
+        # The host's closure has spelled or labelled and expanded every
+        # core below it, so a trace from the host expands no core: it walks
+        # the store and replays its own steps through the memo and the code
+        # table alone, with one call of _moves per step that is not a
+        # vertex deletion.
         graphs = _hosts_and_blocks()
         pairs = self._trace_pairs(graphs)
         relations.clear_caches()
         labelled, moved = [], []
-        label, moves = canonical._minimal_bits, relations._moves
+        label, spell, moves = canonical._minimal_bits, canonical._spell, relations._moves
 
         def recording_labels(g, colours):
             labelled.append(g)
             return label(g, colours)
+
+        def recording_spells(code):
+            labelled.append(code)
+            return spell(code)
 
         def recording_moves(g):
             moved.append(g)
             return moves(g)
 
         monkeypatch.setattr(canonical, "_minimal_bits", recording_labels)
+        monkeypatch.setattr(canonical, "_spell", recording_spells)
         monkeypatch.setattr(relations, "_moves", recording_moves)
         for h, g in pairs:
             bipartite_minor_closure(g)
@@ -849,16 +855,16 @@ class TestClosureStore:
 
         want = run()
         sizes = []
-        label = canonical._minimal_bits
+        spell = canonical._spell
 
-        def recording(g, colours):
+        def recording(code):
             sizes.append(len(canonical._codes))
-            return label(g, colours)
+            return spell(code)
 
         monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
-        monkeypatch.setattr(canonical, "_minimal_bits", recording)
+        monkeypatch.setattr(canonical, "_spell", recording)
         assert run() == want
-        # Each labelling found at most the limit in the code table, and the
+        # Each new code found at most the limit in the code table, and the
         # table was emptied several times.
         assert max(sizes) == 20
         assert sum(a > b for a, b in zip(sizes, sizes[1:])) > 3
@@ -868,18 +874,18 @@ class TestClosureStore:
         graphs = _hosts_and_blocks()[:20]
         relations.clear_caches()
         want = [bipartite_minor_closure(g) for g in graphs]
-        seen = []  # the memo's size at each labelling
-        emptied = []  # and at the first labelling after each emptying
+        seen = []  # the memo's size at each new code spelled
+        emptied = []  # and at the first new code after each emptying
         fresh = False
-        label, clear = canonical._minimal_bits, canonical.clear_cache
+        spell, clear = canonical._spell, canonical.clear_cache
 
-        def recording(g, colours):
+        def recording(code):
             nonlocal fresh
             seen.append(len(canonical._forms))
             if fresh:
                 emptied.append(seen[-1])
                 fresh = False
-            return label(g, colours)
+            return spell(code)
 
         def clearing():
             nonlocal fresh
@@ -887,7 +893,7 @@ class TestClosureStore:
             fresh = True
 
         monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
-        monkeypatch.setattr(canonical, "_minimal_bits", recording)
+        monkeypatch.setattr(canonical, "_spell", recording)
         monkeypatch.setattr(canonical, "clear_cache", clearing)
         relations.clear_caches()
         got = []
@@ -896,7 +902,7 @@ class TestClosureStore:
             assert len(canonical._forms) <= 21
         assert got == want
         # The code table was emptied several times, each time with the
-        # memo: the first labelling after each emptying found the memo
+        # memo: the first new code after each emptying found the memo
         # empty, and the memo was filled in between.
         assert len(emptied) > 3 and set(emptied) == {0}
         assert max(seen) > 0
