@@ -23,15 +23,16 @@ is not, so forms of the two kinds never collide.
 
 **The memo and the code table.**  ``canonical_form`` looks a graph up in
 three steps.  The form memo keeps the form of every graph answered, under
-its neighbour masks.  A pseudoforest is keyed by its tree code: the code
-table maps each code known to its form, and a new code is spelled and
-stored there.  A pseudoforest is never refined or labelled; labelling
-inside the stable colouring is only for graphs with no code.  The memo
-starts again empty once it holds more than ``STORE_LIMIT`` entries, the
-limit that also bounds ``relations._store``.  The code table, once past
-the same limit, empties with the memo; the memo empties alone far more
-often.  No result depends on what they hold.  ``are_isomorphic`` compares
-two forms.
+its neighbour masks; ``_known_form`` asks it alone, so that the searches
+can look a child up on its masks before they make its graph.  A
+pseudoforest is keyed by its tree code: the code table maps each code
+known to its form, and a new code is spelled and stored there.  A
+pseudoforest is never refined or labelled; labelling inside the stable
+colouring is only for graphs with no code.  The memo starts again empty
+once it holds more than ``STORE_LIMIT`` entries, the limit that also
+bounds ``relations._store``.  The code table, once past the same limit,
+empties with the memo; the memo empties alone far more often.  No result
+depends on what they hold.  ``are_isomorphic`` compares two forms.
 
 **Tree codes.**  A pseudoforest is a graph each of whose components has
 at most as many edges as vertices: a tree, or a unicyclic graph.  Its
@@ -130,8 +131,7 @@ generate the whole group, and nothing else reads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph_core import Graph, from_upper_bits
 
@@ -148,9 +148,11 @@ _codes: dict[str, "CanonicalForm"] = {}
 _forms: dict[tuple[int, ...], "CanonicalForm"] = {}
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class CanonicalForm:
-    """Isomorphism-invariant fingerprint of a graph.
+class CanonicalForm(NamedTuple):
+    """Isomorphism-invariant fingerprint of a graph: a named pair, so that
+    hashing, ``==`` and ``<`` run as a tuple's do, and forms sort by vertex
+    count, then by bits.  A form is never compared with a plain tuple,
+    which would count as equal to it.
 
     ``canonical_bits`` is the ``graph_core.upper_bits`` of the graph that a
     pseudoforest's tree code spells, or, for a graph with no code, the
@@ -173,7 +175,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
     labelling ``g`` inside its stable colouring.  The searches bound the
     size of the graphs they label by checking their host."""
     masks = g.neighbor_masks
-    form = _forms.get(masks)
+    form = _known_form(masks)
     if form is None:
         code = _code(g)
         if code is None:
@@ -188,6 +190,13 @@ def canonical_form(g: Graph) -> CanonicalForm:
             _forms.clear()
         _forms[masks] = form
     return form
+
+
+def _known_form(masks: tuple[int, ...]) -> CanonicalForm | None:
+    """The form the memo holds for the graph with these neighbour masks, or
+    ``None``: a lookup that builds no graph, for the searches to try
+    before they make one."""
+    return _forms.get(masks)
 
 
 def padded(form: CanonicalForm, k: int) -> CanonicalForm:

@@ -154,8 +154,15 @@ def upper_bits(g: Graph) -> int:
     of canonical forms and graph6."""
     bits = 0
     for j, m in enumerate(g.neighbor_masks):
-        for i in range(j):
-            bits = (bits << 1) | ((m >> i) & 1)
+        # Bit j - 1 - i of column j is the pair ij; walk the set bits only,
+        # as ``from_upper_bits`` does.
+        below = m & ((1 << j) - 1)
+        col = 0
+        while below:
+            low = below & -below
+            below ^= low
+            col |= 1 << (j - low.bit_length())
+        bits = (bits << j) | col
     return bits
 
 

@@ -18,13 +18,18 @@ labelled representative and, once the core is expanded, to its distinct
 child cores, so each core is expanded and its children labelled once per
 process, whichever search reached it first (McKay, *Isomorph-free
 exhaustive generation*, 1998); a graph with isolated vertices is never
-labelled or expanded.  One depth-first loop, ``_walk``, serves both
-searches.  It pushes the states first reached from each state in reverse
-canonical order, so the least is expanded next and its parent links do
-not depend on what earlier searches left in the store.  A state with
-more isolated vertices beside the same core supersedes one with fewer.
-A search that finds the store above ``canonical.STORE_LIMIT`` entries
-empties it first; no result depends on what the store holds.
+labelled or expanded.  Children are made and looked up on neighbour
+masks: ``_moves`` edits the core's masks, strips the ends an edge deletion
+isolates, and the form memo is asked on the child's masks, so a graph is
+made only when the memo does not hold the child or the store gains it, and
+a ``Step`` only for a step the replay names.  One depth-first loop,
+``_walk``, serves both searches.  It pushes the states first reached from
+each state in reverse canonical order, so the least is expanded next and
+its parent links do not depend on what earlier searches left in the
+store.  A state with more isolated vertices beside the same core
+supersedes one with fewer.  A search that finds the store above
+``canonical.STORE_LIMIT`` entries empties it first; no result depends on
+what the store holds.
 
 ``bipartite_minor_closure`` (everything reachable, up to isomorphism) is
 ``{X + kK_1 : k <= J(X)}`` over the cores X the walk reaches, where J(X)
@@ -59,10 +64,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import canonical
-from .canonical import CanonicalForm, canonical_form, padded
+from .canonical import CanonicalForm, _known_form, canonical_form, padded
 from .graph_core import (
     Graph,
     GraphError,
+    _derived,
+    _drop,
     check_size_cap,
     contract_set,
     delete_edge,
@@ -215,20 +222,65 @@ def _cycle_rank(g: Graph) -> int:
     return g.edge_count - g.vertex_count + component_count(g)
 
 
-def _moves(g: Graph) -> Iterator[tuple[Step, Graph]]:
-    """Single-operation successors of a core in a fixed order: every
-    admissible contraction, with the least ``w``, then every edge
-    deletion, each in sorted order.
+# A move of a core: the contraction of u and v through w, or the deletion
+# of the edge uv when w is None; then the child's core, as neighbour masks,
+# and how many vertices the move isolated.
+Move = tuple[int, int, int | None, tuple[int, ...], int]
+
+
+def _moves(g: Graph) -> Iterator[Move]:
+    """Single-operation successors of the core ``g`` in a fixed order: every
+    admissible contraction, with the least ``w``, then every edge deletion,
+    each in sorted order.  Each child is made on the masks alone, as
+    ``contract_set`` and ``delete_edge`` then ``strip_isolated`` would make
+    it: a contraction merges v into u and drops v, and isolates no vertex,
+    as u and v keep w; an edge deletion clears two bits and strips an end
+    it left with no neighbours.
 
     No move uses an isolated vertex except to delete it, so the searches
     strip isolated vertices from every child and count them instead.  Any
     other vertex deletion is reached by deleting the vertex's edges
     first, through graphs that are themselves reachable, and then the
     isolated vertex, so no search loses a state."""
+    masks = g.neighbor_masks
     for p in admissible_pairs(g):
-        yield AdmissibleContraction(p.u, p.v, p.w), contract_set(g, {p.u, p.v})
-    for u, v in sorted(g.edges):
-        yield EdgeDeletion(u, v), delete_edge(g, u, v)
+        u, v = p.u, p.v
+        bu, bv = 1 << u, 1 << v
+        # Dropping v keeps the bits below it and shifts those above down.
+        below, above = bv - 1, -bv
+        out = []
+        for x, m in enumerate(masks):
+            if x == u:
+                m = (m | masks[v]) & ~(bu | bv)
+            elif x == v:
+                continue
+            elif m & bv:
+                m |= bu
+            out.append((m & below) | ((m >> 1) & above))
+        yield u, v, p.w, tuple(out), 0
+    for u, mu in enumerate(masks):
+        ends = mu >> (u + 1) << (u + 1)
+        while ends:
+            bv = ends & -ends
+            ends ^= bv
+            v = bv.bit_length() - 1
+            out = list(masks)
+            out[u] ^= bv
+            out[v] ^= 1 << u
+            lone = (0 if out[u] else 1 << u) | (0 if out[v] else bv)
+            yield u, v, None, _drop(out, lone) if lone else tuple(out), lone.bit_count()
+
+
+def _core(masks: tuple[int, ...]) -> Graph:
+    """The core with these neighbour masks, which a move made."""
+    return _derived(len(masks), masks)
+
+
+def _form(masks: tuple[int, ...]) -> CanonicalForm:
+    """The form of the core with these neighbour masks: from the memo,
+    else from the graph, made only then."""
+    form = _known_form(masks)
+    return canonical_form(_core(masks)) if form is None else form
 
 
 def bipartite_minor_trace(h: Graph, g: Graph) -> OpTrace | None:
@@ -259,19 +311,26 @@ def bipartite_minor_trace(h: Graph, g: Graph) -> OpTrace | None:
     while reached[path[-1]][1] is not None:
         path.append(reached[path[-1]][1])
     # Name each step on the host's own labels: replay the path, taking at
-    # each graph the first move that reaches the next core.  No move uses
-    # an isolated vertex, and stripping keeps the other vertices in their
-    # order, so a graph's moves are its core's, in the same order.
+    # each graph the first move of its core that reaches the next core.  No
+    # move uses an isolated vertex, and stripping keeps the other vertices
+    # in their order, so a graph's moves are its core's, in the same order,
+    # on the labels of the vertices with neighbours.
     steps: list[Step] = []
     cur = g
     for y in reversed(path[:-1]):
-        for step, child in _moves(cur):
-            if canonical_form(strip_isolated(child)[0]) == y:
+        live = [v for v in cur.vertices if cur.neighbor_masks[v]]
+        for u, v, w, masks, _ in _moves(strip_isolated(cur)[0]):
+            if _form(masks) == y:
                 break
         else:
             raise RuntimeError(f"no move of the walk's path reaches {y}")
-        steps.append(step)
-        cur = child
+        u, v = live[u], live[v]
+        if w is None:
+            steps.append(EdgeDeletion(u, v))
+            cur = delete_edge(cur, u, v)
+        else:
+            steps.append(AdmissibleContraction(u, v, live[w]))
+            cur = contract_set(cur, {u, v})
     # Then delete the isolated vertices beyond the target's, least first;
     # each deletion shifts the labels above it down by one.
     lone = [v for v in cur.vertices if not cur.neighbor_masks[v]]
@@ -290,9 +349,10 @@ def is_bipartite_minor(h: Graph, g: Graph) -> bool:
 # each core form reached maps to its first labelled graph and, once
 # expanded, to its distinct child cores, each with the one number of
 # vertices every move to it isolates (the count lemma at ``_children``).
-# An entry costs about 600 bytes besides its graph (CPython 3.11, 64-bit),
-# most of it the (core, count) pairs of its children, and ``verify all``
-# leaves 920 (1,718 when the store held every form).  It is bounded by
+# An entry costs about 610 bytes besides its graph (CPython 3.11, 64-bit:
+# ``sys.getsizeof`` summed over the entries ``verify all`` leaves), most of
+# it the (core, count) pairs of its children, and ``verify all`` leaves 920
+# (1,718 when the store held every form).  It is bounded by
 # ``canonical.STORE_LIMIT``, as the code table and the form memo are.
 _store: dict[CanonicalForm, tuple[Graph, tuple[tuple[CanonicalForm, int], ...] | None]] = {}
 
@@ -308,6 +368,9 @@ def clear_caches() -> None:
 def _children(cf: CanonicalForm) -> tuple[tuple[CanonicalForm, int], ...]:
     """The distinct cores one move from the core ``cf``, each with the
     number of vertices a move to it isolates, expanding ``cf`` on first use.
+    The children are made on masks (``_moves``) and looked up in the form
+    memo on those masks; a graph is made only for a child the memo does not
+    hold, to label it, or for one new to the store, to keep there.
 
     Count lemma: every move from a core X to one child core isolates the
     same number of vertices.  A contraction of u and v isolates none and
@@ -323,12 +386,14 @@ def _children(cf: CanonicalForm) -> tuple[tuple[CanonicalForm, int], ...]:
     g, kids = _store[cf]
     if kids is None:
         found: dict[CanonicalForm, int] = {}
-        for _, child in _moves(g):
-            core, i = strip_isolated(child)
-            ccf = canonical_form(core)
+        for *_, masks, i in _moves(g):
+            ccf = _known_form(masks)
+            if ccf is None or ccf not in _store:
+                core = _core(masks)
+                if ccf is None:
+                    ccf = canonical_form(core)
+                _store.setdefault(ccf, (core, None))
             found[ccf] = i
-            if ccf not in _store:
-                _store[ccf] = (core, None)
         kids = tuple(found.items())
         _store[cf] = (g, kids)
     return kids

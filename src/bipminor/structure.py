@@ -147,37 +147,62 @@ def _induced_cycles(g: Graph) -> list[tuple[Cycle, int]]:
     """All chordless cycles as canonical tuples, each with its vertex mask:
     smallest vertex first, oriented toward its smaller cycle neighbor.
 
-    Grows induced paths from each start s using only vertices above s; a
-    candidate adjacent to s closes a cycle and never extends the path.
+    Every vertex of a cycle keeps two neighbours on it, so no cycle loses a
+    vertex when the vertices of degree at most one are peeled, round after
+    round: every cycle lies in the 2-core, what peeling leaves.  The search
+    peels first, then grows induced paths from each start s of the 2-core
+    using only its vertices above s, each step along the last vertex's
+    neighbours that are off the path and not adjacent to its interior, in
+    increasing order; a candidate adjacent to s closes a cycle and never
+    extends the path.  Paths through the peeled trees never closed a
+    cycle, so the cycles and their order are those of the same search over
+    every vertex.
     """
     n = g.vertex_count
     masks = g.neighbor_masks
+    core = (1 << n) - 1
+    degree = [m.bit_count() for m in masks]
+    peel = [v for v, d in enumerate(degree) if d <= 1]
+    while peel:
+        v = peel.pop()
+        core ^= 1 << v
+        m = masks[v] & core
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
+            degree[w] -= 1
+            if degree[w] == 1:
+                peel.append(w)
     out: list[tuple[Cycle, int]] = []
 
-    def extend(s: int, path: list[int], path_mask: int) -> None:
+    def extend(s: int, above: int, path: list[int], path_mask: int, inner: int) -> None:
+        # ``inner`` holds the neighbours of the path's interior vertices.
         last = path[-1]
         second = path[1]
-        mid_mask = path_mask & ~(1 << s) & ~(1 << last)
-        for w in range(s + 1, n):
-            if (path_mask >> w) & 1:
-                continue
-            mw = masks[w]
-            if not (mw >> last) & 1 or mw & mid_mask:
-                continue
-            if (mw >> s) & 1:
+        step = masks[last] & above & ~(path_mask | inner)
+        while step:
+            low = step & -step
+            step ^= low
+            w = low.bit_length() - 1
+            if (masks[w] >> s) & 1:
                 if w > second:
-                    out.append((tuple(path) + (w,), path_mask | (1 << w)))
+                    out.append((tuple(path) + (w,), path_mask | low))
             else:
                 path.append(w)
-                extend(s, path, path_mask | (1 << w))
+                extend(s, above, path, path_mask | low, inner | masks[last])
                 path.pop()
 
-    for s in range(n):
-        above = masks[s] >> (s + 1) << (s + 1)
-        while above:
-            low = above & -above
-            above ^= low
-            extend(s, [s, low.bit_length() - 1], (1 << s) | low)
+    rest = core
+    while rest:
+        start = rest & -rest
+        rest ^= start
+        s = start.bit_length() - 1
+        seconds = masks[s] & rest
+        while seconds:
+            low = seconds & -seconds
+            seconds ^= low
+            extend(s, rest, [s, low.bit_length() - 1], start | low, 0)
     return out
 
 

@@ -15,6 +15,9 @@ from bipminor.canonical import (
     canonical_form,
     padded,
 )
+from bipminor.cli.harness import verify_harness
+from bipminor.cli.main import run_cli
+from bipminor.cli.serialize import emit_graph6
 from bipminor.families import bull, cycle, dog, path
 from bipminor.graph_core import (
     SizeCapExceeded,
@@ -148,6 +151,76 @@ class TestCanonicalForm:
         forms = sorted(canonical_form(g) for g in [cycle(4), path(2), cycle(3)])
         assert forms[0].vertex_count <= forms[-1].vertex_count
         assert isinstance(forms[0], CanonicalForm)
+
+    def test_forms_sort_hash_and_print_as_pairs(self):
+        # A form is a named pair of its two fields: over every graph of at
+        # most 6 vertices, forms sort by vertex count, then bits, and a
+        # relabelled copy's form, found from no cache, is equal and hashes
+        # equal.
+        rng = random.Random(127)
+        small = [g for g in ATLAS if g.vertex_count <= 6]
+        forms = [canonical_form(g) for g in small]
+        assert len(set(forms)) == len(small) == 209
+        rng.shuffle(forms)
+        assert sorted(forms) == sorted(
+            forms, key=lambda cf: (cf.vertex_count, cf.canonical_bits)
+        )
+        for g in small:
+            form = canonical_form(g)
+            relations.clear_caches()
+            again = canonical_form(shuffled(g, rng))
+            assert again == form and hash(again) == hash(form)
+            assert {again: 1}[form] == 1
+        assert repr(CanonicalForm(3, 5)) == "CanonicalForm(vertex_count=3, canonical_bits=5)"
+
+    def test_no_form_meets_a_plain_tuple(self, monkeypatch, capsys, tmp_path):
+        # A named pair equals the plain tuple of its fields, so nothing in
+        # the package may compare, sort or look up a form beside one.
+        # Here every form the package makes refuses to meet a tuple of any
+        # other kind, through the searches, the CLI and every claim.
+        def other(x):
+            assert isinstance(x, CanonicalForm) or not isinstance(x, tuple), x
+            return x
+
+        class Strict(CanonicalForm):
+            __slots__ = ()
+            __hash__ = CanonicalForm.__hash__
+
+            def __eq__(self, x):
+                return tuple.__eq__(self, other(x))
+
+            def __ne__(self, x):
+                return tuple.__ne__(self, other(x))
+
+            def __lt__(self, x):
+                return tuple.__lt__(self, other(x))
+
+            def __le__(self, x):
+                return tuple.__le__(self, other(x))
+
+            def __gt__(self, x):
+                return tuple.__gt__(self, other(x))
+
+            def __ge__(self, x):
+                return tuple.__ge__(self, other(x))
+
+        relations.clear_caches()
+        monkeypatch.setattr(canonical, "CanonicalForm", Strict)
+        try:
+            assert type(canonical_form(cycle(4))) is Strict
+            with pytest.raises(AssertionError):
+                assert canonical_form(cycle(4)) != (4, 0)
+            assert len(bipartite_minor_closure(dog(6, [4]))) == 172
+            h = build(6, cycle(4).edges)
+            assert relations.bipartite_minor_trace(h, dog(6, [4])) is not None
+            assert relations.bipartite_minor_trace(dog(5, [4]), cycle(10)) is None
+            host = tmp_path / "C8.g6"
+            host.write_text(emit_graph6(cycle(8)) + "\n")
+            assert run_cli(["closure", str(host)]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == 102
+            assert all(c.passed for c in verify_harness("all").claims)
+        finally:
+            relations.clear_caches()
 
     def test_size_cap(self, monkeypatch):
         # The size cap bounds the searches, which check their host; the

@@ -130,6 +130,20 @@ class TestMasks:
         # from_upper_bits skips the constructor's checks too.
         assert h == g and Graph(n, h.neighbor_masks) == h
 
+    def test_upper_bits_reads_a_column_per_vertex(self):
+        # upper_bits walks the set bits of each vertex's column, the mirror
+        # of from_upper_bits: the two invert each other on seeded graphs of
+        # every density and on a path of 1050 vertices.
+        rng = random.Random(126)
+        cases = [random_graph(rng, 16) for _ in range(200)] + [path(1050)]
+        for g in cases:
+            n = g.vertex_count
+            bits = upper_bits(g)
+            assert bits >> (n * (n - 1) // 2) == 0
+            assert bits.bit_count() == g.edge_count
+            assert from_upper_bits(n, bits) == g
+            assert upper_bits(from_upper_bits(n, bits)) == bits
+
     @pytest.mark.parametrize("n, bits", [(-1, 0), (3, -1), (3, 0b1000), (0, 1), (1, 1)])
     def test_bits_outside_the_triangle_rejected(self, n, bits):
         with pytest.raises(GraphError, match="upper triangle"):

@@ -9,6 +9,7 @@ from bipminor.canonical import are_isomorphic, canonical_form
 from bipminor.cli.harness import enumerate_connected_bipartite, random_connected_graphs
 from bipminor.families import bull, cycle, dog, h_tree, path
 from bipminor.graph_core import (
+    Graph,
     GraphError,
     SizeCapExceeded,
     build,
@@ -21,7 +22,6 @@ from bipminor.graph_core import (
 )
 from bipminor.relations import (
     AdmissibleContraction,
-    EdgeDeletion,
     MinorModel,
     OpTrace,
     VertexDeletion,
@@ -252,34 +252,43 @@ class TestBipartiteMinor:
         # Every move is yielded, so the first move to each child is too:
         # every admissible contraction, with its least middle vertex, then
         # every edge deletion, each in sorted order, as the cycle-scan
-        # oracle finds them.  The searches expand cores, graphs without
-        # isolated vertices, and no move deletes a vertex.
+        # oracle finds them.  Each child's core, made on masks, is the one
+        # contract_set or delete_edge and then strip_isolated make.  The
+        # searches expand cores, graphs without isolated vertices, and no
+        # move deletes a vertex.
         for g in (strip_isolated(x)[0] for x in _move_hosts()):
             middles = brute_middles(g)
             every = [
-                (AdmissibleContraction(u, v, min(middles[u, v])), contract_set(g, {u, v}))
+                (u, v, min(middles[u, v]), strip_isolated(contract_set(g, {u, v})))
                 for u, v in sorted(brute_admissible_pairs(g))
             ]
-            every += [(EdgeDeletion(u, v), delete_edge(g, u, v)) for u, v in sorted(g.edges)]
+            every += [(u, v, None, strip_isolated(delete_edge(g, u, v))) for u, v in sorted(g.edges)]
             got = list(_moves(g))
-            assert got == every
+            assert got == [
+                (u, v, w, core.neighbor_masks, i) for u, v, w, (core, i) in every
+            ]
             # The searches check the size cap on the host alone: no move
-            # adds a vertex, and every move shrinks |V| + |E|.
-            for _, child in got:
-                assert child.vertex_count <= g.vertex_count
+            # adds a vertex, and every move shrinks |V| + |E|.  A child is
+            # its core with i isolated vertices beside it.
+            for *_, masks, i in got:
+                core = Graph(len(masks), masks)
+                assert core.vertex_count + i <= g.vertex_count
                 assert (
-                    child.vertex_count + child.edge_count
+                    core.vertex_count + i + core.edge_count
                     < g.vertex_count + g.edge_count
                 )
 
     def test_moves_delete_no_vertex(self):
         # No move uses an isolated vertex except to delete it, so the
-        # searches count the isolated vertices instead: no graph, with
-        # isolated vertices or without, gets a vertex deletion as a move,
-        # and the closure still holds the graph less any number of them.
+        # searches count the isolated vertices instead: every move of a
+        # core is a contraction of an admissible pair or the deletion of
+        # an edge, and the closure still holds the graph less any number
+        # of its isolated vertices.
         cases = [build(6, [(0, 3), (3, 5)]), build(3, []), build(4, [(1, 2)])]
-        for g in cases + _move_hosts():
-            assert not [s for s, _ in _moves(g) if isinstance(s, VertexDeletion)]
+        for g in (strip_isolated(x)[0] for x in cases + _move_hosts()):
+            pairs = {(p.u, p.v, p.w) for p in admissible_pairs(g)}
+            for u, v, w, _, _ in _moves(g):
+                assert (u, v, w) in pairs if w is not None else g.has_edge(u, v)
         for g in cases:
             closure = bipartite_minor_closure(g)
             lone = [v for v in g.vertices if not g.neighbor_masks[v]]
@@ -364,8 +373,8 @@ class TestBipartiteMinor:
         near = 0
         for core, _ in relations._store.values():
             counts: dict = {}
-            for _, child in _moves(core):
-                x, i = strip_isolated(child)
+            for *_, masks, i in _moves(core):
+                x = Graph(len(masks), masks)
                 counts.setdefault(canonical_form(x), set()).add(i)
             assert all(len(c) == 1 for c in counts.values()), core
             # The one clash the sizes allow: a contraction and a pendant
@@ -373,6 +382,38 @@ class TestBipartiteMinor:
             sizes = {(cf.vertex_count, cf.to_graph().edge_count, i) for cf, (i,) in counts.items()}
             near += any((v, e, 0) in sizes and (v, e, 1) in sizes for v, e, _ in sizes)
         assert near > 10
+
+    def test_children_made_on_masks_match_the_graph_operations(self, monkeypatch):
+        # _children makes each child on masks and asks the memo before it
+        # makes a graph.  For every core the closures store, its children
+        # as {form: isolated count} are those contract_set, delete_edge,
+        # strip_isolated and canonical_form give on graphs: expanded with
+        # the memo emptied before each core, and again with it warm.
+        rng = random.Random(49)
+        hosts = [cycle(10), dog(6, [4]), *_move_hosts()]
+        hosts += [random_sparse_connected(rng, 8, extra=4) for _ in range(40)]
+        relations.clear_caches()
+        for g in hosts:
+            bipartite_minor_closure(g)
+        cores = [(cf, core) for cf, (core, _) in relations._store.items()]
+        want = []
+        for _, core in cores:
+            kids = {}
+            for p in admissible_pairs(core):
+                x, i = strip_isolated(contract_set(core, {p.u, p.v}))
+                kids[canonical_form(x)] = i
+            for u, v in sorted(core.edges):
+                x, i = strip_isolated(delete_edge(core, u, v))
+                kids[canonical_form(x)] = i
+            want.append(kids)
+        for warm in (False, True):
+            monkeypatch.setattr(relations, "_store", {})
+            for (cf, core), kids in zip(cores, want):
+                if not warm:
+                    canonical.clear_cache()
+                relations._store[cf] = (core, None)
+                assert dict(relations._children(cf)) == kids, core
+        assert len(cores) > 400
 
     def test_every_positive_trace_replays(self):
         rng = random.Random(33)

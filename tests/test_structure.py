@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bipminor.families import bull, cycle, dog, h_tree, path
 from bipminor.graph_core import (
+    Graph,
     GraphError,
     SizeCapExceeded,
     build,
@@ -26,10 +27,14 @@ from bipminor.structure import (
 )
 
 from oracles import (
+    _chordless,
+    all_simple_cycles,
     brute_blocks,
     graphs,
     brute_peripheral,
     brute_subgraph,
+    permute,
+    random_forest,
     random_graph,
     random_sparse_connected,
     to_networkx,
@@ -203,6 +208,80 @@ class TestInducedCycles:
     def test_dog_snout_is_induced(self):
         d = dog(6, [4, 4])
         assert (0, 1, 2, 3, 4, 5) in [c for c, _ in _induced_cycles(d)]
+
+    def test_order_is_kept(self):
+        # The search runs in the 2-core, and finds what the search over
+        # every vertex found, in the same order.
+        d = dog(6, [4, 4])
+        assert [c for c, _ in _induced_cycles(d)] == [
+            (0, 1, 2, 3, 4, 5), (0, 1, 6, 7), (2, 3, 8, 9)
+        ]
+        # K_4 on 0, 2, 3 and 5, with pendant trees at 1, 4 and 6.
+        k4 = [(0, 2), (0, 3), (0, 5), (2, 3), (2, 5), (3, 5)]
+        g = build(7, [*k4, (0, 1), (1, 4), (5, 6)])
+        assert [c for c, _ in _induced_cycles(g)] == [
+            (0, 2, 3), (0, 2, 5), (0, 3, 5), (2, 3, 5)
+        ]
+
+
+def _hang(rng, g: Graph, extra: int, pendant_paths: bool) -> Graph:
+    """``g`` with ``extra`` more vertices in trees hanging from it, each new
+    vertex joined to one vertex before it (to the one just before it, for
+    pendant paths, save where a path starts), then relabelled at random so
+    that the trees' vertices sit among g's."""
+    n = g.vertex_count + extra
+    edges = list(g.edges)
+    for v in range(g.vertex_count, n):
+        fresh = pendant_paths and v > g.vertex_count and rng.random() < 0.7
+        edges.append((v, v - 1 if fresh else rng.randrange(v)))
+    order = list(range(n))
+    rng.shuffle(order)
+    return permute(build(n, edges), order)
+
+
+def _union(a: Graph, b: Graph) -> Graph:
+    shift = a.vertex_count
+    edges = [*a.edges, *((u + shift, v + shift) for u, v in b.edges)]
+    return build(a.vertex_count + b.vertex_count, edges)
+
+
+def _with_hanging_trees(rng) -> Graph:
+    """A cycle with pendant paths, K_4 or a sparse graph with chorded
+    cycles with pendant trees, or a forest."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return _hang(rng, cycle(rng.randint(3, 7)), rng.randint(1, 5), True)
+    if kind == 1:
+        k4 = build(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+        return _hang(rng, k4, rng.randint(1, 5), False)
+    if kind == 2:
+        sparse = random_sparse_connected(rng, 7, extra=4, min_vertices=5)
+        return _hang(rng, sparse, rng.randint(1, 4), False)
+    return random_forest(rng, 8)
+
+
+class TestTwoCore:
+    """``_induced_cycles`` grows paths in the 2-core only: the trees that
+    hang from it hold no cycle."""
+
+    def test_graphs_with_hanging_trees_match_exhaustive_enumeration(self):
+        rng = random.Random(126)
+        hosts = [_with_hanging_trees(rng) for _ in range(60)]
+        hosts += [_union(_with_hanging_trees(rng), _with_hanging_trees(rng)) for _ in range(30)]
+        forests = found = 0
+        for g in hosts:
+            got = _induced_cycles(g)
+            cycles = [c for c, _ in got]
+            # Chordless cycles, each once, sorted as the search over every
+            # vertex emits them.
+            chordless = {c for c in all_simple_cycles(g) if _chordless(g, c)}
+            assert set(cycles) == chordless and len(cycles) == len(chordless)
+            assert cycles == sorted(cycles)
+            assert all(mask == sum(1 << v for v in c) for c, mask in got)
+            assert set(peripheral_cycles(g)) == brute_peripheral(g)
+            forests += not cycles
+            found += len(cycles)
+        assert forests > 10 and found > 100
 
 
 class TestNonseparating:
