@@ -21,18 +21,18 @@ So two graphs have equal forms iff they are isomorphic.  A form's bits
 determine its graph, a spelled graph is a pseudoforest and a labelled one
 is not, so forms of the two kinds never collide.
 
-**The memo and the code table.**  ``canonical_form`` looks a graph up in
-three steps.  The form memo keeps the form of every graph answered, under
-its neighbour masks; ``_known_form`` asks it alone, so that the searches
-can look a child up on its masks before they make its graph.  A
-pseudoforest is keyed by its tree code: the code table maps each code
-known to its form, and a new code is spelled and stored there.  A
-pseudoforest is never refined or labelled; labelling inside the stable
-colouring is only for graphs with no code.  The memo starts again empty
-once it holds more than ``STORE_LIMIT`` entries, the limit that also
-bounds ``relations._store``.  The code table, once past the same limit,
-empties with the memo; the memo empties alone far more often.  No result
-depends on what they hold.  ``are_isomorphic`` compares two forms.
+**The form memo.**  ``canonical_form`` looks a graph up in one dict,
+the form memo, under two kinds of key.  It keeps the form of every graph
+answered under its neighbour masks, a tuple; ``_known_form`` asks it on
+masks alone, so that the searches can look a child up before they make
+its graph.  A pseudoforest is also keyed by its tree code, a string,
+which never equals a tuple: a code known maps to its form, and a new code
+is spelled.  A pseudoforest is never refined or labelled; labelling
+inside the stable colouring is only for graphs with no code.  The memo
+starts again empty once it holds more than ``STORE_LIMIT`` entries, the
+limit that also bounds ``relations._store``, and a code is then spelled
+again.  No result depends on what it holds.  ``are_isomorphic`` compares
+two forms.
 
 **Tree codes.**  A pseudoforest is a graph each of whose components has
 at most as many edges as vertices: a tree, or a unicyclic graph.  Its
@@ -138,14 +138,13 @@ from .graph_core import Graph, from_upper_bits
 # A permutation ``p`` of the vertices maps vertex ``v`` to ``p[v]``.
 Perm = tuple[int, ...]
 
-# Entries a process-wide cache may hold: the code table and the form memo
-# below, and the closure store in ``relations``, start again empty past it.
+# Entries a process-wide cache may hold: the form memo below and the
+# closure store in ``relations`` start again empty past it.
 STORE_LIMIT = 20_000
 
-# The code table maps each tree code known to its form; the form memo maps
-# the neighbour masks of each graph answered to its form.
-_codes: dict[str, "CanonicalForm"] = {}
-_forms: dict[tuple[int, ...], "CanonicalForm"] = {}
+# The form memo maps the neighbour masks of each graph answered, and the
+# tree code of each pseudoforest answered, to its form.
+_forms: dict[tuple[int, ...] | str, "CanonicalForm"] = {}
 
 
 class CanonicalForm(NamedTuple):
@@ -170,25 +169,25 @@ class CanonicalForm(NamedTuple):
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical form of ``g``, of any size: from the form memo, else from
-    the code table by ``g``'s tree code, spelling a new code, else by
+    """Canonical form of ``g``, of any size: from the form memo by ``g``'s
+    neighbour masks, else by its tree code, spelling a new code, else by
     labelling ``g`` inside its stable colouring.  The searches bound the
     size of the graphs they label by checking their host."""
     masks = g.neighbor_masks
-    form = _known_form(masks)
+    form = _forms.get(masks)
     if form is None:
         code = _code(g)
         if code is None:
             form = CanonicalForm(g.vertex_count, _minimal_bits(g, _stable(g))[0])
         else:
-            form = _codes.get(code)
+            form = _forms.get(code)
             if form is None:
-                if len(_codes) > STORE_LIMIT:
-                    clear_cache()
-                form = _codes[code] = _spell(code)
+                form = _spell(code)
         if len(_forms) > STORE_LIMIT:
             _forms.clear()
         _forms[masks] = form
+        if code is not None:
+            _forms[code] = form
     return form
 
 
@@ -235,8 +234,7 @@ def padded(form: CanonicalForm, k: int) -> CanonicalForm:
 
 
 def clear_cache() -> None:
-    """Empty the code table and the form memo."""
-    _codes.clear()
+    """Empty the form memo."""
     _forms.clear()
 
 

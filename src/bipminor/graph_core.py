@@ -246,6 +246,24 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     return _derived(g.vertex_count, tuple(masks))
 
 
+def _merged(masks: Sequence[int], u: int, v: int) -> tuple[int, ...]:
+    """The masks after merging ``v`` into ``u``: u takes v's neighbours,
+    v goes, and the labels above v shift down by one."""
+    bu, bv = 1 << u, 1 << v
+    # Dropping v keeps the bits below it and shifts those above down.
+    below, above = bv - 1, -bv
+    out = []
+    for x, m in enumerate(masks):
+        if x == u:
+            m = (m | masks[v]) & ~(bu | bv)
+        elif x == v:
+            continue
+        elif m & bv:
+            m |= bu
+        out.append((m & below) | ((m >> 1) & above))
+    return tuple(out)
+
+
 def contract_set(g: Graph, vertex_set: Iterable[int]) -> Graph:
     """Contract a vertex set to a single new vertex.
 
@@ -254,23 +272,16 @@ def contract_set(g: Graph, vertex_set: Iterable[int]) -> Graph:
     position of the smallest contracted vertex; all other survivors keep
     their relative order.
     """
-    members = set(vertex_set)
+    members = sorted(set(vertex_set))
     if not members:
         raise GraphError("cannot contract an empty vertex set")
-    masks = list(g.neighbor_masks)
-    inside = merged = 0
     for v in members:
         g.check_vertex(v)
-        inside |= 1 << v
-        merged |= masks[v]
-    anchor = min(members)
-    for x, m in enumerate(masks):
-        if m & inside:
-            masks[x] = m | (1 << anchor)
-    # The merged vertex stands at anchor's slot; the other members and
-    # their bits go.
-    masks[anchor] = merged & ~inside
-    return _derived(g.vertex_count - len(members) + 1, _drop(masks, inside ^ (1 << anchor)))
+    # Highest first, so that the members still to merge keep their labels.
+    masks = g.neighbor_masks
+    for v in reversed(members[1:]):
+        masks = _merged(masks, members[0], v)
+    return _derived(len(masks), masks)
 
 
 @dataclass(frozen=True)

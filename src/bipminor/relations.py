@@ -70,6 +70,7 @@ from .graph_core import (
     GraphError,
     _derived,
     _drop,
+    _merged,
     check_size_cap,
     contract_set,
     delete_edge,
@@ -231,11 +232,11 @@ Move = tuple[int, int, int | None, tuple[int, ...], int]
 def _moves(g: Graph) -> Iterator[Move]:
     """Single-operation successors of the core ``g`` in a fixed order: every
     admissible contraction, with the least ``w``, then every edge deletion,
-    each in sorted order.  Each child is made on the masks alone, as
-    ``contract_set`` and ``delete_edge`` then ``strip_isolated`` would make
-    it: a contraction merges v into u and drops v, and isolates no vertex,
-    as u and v keep w; an edge deletion clears two bits and strips an end
-    it left with no neighbours.
+    each in sorted order.  Each child is made on the masks alone: a
+    contraction is ``graph_core._merged``, the pair merge that
+    ``contract_set`` folds over a set, and isolates no vertex, as u and v
+    keep w; an edge deletion clears two bits and strips an end it left with
+    no neighbours, as ``delete_edge`` then ``strip_isolated`` would.
 
     No move uses an isolated vertex except to delete it, so the searches
     strip isolated vertices from every child and count them instead.  Any
@@ -244,20 +245,7 @@ def _moves(g: Graph) -> Iterator[Move]:
     isolated vertex, so no search loses a state."""
     masks = g.neighbor_masks
     for p in admissible_pairs(g):
-        u, v = p.u, p.v
-        bu, bv = 1 << u, 1 << v
-        # Dropping v keeps the bits below it and shifts those above down.
-        below, above = bv - 1, -bv
-        out = []
-        for x, m in enumerate(masks):
-            if x == u:
-                m = (m | masks[v]) & ~(bu | bv)
-            elif x == v:
-                continue
-            elif m & bv:
-                m |= bu
-            out.append((m & below) | ((m >> 1) & above))
-        yield u, v, p.w, tuple(out), 0
+        yield p.u, p.v, p.w, _merged(masks, p.u, p.v), 0
     for u, mu in enumerate(masks):
         ends = mu >> (u + 1) << (u + 1)
         while ends:
@@ -353,14 +341,14 @@ def is_bipartite_minor(h: Graph, g: Graph) -> bool:
 # ``sys.getsizeof`` summed over the entries ``verify all`` leaves), most of
 # it the (core, count) pairs of its children, and ``verify all`` leaves 920
 # (1,718 when the store held every form).  It is bounded by
-# ``canonical.STORE_LIMIT``, as the code table and the form memo are.
+# ``canonical.STORE_LIMIT``, as the form memo is.
 _store: dict[CanonicalForm, tuple[Graph, tuple[tuple[CanonicalForm, int], ...] | None]] = {}
 
 
 def clear_caches() -> None:
-    """Empty every process-wide cache: ``canonical``'s code table and form
-    memo, and the operation graph.  No result depends on what they hold;
-    only the time of the next searches does."""
+    """Empty every process-wide cache: ``canonical``'s form memo and the
+    operation graph.  No result depends on what they hold; only the time
+    of the next searches does."""
     canonical.clear_cache()
     _store.clear()
 
@@ -387,12 +375,9 @@ def _children(cf: CanonicalForm) -> tuple[tuple[CanonicalForm, int], ...]:
     if kids is None:
         found: dict[CanonicalForm, int] = {}
         for *_, masks, i in _moves(g):
-            ccf = _known_form(masks)
-            if ccf is None or ccf not in _store:
-                core = _core(masks)
-                if ccf is None:
-                    ccf = canonical_form(core)
-                _store.setdefault(ccf, (core, None))
+            ccf = _form(masks)
+            if ccf not in _store:
+                _store[ccf] = (_core(masks), None)
             found[ccf] = i
         kids = tuple(found.items())
         _store[cf] = (g, kids)

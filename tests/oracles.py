@@ -89,6 +89,16 @@ def contract_set(g: Graph, vertex_set: Iterable[int]) -> Graph:
     return build(len(order), edges)
 
 
+def strip_isolated(g: Graph) -> tuple[Graph, int]:
+    """``g`` without its isolated vertices, the rest in their old order, and
+    how many there were: each deleted in turn, highest first."""
+    touched = {v for e in g.edges for v in e}
+    lone = [v for v in g.vertices if v not in touched]
+    for v in reversed(lone):
+        g = delete_vertex(g, v)
+    return g, len(lone)
+
+
 @st.composite
 def graphs(draw, max_vertices=8):
     n = draw(st.integers(0, max_vertices))

@@ -361,8 +361,11 @@ class TestTreeCodes:
         assert _code(g) == _code(h) is not None
         canonical_form(g)
         assert canonical_form(h) == cold
-        # h took g's form by its code, which maps straight to the form.
-        assert canonical._codes == {_code(g): cold}
+        # h took g's form by its code, which maps straight to the form: the
+        # memo holds one form, under both graphs' masks and the code.
+        memo = canonical._forms
+        assert memo == {g.neighbor_masks: cold, h.neighbor_masks: cold, _code(g): cold}
+        assert memo[h.neighbor_masks] is memo[g.neighbor_masks]
 
     def test_trees_with_two_centres(self):
         # Two centres, 0 and 1: a leaf and a 2-path at 0, a 2-path at 1.
@@ -411,8 +414,8 @@ class TestTreeCodes:
             _assert_form(h)
 
     def test_a_known_code_takes_no_refinement_and_no_labelling(self, monkeypatch):
-        # The form comes from the code alone: no refinement and no
-        # labelling.
+        # The form comes from the memo by the code alone: no refinement, no
+        # labelling and no second spelling.
         rng = random.Random(118)
         relations.clear_caches()
         graphs = [bull(5, [1, 2]), FOREST, cycle(9), path(7)]
@@ -420,13 +423,15 @@ class TestTreeCodes:
             canonical_form(g)
 
         def refuse(*args):
-            raise AssertionError("a coded graph was labelled or refined")
+            raise AssertionError("a known code was labelled, refined or spelled")
 
         monkeypatch.setattr(canonical, "_minimal_bits", refuse)
         monkeypatch.setattr(canonical, "_stable", refuse)
+        monkeypatch.setattr(canonical, "_spell", refuse)
         for g in graphs:
             assert canonical_form(shuffled(g, rng)) == canonical_form(g)
-        assert len(canonical._codes) == len(graphs)
+        codes = [key for key in canonical._forms if isinstance(key, str)]
+        assert sorted(codes) == sorted(_code(g) for g in graphs)
 
 
 class TestSpelledForms:
@@ -730,7 +735,8 @@ def empty_cache():
 
 
 class TestClassCache:
-    """The code table and the form memo: no form depends on them."""
+    """The form memo, keyed by neighbour masks and by tree codes: no form
+    depends on it."""
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
@@ -740,12 +746,13 @@ class TestClassCache:
         relations.clear_caches()
         canonical_form(g)
         assert canonical_form(h) == cold
-        # A coded h took its form by g's code, which the table holds alone;
-        # an uncoded h was labelled, and the table holds nothing.
-        if _code(g) is None:
-            assert canonical._codes == {}
-        else:
-            assert canonical._codes == {_code(g): cold}
+        # A coded h took its form by g's code, which the memo holds beside
+        # both graphs' masks; an uncoded h was labelled, and the memo holds
+        # the masks alone.
+        keys = {g.neighbor_masks, h.neighbor_masks}
+        if _code(g) is not None:
+            keys.add(_code(g))
+        assert canonical._forms == dict.fromkeys(keys, cold)
 
     @pytest.mark.parametrize("pair", SAME_CERTIFICATE, ids=["C6-2C3", "K33-prism"])
     def test_same_certificate_different_forms(self, pair, empty_cache):
@@ -762,7 +769,11 @@ class TestClassCache:
         h = shuffled(g, random.Random(115))
         form = canonical_form(g)
         assert canonical_form(h) == form
-        assert canonical._forms == {g.neighbor_masks: form, h.neighbor_masks: form}
+        assert canonical._forms == {
+            g.neighbor_masks: form,
+            h.neighbor_masks: form,
+            _code(g): form,
+        }
         monkeypatch.setattr(canonical, "_code", None)
         monkeypatch.setattr(canonical, "_minimal_bits", None)
         assert canonical_form(h) == form

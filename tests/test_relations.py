@@ -14,7 +14,6 @@ from bipminor.graph_core import (
     SizeCapExceeded,
     build,
     contract_set,
-    delete_edge,
     delete_vertex,
     is_bipartite,
     normalize_edge,
@@ -44,6 +43,7 @@ from bipminor.structure import (
     subgraph_embedding,
 )
 
+import oracles
 from oracles import (
     bipminor_by_unpruned_search,
     brute_admissible_pairs,
@@ -253,16 +253,20 @@ class TestBipartiteMinor:
         # every admissible contraction, with its least middle vertex, then
         # every edge deletion, each in sorted order, as the cycle-scan
         # oracle finds them.  Each child's core, made on masks, is the one
-        # contract_set or delete_edge and then strip_isolated make.  The
-        # searches expand cores, graphs without isolated vertices, and no
-        # move deletes a vertex.
-        for g in (strip_isolated(x)[0] for x in _move_hosts()):
+        # the edge-set operations of the oracles make, isolated vertices
+        # stripped.  The searches expand cores, graphs without isolated
+        # vertices, and no move deletes a vertex.
+        strip = oracles.strip_isolated
+        for g in (strip(x)[0] for x in _move_hosts()):
             middles = brute_middles(g)
             every = [
-                (u, v, min(middles[u, v]), strip_isolated(contract_set(g, {u, v})))
+                (u, v, min(middles[u, v]), strip(oracles.contract_set(g, {u, v})))
                 for u, v in sorted(brute_admissible_pairs(g))
             ]
-            every += [(u, v, None, strip_isolated(delete_edge(g, u, v))) for u, v in sorted(g.edges)]
+            every += [
+                (u, v, None, strip(oracles.delete_edge(g, u, v)))
+                for u, v in sorted(g.edges)
+            ]
             got = list(_moves(g))
             assert got == [
                 (u, v, w, core.neighbor_masks, i) for u, v, w, (core, i) in every
@@ -386,9 +390,9 @@ class TestBipartiteMinor:
     def test_children_made_on_masks_match_the_graph_operations(self, monkeypatch):
         # _children makes each child on masks and asks the memo before it
         # makes a graph.  For every core the closures store, its children
-        # as {form: isolated count} are those contract_set, delete_edge,
-        # strip_isolated and canonical_form give on graphs: expanded with
-        # the memo emptied before each core, and again with it warm.
+        # as {form: isolated count} are those the edge-set operations of the
+        # oracles and canonical_form give on graphs: expanded with the memo
+        # emptied before each core, and again with it warm.
         rng = random.Random(49)
         hosts = [cycle(10), dog(6, [4]), *_move_hosts()]
         hosts += [random_sparse_connected(rng, 8, extra=4) for _ in range(40)]
@@ -399,11 +403,11 @@ class TestBipartiteMinor:
         want = []
         for _, core in cores:
             kids = {}
-            for p in admissible_pairs(core):
-                x, i = strip_isolated(contract_set(core, {p.u, p.v}))
+            for u, v in brute_admissible_pairs(core):
+                x, i = oracles.strip_isolated(oracles.contract_set(core, {u, v}))
                 kids[canonical_form(x)] = i
-            for u, v in sorted(core.edges):
-                x, i = strip_isolated(delete_edge(core, u, v))
+            for u, v in core.edges:
+                x, i = oracles.strip_isolated(oracles.delete_edge(core, u, v))
                 kids[canonical_form(x)] = i
             want.append(kids)
         for warm in (False, True):
@@ -895,58 +899,58 @@ class TestClosureStore:
             return closures, traces
 
         want = run()
-        sizes = []
-        spell = canonical._spell
+        sizes = []  # the memo's size after each form the searches ask for
+        spelled = []
+        form, spell = relations.canonical_form, canonical._spell
 
-        def recording(code):
-            sizes.append(len(canonical._codes))
+        def recording(g):
+            out = form(g)
+            sizes.append(len(canonical._forms))
+            return out
+
+        def recording_spells(code):
+            spelled.append(code)
             return spell(code)
 
         monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
-        monkeypatch.setattr(canonical, "_spell", recording)
+        monkeypatch.setattr(relations, "canonical_form", recording)
+        monkeypatch.setattr(canonical, "_spell", recording_spells)
         assert run() == want
-        # Each new code found at most the limit in the code table, and the
-        # table was emptied several times.
-        assert max(sizes) == 20
+        # The memo is checked against the limit once per form it answers
+        # anew, which adds the graph's masks and any tree code: it went
+        # past the limit by at most those two entries, and was emptied
+        # several times, after which some codes were spelled again.
+        assert 20 < max(sizes) <= 22
         assert sum(a > b for a, b in zip(sizes, sizes[1:])) > 3
+        assert len(spelled) > len(set(spelled))
         assert sum(trace is not None for trace in want[1]) > 5
 
     def test_form_memo_is_emptied_with_the_class_cache(self, monkeypatch):
+        # Codes and masks share the memo and its one emptying rule: each
+        # emptying past the limit, mid-walk, drops both kinds of key, and no
+        # closure changes.
         graphs = _hosts_and_blocks()[:20]
         relations.clear_caches()
         want = [bipartite_minor_closure(g) for g in graphs]
-        seen = []  # the memo's size at each new code spelled
-        emptied = []  # and at the first new code after each emptying
-        fresh = False
-        spell, clear = canonical._spell, canonical.clear_cache
+        emptied = []  # the (codes, masks) keys the memo held at each emptying
 
-        def recording(code):
-            nonlocal fresh
-            seen.append(len(canonical._forms))
-            if fresh:
-                emptied.append(seen[-1])
-                fresh = False
-            return spell(code)
+        class Memo(dict):
+            def clear(self):
+                codes = sum(isinstance(key, str) for key in self)
+                emptied.append((codes, len(self) - codes))
+                super().clear()
 
-        def clearing():
-            nonlocal fresh
-            clear()
-            fresh = True
-
-        monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
-        monkeypatch.setattr(canonical, "_spell", recording)
-        monkeypatch.setattr(canonical, "clear_cache", clearing)
         relations.clear_caches()
+        monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
+        monkeypatch.setattr(canonical, "_forms", Memo())
         got = []
         for g in graphs:
             got.append(bipartite_minor_closure(g))
-            assert len(canonical._forms) <= 21
+            assert len(canonical._forms) <= 22
         assert got == want
-        # The code table was emptied several times, each time with the
-        # memo: the first new code after each emptying found the memo
-        # empty, and the memo was filled in between.
-        assert len(emptied) > 3 and set(emptied) == {0}
-        assert max(seen) > 0
+        assert len(emptied) > 3
+        assert all(codes + masks > 20 for codes, masks in emptied)
+        assert all(codes and masks for codes, masks in emptied)
 
     def test_clear_caches_leaves_no_module_state(self):
         # Every dict, list and set held by ``canonical`` or ``relations`` is
@@ -966,6 +970,8 @@ class TestClosureStore:
             }
 
         assert all(state().values())
+        # The memo holds masks and codes, in one dict.
+        assert {type(key) for key in canonical._forms} == {tuple, str}
         relations.clear_caches()
         assert {name: len(value) for name, value in state().items() if value} == {}
 
