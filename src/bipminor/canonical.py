@@ -4,10 +4,11 @@ A graph's canonical form is a vertex count and an upper-triangular
 adjacency bit sequence, read column by column (the same bit order graph6
 uses), of one graph of its isomorphism class, picked in one of two ways.
 
-- A **pseudoforest** (below) has a tree code, which is complete: two
-  pseudoforests have equal codes iff they are isomorphic.  Its form is the
-  bits of the graph its code **spells** (``_spell``), a function of the
-  code alone.
+- A graph each component of whose 2-core has at most ``K`` **kernel**
+  vertices (below) has a code, which is complete: two such graphs have
+  equal codes iff they are isomorphic.  Its form is the bits of the graph
+  its code **spells** (``_spell``), a function of the code alone.
+  Pseudoforests, whose kernels are empty, are among them.
 - **Any other graph** is labelled: its form is the lexicographically
   minimal bits over the **cell orders**, the vertex orderings that list
   the cells of the graph's stable colouring in colour order, each cell in
@@ -17,27 +18,32 @@ uses), of one graph of its isomorphism class, picked in one of two ways.
   those of the other.  A graph whose stable colouring has one cell, such
   as a regular graph, is minimised over all orders.
 
-So two graphs have equal forms iff they are isomorphic.  A form's bits
-determine its graph, a spelled graph is a pseudoforest and a labelled one
-is not, so forms of the two kinds never collide.
+So two graphs have equal forms iff they are isomorphic, provided no form
+is of both kinds.  None is: a form's bits determine its graph, which is
+isomorphic to the graph the form was made for, and kernel size is an
+isomorphism invariant, so of two isomorphic graphs both have a code or
+neither has.  Each class is spelled or labelled, never both.
 
 **The form memo.**  ``canonical_form`` looks a graph up in one dict,
 the form memo, under two kinds of key.  It keeps the form of every graph
 answered under its neighbour masks, a tuple; ``_known_form`` asks it on
 masks alone, so that the searches can look a child up before they make
-its graph.  A pseudoforest is also keyed by its tree code, a string,
-which never equals a tuple: a code known maps to its form, and a new code
-is spelled.  A pseudoforest is never refined or labelled; labelling
-inside the stable colouring is only for graphs with no code.  The memo
-starts again empty once it holds more than ``STORE_LIMIT`` entries, the
-limit that also bounds ``relations._store``, and a code is then spelled
-again.  No result depends on what it holds.  ``are_isomorphic`` compares
-two forms.
+its graph.  A coded graph is also keyed by its code, a string, which
+never equals a tuple: a code known maps to its form, and a new code is
+spelled.  A coded graph is never refined or labelled; labelling inside
+the stable colouring is only for graphs with no code.  The memo starts
+again empty once it holds more than ``STORE_LIMIT`` entries, the limit
+that also bounds ``relations._store``, and a code is then spelled again.
+No result depends on what it holds.  ``are_isomorphic`` compares two
+forms.
 
-**Tree codes.**  A pseudoforest is a graph each of whose components has
-at most as many edges as vertices: a tree, or a unicyclic graph.  Its
-code is a string over ``()[]<>``, built by peeling leaves in rounds;
-each round removes every vertex of degree at most one in what is left.
+**Codes.**  A code is a string over ``()[]<>{}`` and the digits, built by
+peeling leaves in rounds; each round removes every vertex of degree at
+most one in what is left.  What peeling leaves is the **2-core**, where
+every vertex has two or more neighbours; each vertex peeled lies in a
+tree component or in a tree hanging from one 2-core vertex.  These are
+the degree-one and degree-two reductions of Hopcroft and Wong's planar
+isomorphism test (STOC 1974).
 
 - *Rooted trees* (Aho, Hopcroft and Ullman, *The Design and Analysis of
   Computer Algorithms*, 1974).  A vertex peeled with one neighbour left
@@ -47,39 +53,63 @@ each round removes every vertex of degree at most one in what is left.
   have equal codes iff a root-preserving isomorphism maps one onto the
   other: the sorted concatenation gives back the multiset of children's
   codes.  An isomorphism maps each round onto the same round, so it maps
-  each vertex's hanging tree onto its image's.
+  each vertex's hanging tree onto its image's.  A 2-core vertex's rooted
+  code is that of its hanging tree, rooted at it.
 - *Trees.*  A tree's last round is its centre: one vertex, or two
   adjacent ones, which every isomorphism maps onto the other tree's.
   The code is the centre's rooted code, or ``[`` + the two centres'
   rooted codes, sorted, + ``]``: the tree is the two rooted trees joined
   at their roots.
-- *Unicyclic components.*  Peeling never removes a vertex of the one
-  cycle and removes every other vertex, each in a tree hanging from one
-  cycle vertex.  An isomorphism maps the cycle onto the other's by a
-  rotation or reflection, hanging trees onto hanging trees, and any
-  rotation or reflection that matches the hanging trees' codes gives an
-  isomorphism.  The code is ``<`` + the least concatenation, over the
-  rotations and reflections, of the cycle's rooted codes + ``>``; the set
-  of concatenations depends only on the component, and each decodes to
-  one of them.
+- *Cycles.*  A 2-core component whose vertices each have two neighbours
+  in it is a cycle, and its graph component is unicyclic.  An isomorphism
+  maps the cycle onto the other's by a rotation or reflection, hanging
+  trees onto hanging trees, and any rotation or reflection that matches
+  the hanging trees' codes gives an isomorphism.  The code is ``<`` + the
+  least concatenation, over the rotations and reflections, of the cycle's
+  rooted codes + ``>``; the set of concatenations depends only on the
+  component, and each decodes to one of them.
+- *Kernels.*  In any other 2-core component, the **kernel** is the
+  vertices with three or more neighbours in the 2-core.  The other
+  vertices lie on **kernel edges**: maximal paths whose inner vertices
+  have two neighbours in the 2-core, each between two kernel vertices or
+  from one back to itself, a loop; several may join one pair.  An edge's
+  **word** is its inner vertices' rooted codes, in order from one end.
+  An isomorphism maps kernel onto kernel and kernel edges onto kernel
+  edges, with their words, and a bijection of the kernels that keeps
+  rooted codes and maps kernel edges onto kernel edges with equal words,
+  read in matching directions, extends to an isomorphism.  Given an order
+  of the kernel, kernel vertex i is the digit ``i``, and a kernel edge
+  between positions a < b is ``a`` + its word read from a + ``b``, a loop
+  at a is ``a`` + the lesser of its two readings + ``a``.  The code is
+  ``{`` + the kernel's rooted codes in that order + its kernel edges,
+  sorted + ``}``, least over the orders that sort the kernel by an
+  invariant, its rooted code and then its sorted words read away from it,
+  with tied vertices in every order.  An isomorphism maps those orders of
+  one component onto those of the other, each to an equal string, so
+  isomorphic components have equal codes, and the code gives back the
+  component up to isomorphism: spelling builds it.  A kernel of more than
+  ``K`` vertices leaves the graph with no code.
 - *The graph.*  Its code is its components' codes, sorted and
-  concatenated; each is self-delimiting, so the code gives back the
-  multiset of components, and each vertex is one ``(`` in it, so the
-  count of vertices too.  When what is left after peeling has a vertex
-  with other than two neighbours left, some component has two cycles,
-  and the graph has no code.
+  concatenated.  Each is self-delimiting: a word holds no digit, so each
+  kernel edge ends at its second digit.  So the code gives back the
+  multiset of components, and as each vertex is one ``(`` in it, the count
+  of vertices too.
 
-So two pseudoforests have equal codes iff they are isomorphic.  The code
-is built in one pass over the rounds, with no recursion, so it serves
+So two graphs with codes have equal codes iff they are isomorphic.  The
+code is built in one pass over the rounds, with no recursion, so it serves
 graphs of any size.
 
 **Spelling** reads a code once and builds the graph it names.  Each
 top-level ``()`` part is an isolated vertex, and these are numbered first.
 Every other ``(`` is the next vertex, joined to the vertex whose
 parentheses enclose it; the two roots inside ``[...]`` are joined, and the
-roots inside ``<...>`` are joined in a cycle, in their order.  Reading the
-construction above backwards shows that the spelled graph is isomorphic
-to every graph with that code.
+roots inside ``<...>`` are joined in a cycle, in their order.  Inside
+``{...}`` the roots before the first digit are the kernel vertices; a
+digit opens a kernel edge at its kernel vertex, each root read on the
+edge is joined to the vertex before it, and the next digit closes the
+edge, joining the last to its kernel vertex.  Reading the construction
+above backwards shows that the spelled graph is isomorphic to every graph
+with that code.
 
 **Labelling** is an eager branch and bound over vertex orders, kept
 inside the stable colouring: individualisation-refinement's first step
@@ -131,19 +161,25 @@ generate the whole group, and nothing else reads them.
 
 from __future__ import annotations
 
+from itertools import groupby, permutations
 from typing import NamedTuple, Sequence
 
 from .graph_core import Graph, from_upper_bits
+from .structure import reach
 
 # A permutation ``p`` of the vertices maps vertex ``v`` to ``p[v]``.
 Perm = tuple[int, ...]
+
+# A graph is coded when each component of its 2-core has at most K kernel
+# vertices; a kernel position is one digit, so K is at most 10.
+K = 4
 
 # Entries a process-wide cache may hold: the form memo below and the
 # closure store in ``relations`` start again empty past it.
 STORE_LIMIT = 20_000
 
 # The form memo maps the neighbour masks of each graph answered, and the
-# tree code of each pseudoforest answered, to its form.
+# code of each coded graph answered, to its form.
 _forms: dict[tuple[int, ...] | str, "CanonicalForm"] = {}
 
 
@@ -154,7 +190,7 @@ class CanonicalForm(NamedTuple):
     which would count as equal to it.
 
     ``canonical_bits`` is the ``graph_core.upper_bits`` of the graph that a
-    pseudoforest's tree code spells, or, for a graph with no code, the
+    coded graph's code spells, or, for a graph with no code, the
     minimal ``upper_bits`` over the vertex orderings that list the cells of
     the graph's stable colouring in colour order.  Two graphs have equal
     forms iff they are isomorphic.
@@ -170,7 +206,7 @@ class CanonicalForm(NamedTuple):
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form of ``g``, of any size: from the form memo by ``g``'s
-    neighbour masks, else by its tree code, spelling a new code, else by
+    neighbour masks, else by its code, spelling a new code, else by
     labelling ``g`` inside its stable colouring.  The searches bound the
     size of the graphs they label by checking their host."""
     masks = g.neighbor_masks
@@ -222,7 +258,10 @@ def padded(form: CanonicalForm, k: int) -> CanonicalForm:
       vertex.  The least is the core's least behind those zero columns, in
       ``X + kK_1`` as in X.
 
-    X has a code iff ``X + kK_1`` has one, so both sides are of one kind."""
+    X has a code iff ``X + kK_1`` has one, so both sides are of one kind.
+    With k = 0 the form itself is returned."""
+    if not k:
+        return form
     n, bits = form.vertex_count, form.canonical_bits
     out = 0
     shift = n * (n - 1) // 2
@@ -239,17 +278,15 @@ def clear_cache() -> None:
 
 
 def _code(g: Graph) -> str | None:
-    """``g``'s tree code if every component has at most as many edges as
+    """``g``'s code if each component of its 2-core has at most ``K`` kernel
     vertices, else ``None``; two codes are equal iff their graphs are
     isomorphic (see the module docstring).  Leaves are peeled in rounds,
-    each round every vertex of degree at most one, and a vertex peeled
-    gets the AHU code ``(...)`` of the sorted codes peeled into it, which
-    its neighbour left, if any, takes in turn."""
+    each round every vertex of degree at most one, and a vertex peeled gets
+    the AHU code ``(...)`` of the sorted codes peeled into it, which its
+    neighbour left, if any, takes in turn."""
     masks = g.neighbor_masks
     n = len(masks)
     deg = [m.bit_count() for m in masks]
-    if sum(deg) > 2 * n:
-        return None
     # Each vertex's children's codes, replaced by its own once peeled.
     code: list = [[] for _ in masks]
     parts = []
@@ -282,15 +319,16 @@ def _code(g: Graph) -> str | None:
                     a, b = sorted((code[v], code[w]))
                     parts.append("[" + a + b + "]")
         layer = up_next
-    # What is left is the 2-core, and a pseudoforest's is disjoint cycles.
+    # What is left is the 2-core: cycles, and components with a kernel.
     core = left
     while left:
         v = left.bit_length() - 1
-        ring = []
+        ring: list[str] | None = []
         while True:
             m = masks[v] & core
             if m.bit_count() != 2:
-                return None
+                ring = None
+                break
             left ^= 1 << v
             kids = code[v]
             kids.sort()
@@ -299,28 +337,99 @@ def _code(g: Graph) -> str | None:
             if not m:
                 break
             v = m.bit_length() - 1
-        # The least rotation or reflection; as codes are prefix-free, it
-        # starts with a least code.
-        low = min(ring)
+        if ring is not None:
+            # The least rotation or reflection; as codes are prefix-free, it
+            # starts with a least code.
+            low = min(ring)
+            best = None
+            for side in (ring, ring[::-1]):
+                joined = "".join(side)
+                at = 0
+                for c in side:
+                    if c == low:
+                        turn = joined[at:] + joined[:at]
+                        if best is None or turn < best:
+                            best = turn
+                    at += len(c)
+            parts.append("<" + best + ">")
+            continue
+        # v's component of the 2-core is no cycle.  Its kernel is its
+        # vertices with three or more neighbours in the 2-core.
+        comp = reach(g, 1 << v, core)
+        left &= ~comp
+        kernel = []
+        heavy = 0
+        rest = comp
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            if (masks[u] & core).bit_count() > 2:
+                if len(kernel) == K:
+                    return None
+                kernel.append(u)
+                heavy |= low
+            kids = code[u]
+            kids.sort()
+            code[u] = "(" + "".join(kids) + ")"
+        # Each kernel edge once: its ends and its word read from each end.
+        # A path is walked from the first of its ends met, an edge with no
+        # inner vertex from its lesser end.
+        edges = []
+        words: dict[int, list[str]] = {u: [] for u in kernel}
+        inner = 0
+        for u in kernel:
+            m = masks[u] & core
+            while m:
+                low = m & -m
+                m ^= low
+                x = low.bit_length() - 1
+                if low & inner or (low & heavy and x < u):
+                    continue
+                word = []
+                prev = u
+                while not low & heavy:
+                    inner |= low
+                    word.append(code[x])
+                    low = masks[x] & core & ~(1 << prev)
+                    prev, x = x, low.bit_length() - 1
+                there, back = "".join(word), "".join(reversed(word))
+                edges.append((u, x, there, back))
+                words[u].append(there)
+                words[x].append(back)
+        # The least encoding over the orders that sort the kernel by an
+        # invariant, each tie permuted: position i is the digit str(i).
+        key = {u: (code[u], sorted(words[u])) for u in kernel}
+        kernel.sort(key=key.__getitem__)
+        orders: list[tuple[int, ...]] = [()]
+        for _, tied in groupby(kernel, key.__getitem__):
+            turns = list(permutations(tied))
+            orders = [o + p for o in orders for p in turns]
         best = None
-        for side in (ring, ring[::-1]):
-            joined = "".join(side)
-            at = 0
-            for c in side:
-                if c == low:
-                    turn = joined[at:] + joined[:at]
-                    if best is None or turn < best:
-                        best = turn
-                at += len(c)
-        parts.append("<" + best + ">")
+        for order in orders:
+            at = dict(zip(order, "0123456789"))
+            read = []
+            for u, x, there, back in edges:
+                a, b = at[u], at[x]
+                if a < b:
+                    read.append(a + there + b)
+                elif b < a:
+                    read.append(b + back + a)
+                else:
+                    read.append(a + min(there, back) + a)
+            read.sort()
+            joined = "".join(read)
+            if best is None or joined < best:
+                best = joined
+        parts.append("{" + "".join(code[u] for u in kernel) + best + "}")
     parts.sort()
     return "".join(parts)
 
 
 def _spell(code: str) -> CanonicalForm:
-    """The form of the graph that the tree code ``code`` spells (see the
-    module docstring): its isolated vertices first, then every other ``(``
-    in reading order."""
+    """The form of the graph that ``code`` spells (see the module
+    docstring): its isolated vertices first, then every other ``(`` in
+    reading order."""
     # A vertex's earlier neighbours are read before it, so its column is
     # known when it is read: bit j - 1 - i of column j is the pair ij.  The
     # vertices not isolated are numbered from 0 here; numbering the
@@ -328,12 +437,17 @@ def _spell(code: str) -> CanonicalForm:
     cols: list[int] = []
     enclosing: list[int] = []  # the vertices whose parentheses are open
     roots = None  # the roots read so far inside the open [...] or <...>
+    hubs = None  # the kernel vertices read so far inside the open {...}
+    tail = None  # on a kernel edge: the vertex its next inner vertex joins
     isolated = 0
     for c in code:
         if c == "(":
             v = len(cols)
             if enclosing:
                 cols.append(1 << (v - 1 - enclosing[-1]))
+            elif tail is not None:
+                cols.append(1 << (v - 1 - tail))
+                tail = v
             elif roots:
                 cols.append(1 << (v - 1 - roots[-1]))
                 roots.append(v)
@@ -341,15 +455,30 @@ def _spell(code: str) -> CanonicalForm:
                 cols.append(0)
                 if roots is not None:
                     roots.append(v)
+                elif hubs is not None:
+                    hubs.append(v)
             enclosing.append(v)
         elif c == ")":
             v = enclosing.pop()
-            if not enclosing and roots is None and v == len(cols) - 1:
+            if not enclosing and roots is hubs is None and v == len(cols) - 1:
                 # A top-level () part: an isolated vertex.
                 cols.pop()
                 isolated += 1
+        elif c.isdigit():
+            # A kernel edge opens at one end and closes at the other.
+            u = hubs[int(c)]
+            if tail is None:
+                tail = u
+            else:
+                lo, hi = sorted((tail, u))
+                cols[hi] |= 1 << (hi - 1 - lo)
+                tail = None
         elif c in "[<":
             roots = []
+        elif c == "{":
+            hubs = []
+        elif c == "}":
+            hubs = None
         else:
             if c == ">":
                 # The last root closes the cycle at the first.

@@ -334,15 +334,18 @@ def is_bipartite_minor(h: Graph, g: Graph) -> bool:
 # the shared operation graph
 
 # The operation graph shared by every search in the process, over cores:
-# each core form reached maps to its first labelled graph and, once
-# expanded, to its distinct child cores, each with the one number of
+# each core form reached maps to that form object itself, its first graph
+# and, once expanded, its distinct child cores, each with the one number of
 # vertices every move to it isolates (the count lemma at ``_children``).
-# An entry costs about 610 bytes besides its graph (CPython 3.11, 64-bit:
-# ``sys.getsizeof`` summed over the entries ``verify all`` leaves), most of
-# it the (core, count) pairs of its children, and ``verify all`` leaves 920
-# (1,718 when the store held every form).  It is bounded by
-# ``canonical.STORE_LIMIT``, as the form memo is.
-_store: dict[CanonicalForm, tuple[Graph, tuple[tuple[CanonicalForm, int], ...] | None]] = {}
+# Each child is named by its own entry's form object, so the store holds
+# one object per form.  An entry costs about 580 bytes besides its graph
+# (CPython 3.11, 64-bit: ``sys.getsizeof`` summed over the entries ``verify
+# all`` leaves, each object once), most of it the (core, count) pairs of
+# its children, and ``verify all`` leaves 920 (1,718 when the store held
+# every form).  It is bounded by ``canonical.STORE_LIMIT``, as the form
+# memo is.
+Children = tuple[tuple[CanonicalForm, int], ...]
+_store: dict[CanonicalForm, tuple[CanonicalForm, Graph, Children | None]] = {}
 
 
 def clear_caches() -> None:
@@ -353,7 +356,7 @@ def clear_caches() -> None:
     _store.clear()
 
 
-def _children(cf: CanonicalForm) -> tuple[tuple[CanonicalForm, int], ...]:
+def _children(cf: CanonicalForm) -> Children:
     """The distinct cores one move from the core ``cf``, each with the
     number of vertices a move to it isolates, expanding ``cf`` on first use.
     The children are made on masks (``_moves``) and looked up in the form
@@ -371,16 +374,17 @@ def _children(cf: CanonicalForm) -> tuple[tuple[CanonicalForm, int], ...]:
     as ux or vx) and add the cycle through u, w, v: the result has minimum
     degree two, so it lies in X's 2-core, and at least one more edge, as
     the cycle holds both uw and vw.  So the two children's 2-cores differ."""
-    g, kids = _store[cf]
+    cf, g, kids = _store[cf]
     if kids is None:
         found: dict[CanonicalForm, int] = {}
         for *_, masks, i in _moves(g):
             ccf = _form(masks)
-            if ccf not in _store:
-                _store[ccf] = (_core(masks), None)
-            found[ccf] = i
+            entry = _store.get(ccf)
+            if entry is None:
+                entry = _store[ccf] = (ccf, _core(masks), None)
+            found[entry[0]] = i
         kids = tuple(found.items())
-        _store[cf] = (g, kids)
+        _store[cf] = (cf, g, kids)
     return kids
 
 
@@ -406,7 +410,7 @@ def _walk(
         _store.clear()
     core, isolated = strip_isolated(g)
     start = canonical_form(core)
-    _store.setdefault(start, (core, None))
+    start = _store.setdefault(start, (start, core, None))[0]
     reached: dict[CanonicalForm, tuple[int, CanonicalForm | None]] = {
         start: (min(isolated, most), None)
     }
@@ -419,7 +423,7 @@ def _walk(
         for ccf, i in _children(cf):
             jj = min(j + i, most)
             if jj <= reached.get(ccf, (-1, None))[0] or (
-                keep is not None and not keep(_store[ccf][0], jj)
+                keep is not None and not keep(_store[ccf][1], jj)
             ):
                 continue
             reached[ccf] = (jj, cf)

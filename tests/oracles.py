@@ -20,9 +20,10 @@ import itertools
 from typing import Iterable
 
 import networkx as nx
+from hypothesis import assume
 from hypothesis import strategies as st
 
-from bipminor.canonical import CanonicalForm, canonical_form
+from bipminor.canonical import K, CanonicalForm, canonical_form
 from bipminor.graph_core import Graph, GraphError, build, normalize_edge
 
 
@@ -127,6 +128,31 @@ def pseudoforests(draw, max_vertices=12):
         if free and draw(st.booleans()):
             edges.append(draw(st.sampled_from(free)))
     return build(n, edges)
+
+
+@st.composite
+def small_kernels(draw, max_vertices=12):
+    """A pseudoforest with one to three edges more: most have a 2-core
+    component with a kernel, few have one of more than ``K`` vertices."""
+    g = draw(pseudoforests(max_vertices=max_vertices))
+    n = g.vertex_count
+    free = [p for p in itertools.combinations(range(n), 2) if p not in g.edges]
+    if not free:
+        return g
+    extra = draw(st.lists(st.sampled_from(free), min_size=1, max_size=3, unique=True))
+    return build(n, [*g.edges, *extra])
+
+
+@st.composite
+def large_kernels(draw, max_vertices=10):
+    """A graph some component of whose 2-core has more than ``K`` kernel
+    vertices: each pair an edge by a coin flip, on enough vertices."""
+    n = draw(st.integers(K + 2, max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = build(n, [p for p, flip in zip(pairs, flips) if flip])
+    assume(max(kernel_sizes(g), default=0) > K)
+    return g
 
 
 def random_graph(rng, max_vertices: int, min_vertices: int = 0) -> Graph:
@@ -548,6 +574,16 @@ def to_networkx(g: Graph) -> nx.Graph:
     out.add_nodes_from(g.vertices)
     out.add_edges_from(g.edges)
     return out
+
+
+def kernel_sizes(g: Graph) -> list[int]:
+    """For each component of g's 2-core, found by networkx, how many of its
+    vertices have three or more neighbours in the 2-core: its kernel."""
+    core = nx.k_core(to_networkx(g), 2)
+    return [
+        sum(core.degree(v) >= 3 for v in part)
+        for part in nx.connected_components(core)
+    ]
 
 
 def closure_by_isomorphism_test(g: Graph) -> list[Graph]:

@@ -8,6 +8,7 @@ import networkx as nx
 
 from bipminor import canonical, relations
 from bipminor.canonical import (
+    K,
     CanonicalForm,
     _code,
     _minimal_bits,
@@ -33,11 +34,14 @@ from oracles import (
     brute_min_bits,
     eager_min_bits,
     graphs,
+    kernel_sizes,
+    large_kernels,
     permute,
     pseudoforests,
     random_forest,
     random_graph,
     random_sparse_connected,
+    small_kernels,
     stable_cells,
     to_networkx,
 )
@@ -57,33 +61,31 @@ def label(g):
 
 
 def cold_form(g):
-    """g's form from no cache: spelled from its tree code, or labelled."""
+    """g's form from no cache: spelled from its code, or labelled."""
     code = _code(g)
     if code is None:
         return CanonicalForm(g.vertex_count, label(g)[0])
     return canonical._spell(code)
 
 
-def _has_dense_component(g):
-    """True iff some component has more edges than vertices (networkx)."""
-    x = to_networkx(g)
-    return any(
-        x.subgraph(part).number_of_edges() > len(part)
-        for part in nx.connected_components(x)
-    )
+def _has_large_kernel(g):
+    """True iff some component of g's 2-core has more than K kernel
+    vertices (networkx)."""
+    return max(kernel_sizes(g), default=0) > K
 
 
 def _assert_form(g):
     """g's form keeps its contract, checked by oracles apart from the
-    package: a graph with a component denser than a cycle takes the least
-    bits over cell orders (brute force), and any other, a pseudoforest,
-    the bits of a graph isomorphic to g (networkx)."""
+    package: a graph with a kernel of more than K vertices takes the least
+    bits over cell orders (brute force), and any other the bits of a graph
+    isomorphic to g (networkx), which has g's code."""
     form = canonical_form(g)
     assert form.vertex_count == g.vertex_count, g
-    if _has_dense_component(g):
+    if _has_large_kernel(g):
         assert form.canonical_bits == brute_min_bits(g), g
     else:
         assert nx.is_isomorphic(to_networkx(form.to_graph()), to_networkx(g)), g
+        assert _code(form.to_graph()) == _code(g), g
 
 
 # Non-isomorphic pairs that colour refinement (the 1-WL certificate) does
@@ -101,17 +103,19 @@ SAME_CERTIFICATE = [
 class TestCanonicalForm:
     def test_matches_brute_force_minimum(self):
         rng = random.Random(101)
+        labelled = 0
         for _ in range(250):
             g = random_graph(rng, 6)
             _assert_form(g)
-        # Most small random graphs have a tree code and are spelled, so 150
-        # with more edges than vertices, which have none and are always
-        # labelled, follow.
-        dense = 0
-        while dense < 150:
+            labelled += _has_large_kernel(g)
+        # Most small random graphs have a code and are spelled, so graphs
+        # with a kernel of more than K vertices, which have none and are
+        # always labelled, follow: 195 labelled in all, as many as when
+        # every graph with more edges than vertices was labelled.
+        while labelled < 195:
             g = random_graph(rng, 6)
-            if g.edge_count > g.vertex_count:
-                dense += 1
+            if _has_large_kernel(g):
+                labelled += 1
                 _assert_form(g)
                 assert canonical_form(shuffled(g, rng)) == canonical_form(g)
 
@@ -120,7 +124,14 @@ class TestCanonicalForm:
         graphs = [cycle(7), bull(5, [2]), bull(4, [1, 2]), dog(5, [4]), dog(5, [3, 3])]
         graphs = [shuffled(g, rng) for g in graphs for _ in range(2)]
         graphs += [random_sparse_connected(rng, 7, extra=3) for _ in range(8)]
-        for g in graphs:
+        # Seven labelled graphs, as many as when every graph with more edges
+        # than vertices was labelled.
+        labelled = []
+        while len(labelled) < 7:
+            g = random_sparse_connected(rng, 7, extra=9, min_vertices=7)
+            if _has_large_kernel(g):
+                labelled.append(g)
+        for g in graphs + labelled:
             _assert_form(g)
 
     def test_invariant_under_relabeling(self):
@@ -294,6 +305,7 @@ class TestPaddingLemma:
     @staticmethod
     def _assert_padded(g, rng=None):
         form = canonical_form(g)
+        assert padded(form, 0) is form
         for k in range(4):
             bigger = build(g.vertex_count + k, g.edges)
             if rng is not None:
@@ -324,20 +336,27 @@ ATLAS = [build(x.number_of_nodes(), list(x.edges())) for x in nx.graph_atlas_g()
 
 
 class TestTreeCodes:
-    """A pseudoforest's tree code is complete: equal codes iff isomorphic."""
+    """A graph's code, where it has one, is complete: equal codes iff
+    isomorphic."""
 
     def test_all_graphs_of_at_most_seven_vertices(self):
+        # 659 of the 1253 graphs are coded: each component of their 2-core
+        # has at most K kernel vertices.  The graph a code spells has that
+        # code again.
         rng = random.Random(116)
         assert len(ATLAS) == 1253
         by_code = {}
         for g in ATLAS:
             code = _code(g)
-            assert (code is None) == _has_dense_component(g), g
+            assert (code is None) == _has_large_kernel(g), g
             if code is not None:
                 assert _code(shuffled(g, rng)) == code, g
+                assert _code(canonical._spell(code).to_graph()) == code, g
                 by_code.setdefault(code, []).append(g)
+        assert len(by_code) == 659
         # Equal codes: isomorphic.  Unequal codes: not isomorphic, checked
-        # on every pair that vertex and edge counts and degrees leave open.
+        # by networkx on every pair that vertex and edge counts and degrees
+        # leave open.
         assert all(len(same) == 1 for same in by_code.values())
         buckets = {}
         for g in (same[0] for same in by_code.values()):
@@ -350,7 +369,9 @@ class TestTreeCodes:
             for b in bucket[i + 1:]
         ]
         assert len(pairs) > 20
-        assert not any(brute_isomorphic(a, b) for a, b in pairs)
+        assert not any(
+            nx.is_isomorphic(to_networkx(a), to_networkx(b)) for a, b in pairs
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(pseudoforests(max_vertices=12), st.randoms(use_true_random=False))
@@ -401,13 +422,22 @@ class TestTreeCodes:
         k2_k1, p3 = build(3, [(1, 2)]), path(3)
         assert _code(k2_k1) != _code(p3)
         assert _code(build(4, [(0, 1), (2, 3)])) != _code(build(4, [(1, 2)]))
-        # A component with two cycles leaves the graph uncoded, beside any
-        # number of isolated vertices.
+        # A component whose kernel has more than K vertices leaves the graph
+        # uncoded, beside any number of isolated vertices; a smaller kernel
+        # is coded beside them as a pseudoforest is.
         theta = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
-        assert _code(build(6, theta)) is None
+        assert _code(build(6, theta)) == "()()" + _code(build(4, theta))
+        k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        assert [_code(build(n, k5)) for n in (5, 6, 7)] == [None] * 3
         rng = random.Random(117)
         relations.clear_caches()
-        for g in [build(5, [(2, 3)]), build(6, [(0, 5), (5, 2), (2, 0)]), FOREST]:
+        for g in [
+            build(5, [(2, 3)]),
+            build(6, [(0, 5), (5, 2), (2, 0)]),
+            FOREST,
+            build(7, theta),
+            build(7, k5),
+        ]:
             canonical_form(g)
             h = shuffled(g, rng)
             assert canonical_form(h) == cold_form(h)
@@ -418,7 +448,10 @@ class TestTreeCodes:
         # labelling and no second spelling.
         rng = random.Random(118)
         relations.clear_caches()
+        # The last is K_4 with a path hung from one vertex: a kernel code.
+        k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
         graphs = [bull(5, [1, 2]), FOREST, cycle(9), path(7)]
+        graphs.append(build(6, k4 + [(3, 4), (4, 5)]))
         for g in graphs:
             canonical_form(g)
 
@@ -433,10 +466,22 @@ class TestTreeCodes:
         codes = [key for key in canonical._forms if isinstance(key, str)]
         assert sorted(codes) == sorted(_code(g) for g in graphs)
 
+    def test_disjoint_copies_of_k4_are_spelled(self, monkeypatch, empty_cache):
+        # Each K_4 is a kernel of 4 vertices, so the union is coded and
+        # spelled; labelling it took seconds.
+        def refuse(*args):
+            raise AssertionError("a coded graph was refined or labelled")
+
+        g = _disjoint_copies(100, _from_networkx(nx.complete_graph(4)))
+        monkeypatch.setattr(canonical, "_minimal_bits", refuse)
+        monkeypatch.setattr(canonical, "_stable", refuse)
+        form = canonical_form(g)
+        assert nx.is_isomorphic(to_networkx(form.to_graph()), to_networkx(g))
+
 
 class TestSpelledForms:
-    """A pseudoforest's form is the graph its tree code spells, checked by
-    oracles that share no code with the spell or the code."""
+    """A coded graph's form is the graph its code spells, checked by oracles
+    that share no code with the spell or the code."""
 
     @settings(max_examples=150, deadline=None)
     @given(pseudoforests(max_vertices=12), st.randoms(use_true_random=False))
@@ -448,6 +493,24 @@ class TestSpelledForms:
         # A relabelling, spelled from no cache, keeps the form.
         relations.clear_caches()
         assert canonical_form(shuffled(g, rng)) == form
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_kernels(max_vertices=12), st.randoms(use_true_random=False))
+    def test_small_kernels_are_spelled(self, g, rng):
+        # A graph is coded exactly when no kernel has more than K vertices;
+        # a coded graph's form is a graph isomorphic to it, with its code,
+        # and a relabelling from no cache keeps both.
+        relations.clear_caches()
+        code = _code(g)
+        assert (code is None) == _has_large_kernel(g)
+        form = canonical_form(g)
+        h = shuffled(g, rng)
+        assert _code(h) == code
+        relations.clear_caches()
+        assert canonical_form(h) == form
+        if code is not None:
+            assert nx.is_isomorphic(to_networkx(form.to_graph()), to_networkx(g))
+            assert _code(form.to_graph()) == code
 
     def test_forms_are_distinct_exactly_when_not_isomorphic(self):
         # Over every graph of at most 7 vertices, coded or not: a relabelled
@@ -574,8 +637,10 @@ class TestBlocks:
 
 
 class TestEagerOracle:
+    # Graphs are drawn with a kernel of more than K vertices: those that
+    # canonical_form labels.
     @settings(max_examples=150, deadline=None)
-    @given(graphs(max_vertices=10))
+    @given(large_kernels(max_vertices=10))
     def test_matches_the_eager_search(self, g):
         _assert_as_eager(g, *label(g))
 
@@ -583,8 +648,8 @@ class TestEagerOracle:
         rng = random.Random(117)
         pool = [dog(10, [4, 4]), bull(8, [2, 2]), cycle(13)]
         while len(pool) < 9:
-            g = random_sparse_connected(rng, 14, extra=4)
-            if g.vertex_count >= 12:
+            g = random_sparse_connected(rng, 14, extra=6)
+            if g.vertex_count >= 12 and _has_large_kernel(g):
                 pool.append(shuffled(g, rng))
         for g in pool:
             _assert_as_eager(g, *label(g))
@@ -653,7 +718,8 @@ class TestCellOrders:
     def test_cores_of_the_2x6_grid_closure(self):
         # The closure spells or labels each class once, on whichever core
         # reaches it first; a cold form of a relabelled core must be that
-        # form.
+        # form.  Every core is also labelled, coded or not, and a
+        # relabelling keeps its least bits over cell orders.
         edges = [(v, v + 1) for v in range(11) if v != 5]
         edges += [(v, v + 6) for v in range(6)]
         closure = bipartite_minor_closure(build(12, edges))
@@ -662,7 +728,9 @@ class TestCellOrders:
         assert len(cores) == 2210
         rng = random.Random(120)
         for core in cores:
-            assert cold_form(shuffled(core, rng)) == canonical_form(core)
+            h = shuffled(core, rng)
+            assert cold_form(h) == canonical_form(core)
+            assert label(h)[0] == label(core)[0]
 
 
 class TestAreIsomorphic:
@@ -735,7 +803,7 @@ def empty_cache():
 
 
 class TestClassCache:
-    """The form memo, keyed by neighbour masks and by tree codes: no form
+    """The form memo, keyed by neighbour masks and by codes: no form
     depends on it."""
 
     @settings(max_examples=150, deadline=None)
@@ -780,15 +848,21 @@ class TestClassCache:
 
     @pytest.mark.parametrize(
         "host, members, uncoded_cores",
-        [(cycle(10), 272, 0), (dog(6, [4]), 172, 5)],
-        ids=["C10", "D(6,4)"],
+        [
+            (cycle(10), 272, 0),
+            (dog(6, [4]), 172, 0),
+            (_from_networkx(nx.complete_bipartite_graph(3, 4)), 137, 5),
+        ],
+        ids=["C10", "D(6,4)", "K34"],
     )
     def test_closure_refines_and_labels_only_uncoded_cores(
         self, monkeypatch, empty_cache, host, members, uncoded_cores
     ):
-        # A pseudoforest's form is spelled: every core of C_10's closure is
-        # one, so nothing is refined or labelled, and of D(6,4)'s only the
-        # cores with a component denser than a cycle are.
+        # A coded graph's form is spelled: every core of C_10's closure is
+        # a pseudoforest, and every core of D(6,4)'s has a kernel of at
+        # most two vertices, so nothing is refined or labelled; of
+        # K_{3,4}'s only the cores with a kernel of more than K vertices
+        # are.
         refined, labelled = [], []
         stable = canonical._stable
 
@@ -808,7 +882,7 @@ class TestClassCache:
         uncoded = set()
         for cf in closure:
             g = cf.to_graph()
-            if _has_dense_component(g) and not strip_isolated(g)[1]:
+            if _has_large_kernel(g) and not strip_isolated(g)[1]:
                 uncoded.add(cf)
         assert len(uncoded) == uncoded_cores
         assert refined == labelled

@@ -375,7 +375,7 @@ class TestBipartiteMinor:
         for g in hosts:
             bipartite_minor_closure(g)
         near = 0
-        for core, _ in relations._store.values():
+        for _, core, _ in relations._store.values():
             counts: dict = {}
             for *_, masks, i in _moves(core):
                 x = Graph(len(masks), masks)
@@ -399,7 +399,7 @@ class TestBipartiteMinor:
         relations.clear_caches()
         for g in hosts:
             bipartite_minor_closure(g)
-        cores = [(cf, core) for cf, (core, _) in relations._store.items()]
+        cores = [(cf, core) for cf, core, _ in relations._store.values()]
         want = []
         for _, core in cores:
             kids = {}
@@ -415,7 +415,7 @@ class TestBipartiteMinor:
             for (cf, core), kids in zip(cores, want):
                 if not warm:
                     canonical.clear_cache()
-                relations._store[cf] = (core, None)
+                relations._store[cf] = (cf, core, None)
                 assert dict(relations._children(cf)) == kids, core
         assert len(cores) > 400
 
@@ -775,6 +775,22 @@ class TestClosureStore:
                 bipartite_minor_closure(b)
             assert labelled == block_graphs
 
+    def test_child_tuples_share_the_store_forms(self, monkeypatch):
+        # Each entry carries the form object it is keyed by, and every
+        # child tuple names a child by its entry's object, so the store
+        # holds one object per form, though the memo, emptied past a small
+        # limit mid-walk, answers later children with new objects.
+        monkeypatch.setattr(relations, "_store", {})
+        monkeypatch.setattr(canonical, "STORE_LIMIT", 20)
+        canonical.clear_cache()
+        bipartite_minor_closure(dog(6, [4]))
+        store = relations._store
+        assert all(cf is entry[0] for cf, entry in store.items())
+        kids = [ccf for *_, children in store.values() for ccf, _ in children or ()]
+        assert len(kids) > 300
+        assert all(ccf is store[ccf][0] for ccf in kids)
+        canonical.clear_cache()
+
     def test_store_past_its_limit_starts_again_empty(self, monkeypatch):
         graphs = _hosts_and_blocks()
         monkeypatch.setattr(relations, "_store", {})
@@ -786,7 +802,7 @@ class TestClosureStore:
             full = len(relations._store) > 20
             assert bipartite_minor_closure(g) == closure
             # The store holds cores only.
-            assert all(all(x.neighbor_masks) for x, _ in relations._store.values())
+            assert all(all(x.neighbor_masks) for _, x, _ in relations._store.values())
             if full:
                 # Walked from an empty store, the closure's cores are all it
                 # holds.
@@ -833,7 +849,7 @@ class TestClosureStore:
     @pytest.mark.parametrize(
         "h, g, steps, bound",
         [
-            (build(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]), _grid(3, 4), 10, 1000),
+            (build(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]), _grid(3, 4), 9, 1000),
             (bull(4, [1]), _grid(2, 6), 10, 200),
             (cycle(4), _grid(2, 6), 12, 200),
         ],
@@ -917,7 +933,7 @@ class TestClosureStore:
         monkeypatch.setattr(canonical, "_spell", recording_spells)
         assert run() == want
         # The memo is checked against the limit once per form it answers
-        # anew, which adds the graph's masks and any tree code: it went
+        # anew, which adds the graph's masks and any code: it went
         # past the limit by at most those two entries, and was emptied
         # several times, after which some codes were spelled again.
         assert 20 < max(sizes) <= 22
