@@ -26,16 +26,14 @@ neither has.  Each class is spelled or labelled, never both.
 
 **The form memo.**  ``canonical_form`` looks a graph up in one dict,
 the form memo, under two kinds of key.  It keeps the form of every graph
-answered under its neighbour masks, a tuple; ``_known_form`` asks it on
-masks alone, so that the searches can look a child up before they make
-its graph.  A coded graph is also keyed by its code, a string, which
-never equals a tuple: a code known maps to its form, and a new code is
-spelled.  A coded graph is never refined or labelled; labelling inside
-the stable colouring is only for graphs with no code.  The memo starts
-again empty once it holds more than ``STORE_LIMIT`` entries, the limit
-that also bounds ``relations._store``, and a code is then spelled again.
-No result depends on what it holds.  ``are_isomorphic`` compares two
-forms.
+answered under its neighbour masks, a tuple.  A coded graph is also
+keyed by its code, a string, which never equals a tuple: a code known
+maps to its form, and a new code is spelled.  A coded graph is never
+refined or labelled; labelling inside the stable colouring is only for
+graphs with no code.  The memo starts again empty once it holds more
+than ``STORE_LIMIT`` entries, the limit that also bounds
+``relations._store``, and a code is then spelled again.  No result
+depends on what it holds.  ``are_isomorphic`` compares two forms.
 
 **Codes.**  A code is a string over ``()[]<>{}`` and the digits, built by
 peeling leaves in rounds; each round removes every vertex of degree at
@@ -225,13 +223,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
         if code is not None:
             _forms[code] = form
     return form
-
-
-def _known_form(masks: tuple[int, ...]) -> CanonicalForm | None:
-    """The form the memo holds for the graph with these neighbour masks, or
-    ``None``: a lookup that builds no graph, for the searches to try
-    before they make one."""
-    return _forms.get(masks)
 
 
 def padded(form: CanonicalForm, k: int) -> CanonicalForm:

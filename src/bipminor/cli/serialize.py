@@ -126,7 +126,11 @@ def _step_from_json(obj: Mapping) -> Step:
         cls = _STEP_OPS.get(obj["op"])
         if cls is None:
             raise GraphError(f"unknown witness op: {obj['op']!r}")
-        return cls(*(_vertex(obj[f.name]) for f in fields(cls)))
+        names = [f.name for f in fields(cls)]
+        extra = set(obj) - {"op", *names}
+        if extra:
+            raise GraphError(f"witness step has unknown keys {sorted(extra)}: {obj!r}")
+        return cls(*(_vertex(obj[name]) for name in names))
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed witness step: {obj!r}") from exc
 

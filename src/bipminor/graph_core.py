@@ -30,12 +30,14 @@ class SizeCapExceeded(GraphError):
 
 def check_size_cap(g: "Graph") -> None:
     """Raise SizeCapExceeded if ``g`` has more vertices than the search cap:
-    BIPMINOR_SIZE_CAP if set, else 14."""
+    BIPMINOR_SIZE_CAP if set, a nonnegative integer, else 14."""
     env = os.environ.get(SIZE_CAP_ENV, "").strip()
     try:
         cap = int(env) if env else DEFAULT_SIZE_CAP
-    except ValueError as exc:
-        raise GraphError(f"bad {SIZE_CAP_ENV} value: {env!r}") from exc
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise GraphError(f"bad {SIZE_CAP_ENV} value: {env!r}")
     if g.vertex_count > cap:
         raise SizeCapExceeded(f"graph has {g.vertex_count} vertices, size cap is {cap}")
 

@@ -18,18 +18,16 @@ labelled representative and, once the core is expanded, to its distinct
 child cores, so each core is expanded and its children labelled once per
 process, whichever search reached it first (McKay, *Isomorph-free
 exhaustive generation*, 1998); a graph with isolated vertices is never
-labelled or expanded.  Children are made and looked up on neighbour
-masks: ``_moves`` edits the core's masks, strips the ends an edge deletion
-isolates, and the form memo is asked on the child's masks, so a graph is
-made only when the memo does not hold the child or the store gains it, and
-a ``Step`` only for a step the replay names.  One depth-first loop,
-``_walk``, serves both searches.  It pushes the states first reached from
-each state in reverse canonical order, so the least is expanded next and
-its parent links do not depend on what earlier searches left in the
-store.  A state with more isolated vertices beside the same core
-supersedes one with fewer.  A search that finds the store above
-``canonical.STORE_LIMIT`` entries empties it first; no result depends on
-what the store holds.
+labelled or expanded.  ``_moves`` makes each child on neighbour masks,
+stripping the ends an edge deletion isolates, and ``canonical_form``
+names it; a ``Step`` is made only for a step the replay names.  One
+depth-first loop, ``_walk``, serves both searches.  It pushes the states
+first reached from each state in reverse canonical order, so the least
+is expanded next and its parent links do not depend on what earlier
+searches left in the store.  A state with more isolated vertices beside
+the same core supersedes one with fewer.  A search that finds the store
+above ``canonical.STORE_LIMIT`` entries empties it first; no result
+depends on what the store holds.
 
 ``bipartite_minor_closure`` (everything reachable, up to isomorphism) is
 ``{X + kK_1 : k <= J(X)}`` over the cores X the walk reaches, where J(X)
@@ -64,7 +62,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import canonical
-from .canonical import CanonicalForm, _known_form, canonical_form, padded
+from .canonical import CanonicalForm, canonical_form, padded
 from .graph_core import (
     Graph,
     GraphError,
@@ -224,28 +222,28 @@ def _cycle_rank(g: Graph) -> int:
 
 
 # A move of a core: the contraction of u and v through w, or the deletion
-# of the edge uv when w is None; then the child's core, as neighbour masks,
-# and how many vertices the move isolated.
-Move = tuple[int, int, int | None, tuple[int, ...], int]
+# of the edge uv when w is None; then the child's core and how many
+# vertices the move isolated.
+Move = tuple[int, int, int | None, Graph, int]
 
 
 def _moves(g: Graph) -> Iterator[Move]:
     """Single-operation successors of the core ``g`` in a fixed order: every
     admissible contraction, with the least ``w``, then every edge deletion,
-    each in sorted order.  Each child is made on the masks alone: a
-    contraction is ``graph_core._merged``, the pair merge that
-    ``contract_set`` folds over a set, and isolates no vertex, as u and v
-    keep w; an edge deletion clears two bits and strips an end it left with
-    no neighbours, as ``delete_edge`` then ``strip_isolated`` would.
+    each in sorted order.  Each child is made on the masks: a contraction
+    is ``graph_core._merged``, the pair merge that ``contract_set`` folds
+    over a set, and isolates no vertex, as u and v keep w; an edge deletion
+    clears two bits and strips an end it left with no neighbours, as
+    ``delete_edge`` then ``strip_isolated`` would.
 
     No move uses an isolated vertex except to delete it, so the searches
     strip isolated vertices from every child and count them instead.  Any
     other vertex deletion is reached by deleting the vertex's edges
     first, through graphs that are themselves reachable, and then the
     isolated vertex, so no search loses a state."""
-    masks = g.neighbor_masks
+    n, masks = g.vertex_count, g.neighbor_masks
     for p in admissible_pairs(g):
-        yield p.u, p.v, p.w, _merged(masks, p.u, p.v), 0
+        yield p.u, p.v, p.w, _derived(n - 1, _merged(masks, p.u, p.v)), 0
     for u, mu in enumerate(masks):
         ends = mu >> (u + 1) << (u + 1)
         while ends:
@@ -256,19 +254,8 @@ def _moves(g: Graph) -> Iterator[Move]:
             out[u] ^= bv
             out[v] ^= 1 << u
             lone = (0 if out[u] else 1 << u) | (0 if out[v] else bv)
-            yield u, v, None, _drop(out, lone) if lone else tuple(out), lone.bit_count()
-
-
-def _core(masks: tuple[int, ...]) -> Graph:
-    """The core with these neighbour masks, which a move made."""
-    return _derived(len(masks), masks)
-
-
-def _form(masks: tuple[int, ...]) -> CanonicalForm:
-    """The form of the core with these neighbour masks: from the memo,
-    else from the graph, made only then."""
-    form = _known_form(masks)
-    return canonical_form(_core(masks)) if form is None else form
+            i = lone.bit_count()
+            yield u, v, None, _derived(n - i, _drop(out, lone) if lone else tuple(out)), i
 
 
 def bipartite_minor_trace(h: Graph, g: Graph) -> OpTrace | None:
@@ -307,8 +294,8 @@ def bipartite_minor_trace(h: Graph, g: Graph) -> OpTrace | None:
     cur = g
     for y in reversed(path[:-1]):
         live = [v for v in cur.vertices if cur.neighbor_masks[v]]
-        for u, v, w, masks, _ in _moves(strip_isolated(cur)[0]):
-            if _form(masks) == y:
+        for u, v, w, child, _ in _moves(strip_isolated(cur)[0]):
+            if canonical_form(child) == y:
                 break
         else:
             raise RuntimeError(f"no move of the walk's path reaches {y}")
@@ -338,12 +325,12 @@ def is_bipartite_minor(h: Graph, g: Graph) -> bool:
 # and, once expanded, its distinct child cores, each with the one number of
 # vertices every move to it isolates (the count lemma at ``_children``).
 # Each child is named by its own entry's form object, so the store holds
-# one object per form.  An entry costs about 580 bytes besides its graph
-# (CPython 3.11, 64-bit: ``sys.getsizeof`` summed over the entries ``verify
-# all`` leaves, each object once), most of it the (core, count) pairs of
-# its children, and ``verify all`` leaves 920 (1,718 when the store held
-# every form).  It is bounded by ``canonical.STORE_LIMIT``, as the form
-# memo is.
+# one object per form.  An entry costs about 620 bytes besides its graph
+# (CPython 3.11, 64-bit: ``sys.getsizeof`` of the dict and of every object
+# its entries hold after ``verify all``, each object once), most of it the
+# (core, count) pairs of its children, and ``verify all`` leaves 920
+# (1,718 when the store held every form).  It is bounded by
+# ``canonical.STORE_LIMIT``, as the form memo is.
 Children = tuple[tuple[CanonicalForm, int], ...]
 _store: dict[CanonicalForm, tuple[CanonicalForm, Graph, Children | None]] = {}
 
@@ -359,9 +346,6 @@ def clear_caches() -> None:
 def _children(cf: CanonicalForm) -> Children:
     """The distinct cores one move from the core ``cf``, each with the
     number of vertices a move to it isolates, expanding ``cf`` on first use.
-    The children are made on masks (``_moves``) and looked up in the form
-    memo on those masks; a graph is made only for a child the memo does not
-    hold, to label it, or for one new to the store, to keep there.
 
     Count lemma: every move from a core X to one child core isolates the
     same number of vertices.  A contraction of u and v isolates none and
@@ -376,16 +360,17 @@ def _children(cf: CanonicalForm) -> Children:
     the cycle holds both uw and vw.  So the two children's 2-cores differ."""
     cf, g, kids = _store[cf]
     if kids is None:
-        found: dict[CanonicalForm, int] = {}
-        for *_, masks, i in _moves(g):
-            ccf = _form(masks)
-            entry = _store.get(ccf)
-            if entry is None:
-                entry = _store[ccf] = (ccf, _core(masks), None)
-            found[entry[0]] = i
+        found = {_stored(child): i for *_, child, i in _moves(g)}
         kids = tuple(found.items())
         _store[cf] = (cf, g, kids)
     return kids
+
+
+def _stored(g: Graph) -> CanonicalForm:
+    """The form of the core ``g``, as the store's own key object; ``g`` is
+    stored, unexpanded, when its form is new."""
+    cf = canonical_form(g)
+    return _store.setdefault(cf, (cf, g, None))[0]
 
 
 def _walk(
@@ -409,8 +394,7 @@ def _walk(
     if len(_store) > canonical.STORE_LIMIT:
         _store.clear()
     core, isolated = strip_isolated(g)
-    start = canonical_form(core)
-    start = _store.setdefault(start, (start, core, None))[0]
+    start = _stored(core)
     reached: dict[CanonicalForm, tuple[int, CanonicalForm | None]] = {
         start: (min(isolated, most), None)
     }

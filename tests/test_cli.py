@@ -290,11 +290,13 @@ class TestSizeCapEnv:
         assert run_cli(["admissible", g]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 15
 
-    def test_bad_env_value(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("value", ["lots", "-3"])
+    def test_bad_env_value(self, tmp_path, capsys, monkeypatch, value):
         h = write_g6(tmp_path, "h.g6", build(3, []))
         g = write_g6(tmp_path, "g.g6", build(15, []))
-        monkeypatch.setenv("BIPMINOR_SIZE_CAP", "lots")
+        monkeypatch.setenv("BIPMINOR_SIZE_CAP", value)
         assert run_cli(["check", "bipminor", h, g]) == 2
+        assert "BIPMINOR_SIZE_CAP" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -252,30 +252,19 @@ class TestBipartiteMinor:
         # Every move is yielded, so the first move to each child is too:
         # every admissible contraction, with its least middle vertex, then
         # every edge deletion, each in sorted order, as the cycle-scan
-        # oracle finds them.  Each child's core, made on masks, is the one
+        # oracle finds them.  Each child's core, made on masks, is the graph
         # the edge-set operations of the oracles make, isolated vertices
-        # stripped.  The searches expand cores, graphs without isolated
-        # vertices, and no move deletes a vertex.
-        strip = oracles.strip_isolated
-        for g in (strip(x)[0] for x in _move_hosts()):
-            middles = brute_middles(g)
-            every = [
-                (u, v, min(middles[u, v]), strip(oracles.contract_set(g, {u, v})))
-                for u, v in sorted(brute_admissible_pairs(g))
-            ]
-            every += [
-                (u, v, None, strip(oracles.delete_edge(g, u, v)))
-                for u, v in sorted(g.edges)
-            ]
+        # stripped: the same vertex count and masks.  The searches expand
+        # cores, graphs without isolated vertices, and no move deletes a
+        # vertex.
+        for g in (oracles.strip_isolated(x)[0] for x in _move_hosts()):
             got = list(_moves(g))
-            assert got == [
-                (u, v, w, core.neighbor_masks, i) for u, v, w, (core, i) in every
-            ]
+            assert got == _oracle_moves(g)
             # The searches check the size cap on the host alone: no move
             # adds a vertex, and every move shrinks |V| + |E|.  A child is
-            # its core with i isolated vertices beside it.
-            for *_, masks, i in got:
-                core = Graph(len(masks), masks)
+            # its core with i isolated vertices beside it, and a valid graph.
+            for *_, core, i in got:
+                assert Graph(core.vertex_count, core.neighbor_masks) == core
                 assert core.vertex_count + i <= g.vertex_count
                 assert (
                     core.vertex_count + i + core.edge_count
@@ -367,6 +356,7 @@ class TestBipartiteMinor:
         # The count lemma at ``relations._children``: all moves from a core
         # to one child core isolate the same number of vertices, so the
         # store keeps one count per child and the replay needs no count.
+        # The children are the oracles' graphs, which ``_moves`` matches.
         rng = random.Random(48)
         hosts = [cycle(10), dog(6, [4]), *_move_hosts()]
         hosts += [random_sparse_connected(rng, 8, extra=4) for _ in range(40)]
@@ -376,9 +366,10 @@ class TestBipartiteMinor:
             bipartite_minor_closure(g)
         near = 0
         for _, core, _ in relations._store.values():
+            moves = _oracle_moves(core)
+            assert list(_moves(core)) == moves, core
             counts: dict = {}
-            for *_, masks, i in _moves(core):
-                x = Graph(len(masks), masks)
+            for *_, x, i in moves:
                 counts.setdefault(canonical_form(x), set()).add(i)
             assert all(len(c) == 1 for c in counts.values()), core
             # The one clash the sizes allow: a contraction and a pendant
@@ -388,11 +379,13 @@ class TestBipartiteMinor:
         assert near > 10
 
     def test_children_made_on_masks_match_the_graph_operations(self, monkeypatch):
-        # _children makes each child on masks and asks the memo before it
-        # makes a graph.  For every core the closures store, its children
+        # _children makes each child with _moves and names it by
+        # canonical_form.  For every core the closures store, its children
         # as {form: isolated count} are those the edge-set operations of the
-        # oracles and canonical_form give on graphs: expanded with the memo
-        # emptied before each core, and again with it warm.
+        # oracles and canonical_form give on graphs, and the store gains,
+        # for each form new to it, the oracles' first graph of that form:
+        # expanded with the memo emptied before each core, and again with
+        # it warm.
         rng = random.Random(49)
         hosts = [cycle(10), dog(6, [4]), *_move_hosts()]
         hosts += [random_sparse_connected(rng, 8, extra=4) for _ in range(40)]
@@ -402,21 +395,22 @@ class TestBipartiteMinor:
         cores = [(cf, core) for cf, core, _ in relations._store.values()]
         want = []
         for _, core in cores:
-            kids = {}
-            for u, v in brute_admissible_pairs(core):
-                x, i = oracles.strip_isolated(oracles.contract_set(core, {u, v}))
-                kids[canonical_form(x)] = i
-            for u, v in core.edges:
-                x, i = oracles.strip_isolated(oracles.delete_edge(core, u, v))
-                kids[canonical_form(x)] = i
+            kids: dict = {}
+            for *_, x, i in _oracle_moves(core):
+                kids.setdefault(canonical_form(x), (i, x))
             want.append(kids)
         for warm in (False, True):
             monkeypatch.setattr(relations, "_store", {})
             for (cf, core), kids in zip(cores, want):
                 if not warm:
                     canonical.clear_cache()
+                known = set(relations._store)
                 relations._store[cf] = (cf, core, None)
-                assert dict(relations._children(cf)) == kids, core
+                got = dict(relations._children(cf))
+                assert got == {ccf: i for ccf, (i, _) in kids.items()}, core
+                for ccf, (_, x) in kids.items():
+                    if ccf not in known:
+                        assert relations._store[ccf][1] == x, core
         assert len(cores) > 400
 
     def test_every_positive_trace_replays(self):
@@ -707,6 +701,20 @@ class TestClosure:
         for _ in range(30):
             h = random_graph(rng, 5)
             assert (canonical_form(h) in closure) == is_bipartite_minor(h, g)
+
+
+def _oracle_moves(g: Graph) -> list:
+    """The moves ``relations._moves`` should yield from the core ``g``, made
+    by the oracles on edge sets: each admissible pair with its least middle
+    vertex, then each edge, in sorted order, with the child's core and the
+    number of vertices the move isolated."""
+    middles = brute_middles(g)
+    every = [
+        (u, v, min(middles[u, v]), oracles.contract_set(g, {u, v}))
+        for u, v in sorted(brute_admissible_pairs(g))
+    ]
+    every += [(u, v, None, oracles.delete_edge(g, u, v)) for u, v in sorted(g.edges)]
+    return [(u, v, w, *oracles.strip_isolated(x)) for u, v, w, x in every]
 
 
 def _move_hosts() -> list:

@@ -251,6 +251,16 @@ def _subgraph_doc():
     )
 
 
+def _trace_doc_with_extra_key():
+    # C_6 -> B(4,1), the paper's Figure 3: one contraction step, which
+    # gains a key that names none of its fields.
+    source, target = cycle(6), bull(4, [1])
+    trace = bipartite_minor_trace(target, source)
+    doc = witness_document("bipartite_minor", True, source, target, trace)
+    doc["steps"][0]["extra"] = 99
+    return doc
+
+
 def _set_step(doc, value, key="0"):
     doc["steps"][key] = value
     return doc
@@ -278,6 +288,7 @@ class TestMalformedWitnessDocuments:
             pytest.param(_set_step(_minor_doc(), [99], "x"), id="minor-junk-key"),
             pytest.param(_set_step(_subgraph_doc(), "junk", "7"), id="subgraph-extra-vertex"),
             pytest.param(_set_step(_subgraph_doc(), [99], "x"), id="subgraph-junk-key"),
+            pytest.param(_trace_doc_with_extra_key(), id="trace-step-extra-key"),
             pytest.param({**_subgraph_doc(), "source": 5}, id="source-an-integer"),
             pytest.param({**_subgraph_doc(), "target": None}, id="target-is-null"),
             pytest.param({**_subgraph_doc(), "holds": 1}, id="holds-an-integer"),
