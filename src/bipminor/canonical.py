@@ -65,7 +65,9 @@ isomorphism test (STOC 1974).
   the hanging trees' codes gives an isomorphism.  The code is ``<`` + the
   least concatenation, over the rotations and reflections, of the cycle's
   rooted codes + ``>``; the set of concatenations depends only on the
-  component, and each decodes to one of them.
+  component, and each decodes to one of them.  A cycle whose rooted codes
+  are all equal reads the same from every vertex either way round, so its
+  concatenation is the least.
 - *Kernels.*  In any other 2-core component, the **kernel** is the
   vertices with three or more neighbours in the 2-core.  The other
   vertices lie on **kernel edges**: maximal paths whose inner vertices
@@ -95,7 +97,9 @@ isomorphism test (STOC 1974).
 
 So two graphs with codes have equal codes iff they are isomorphic.  The
 code is built in one pass over the rounds, with no recursion, so it serves
-graphs of any size.
+graphs of any size.  A vertex holds the codes peeled into it as none, one
+code, or a list of two or more, so a leaf's code is ``()`` and only a
+vertex with two or more hanging from it sorts.
 
 **Spelling** reads a code once and builds the graph it names.  Each
 top-level ``()`` part is an isolated vertex, and these are numbered first.
@@ -276,40 +280,59 @@ def _code(g: Graph) -> str | None:
     the AHU code ``(...)`` of the sorted codes peeled into it, which its
     neighbour left, if any, takes in turn."""
     masks = g.neighbor_masks
-    n = len(masks)
-    deg = [m.bit_count() for m in masks]
-    # Each vertex's children's codes, replaced by its own once peeled.
-    code: list = [[] for _ in masks]
+    deg = list(map(int.bit_count, masks))
+    # The codes peeled into each vertex so far: none, one code, or a list.
+    code: list = [None] * len(masks)
     parts = []
-    left = (1 << n) - 1
-    layer = [v for v, d in enumerate(deg) if d <= 1]
+    left = (1 << len(masks)) - 1
+    # Each round's vertices, as a list and as a mask.
+    layer = []
+    peel = 0
+    for v, d in enumerate(deg):
+        if d <= 1:
+            layer.append(v)
+            peel |= 1 << v
+    halves = {}  # a tree's two centres: the first met to its rooted code
     while layer:
-        peeled = 0
-        for v in layer:
-            peeled |= 1 << v
-            kids = code[v]
-            kids.sort()
-            code[v] = "(" + "".join(kids) + ")"
-        left ^= peeled
+        left ^= peel
         up_next = []
+        up_peel = 0
         for v in layer:
+            # ``_rooted``, inlined: most vertices coded are peeled here.
+            kids = code[v]
+            if kids is None:
+                mine = "()"
+            elif kids.__class__ is str:
+                mine = "(" + kids + ")"
+            else:
+                kids.sort()
+                mine = "(" + "".join(kids) + ")"
             up = masks[v] & left
             if up:
                 w = up.bit_length() - 1
-                code[w].append(code[v])
+                kids = code[w]
+                if kids is None:
+                    code[w] = mine
+                elif kids.__class__ is str:
+                    code[w] = [kids, mine]
+                else:
+                    kids.append(mine)
                 deg[w] -= 1
                 if deg[w] == 1:
                     up_next.append(w)
+                    up_peel |= 1 << w
             elif not deg[v]:
                 # A tree's last round is its centre: one vertex ...
-                parts.append(code[v])
+                parts.append(mine)
             else:
                 # ... or two adjacent ones.
-                w = (masks[v] & peeled).bit_length() - 1
-                if v < w:
-                    a, b = sorted((code[v], code[w]))
+                w = (masks[v] & peel).bit_length() - 1
+                if w in halves:
+                    a, b = sorted((mine, halves.pop(w)))
                     parts.append("[" + a + b + "]")
-        layer = up_next
+                else:
+                    halves[v] = mine
+        layer, peel = up_next, up_peel
     # What is left is the 2-core: cycles, and components with a kernel.
     core = left
     while left:
@@ -321,17 +344,18 @@ def _code(g: Graph) -> str | None:
                 ring = None
                 break
             left ^= 1 << v
-            kids = code[v]
-            kids.sort()
-            ring.append("(" + "".join(kids) + ")")
+            ring.append(_rooted(code[v]))
             m &= left
             if not m:
                 break
             v = m.bit_length() - 1
         if ring is not None:
             # The least rotation or reflection; as codes are prefix-free, it
-            # starts with a least code.
+            # starts with a least code, and a ring of equal codes is its own.
             low = min(ring)
+            if ring.count(low) == len(ring):
+                parts.append("<" + "".join(ring) + ">")
+                continue
             best = None
             for side in (ring, ring[::-1]):
                 joined = "".join(side)
@@ -360,9 +384,7 @@ def _code(g: Graph) -> str | None:
                     return None
                 kernel.append(u)
                 heavy |= low
-            kids = code[u]
-            kids.sort()
-            code[u] = "(" + "".join(kids) + ")"
+            code[u] = _rooted(code[u])
         # Each kernel edge once: its ends and its word read from each end.
         # A path is walked from the first of its ends met, an edge with no
         # inner vertex from its lesser end.
@@ -415,6 +437,16 @@ def _code(g: Graph) -> str | None:
         parts.append("{" + "".join(code[u] for u in kernel) + best + "}")
     parts.sort()
     return "".join(parts)
+
+
+def _rooted(kids: list[str] | str | None) -> str:
+    """The rooted code of a vertex from the codes peeled into it."""
+    if kids is None:
+        return "()"
+    if kids.__class__ is str:
+        return "(" + kids + ")"
+    kids.sort()
+    return "(" + "".join(kids) + ")"
 
 
 def _spell(code: str) -> CanonicalForm:

@@ -187,12 +187,17 @@ def from_upper_bits(vertex_count: int, bits: int) -> Graph:
     return _derived(n, tuple(masks))
 
 
+# The setters of ``Graph``'s two slots, which skip the frozen ``__setattr__``.
+_set_vertex_count = Graph.vertex_count.__set__
+_set_neighbor_masks = Graph.neighbor_masks.__set__
+
+
 def _derived(vertex_count: int, masks: tuple[int, ...]) -> Graph:
     """A graph made by an operation on a valid graph, whose masks are
     valid by construction, so the constructor's checks are skipped."""
     g = object.__new__(Graph)
-    object.__setattr__(g, "vertex_count", vertex_count)
-    object.__setattr__(g, "neighbor_masks", masks)
+    _set_vertex_count(g, vertex_count)
+    _set_neighbor_masks(g, masks)
     return g
 
 

@@ -370,7 +370,11 @@ def _stored(g: Graph) -> CanonicalForm:
     """The form of the core ``g``, as the store's own key object; ``g`` is
     stored, unexpanded, when its form is new."""
     cf = canonical_form(g)
-    return _store.setdefault(cf, (cf, g, None))[0]
+    entry = _store.get(cf)
+    if entry is None:
+        _store[cf] = (cf, g, None)
+        return cf
+    return entry[0]
 
 
 def _walk(

@@ -65,25 +65,31 @@ def component_count(g: Graph) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    return component_count(g) == 1
+    full = (1 << g.vertex_count) - 1
+    return full != 0 and reach(g, 1, full) == full
 
 
 def is_k_connected(g: Graph, k: int, mode: str = "paper") -> bool:
     """True iff every deletion of at most k-1 vertices leaves the graph
-    connected; "standard" mode additionally requires at least k+1 vertices."""
+    connected; "standard" mode additionally requires at least k+1 vertices.
+
+    With more than k vertices, a vertex of degree below k answers at once:
+    deleting its neighbours cuts it off from some other vertex."""
     if k < 1:
         raise GraphError("k must be at least 1")
     if mode not in KCONN_MODES:
         raise GraphError(f"unknown connectivity mode: {mode!r}")
-    if mode == "standard" and g.vertex_count < k + 1:
+    n = g.vertex_count
+    if mode == "standard" and n < k + 1:
         return False
-    if not is_connected(g):
+    if n > k and min(map(int.bit_count, g.neighbor_masks)) < k:
         return False
-    full = (1 << g.vertex_count) - 1
+    full = (1 << n) - 1
     bits = [1 << v for v in g.vertices]
-    for size in range(1, min(k, g.vertex_count + 1)):
+    for size in range(min(k, n + 1)):
         for removed in combinations(bits, size):
-            if _count_components(g, full ^ sum(removed)) != 1:
+            rest = full ^ sum(removed)
+            if not rest or reach(g, rest & -rest, rest) != rest:
                 return False
     return True
 
@@ -209,11 +215,12 @@ def _induced_cycles(g: Graph) -> list[tuple[Cycle, int]]:
 def peripheral_cycles(g: Graph) -> tuple[Cycle, ...]:
     """Every induced non-separating cycle, each reported once up to
     rotation and reflection, sorted by length then lexicographically."""
+    cycles = _induced_cycles(g)
+    if not cycles:
+        return ()
     base = component_count(g)
     full = (1 << g.vertex_count) - 1
-    found = [
-        c for c, mask in _induced_cycles(g) if _count_components(g, full ^ mask) <= base
-    ]
+    found = [c for c, mask in cycles if _count_components(g, full ^ mask) <= base]
     return tuple(sorted(found, key=lambda c: (len(c), c)))
 
 
@@ -221,19 +228,21 @@ Candidates = list[tuple[int, int, int]]
 
 
 def _branch_sets(
-    h: Graph, g: Graph, candidates: Callable[[Graph], Candidates]
+    h: Graph, g: Graph, candidates: Callable[[Graph, int], Candidates]
 ) -> list[int] | None:
     """Disjoint vertex sets of ``g``, one per vertex of ``h`` (as masks
     indexed by it), with an edge of ``g`` between the two sets of every
     edge of ``h``; ``None`` if there are none.
 
-    ``candidates(g)`` lists the sets a vertex may take as (mask,
+    ``candidates(g, most)`` lists the sets a vertex may take as (mask,
     neighbourhood mask, size) triples sorted by size: singletons give
-    subgraph embeddings, connected sets minor models.  The vertices of
-    ``h`` are placed most-anchored first, then by degree.  Each takes the
-    first candidate that avoids the sets placed, touches the set of every
-    placed neighbour, and has at least as many neighbours as the vertex
-    has; that last test is exact because the neighbours' sets are disjoint.
+    subgraph embeddings, connected sets minor models.  No set is larger
+    than ``most``, |V(g)| - |V(h)| + 1, as each other vertex of ``h`` needs
+    a vertex of its own.  The vertices of ``h`` are placed most-anchored
+    first, then by degree.  Each takes the first candidate that avoids the
+    sets placed, touches the set of every placed neighbour, and has at
+    least as many neighbours as the vertex has; that last test is exact
+    because the neighbours' sets are disjoint.
     """
     check_size_cap(h)
     check_size_cap(g)
@@ -251,7 +260,7 @@ def _branch_sets(
         order.append(pick)
         placed |= 1 << pick
     anchors = [[w for w in order[:i] if (hm[v] >> w) & 1] for i, v in enumerate(order)]
-    options = candidates(g)
+    options = candidates(g, g.vertex_count - h.vertex_count + 1)
     sets = [0] * h.vertex_count
     nbrs = [0] * h.vertex_count
 
@@ -278,33 +287,37 @@ def _branch_sets(
     return sets if assign(0, 0, g.vertex_count) else None
 
 
-def _singletons(g: Graph) -> Candidates:
+def _singletons(g: Graph, most: int) -> Candidates:
     return [(1 << v, m, 1) for v, m in enumerate(g.neighbor_masks)]
 
 
-def _connected_subsets(g: Graph) -> Candidates:
-    """All vertex subsets inducing a connected subgraph, as (mask,
-    neighborhood-mask, size) triples sorted by size, each subset
-    enumerated exactly once."""
+def _connected_subsets(g: Graph, most: int | None = None) -> Candidates:
+    """All vertex subsets inducing a connected subgraph, of at most
+    ``most`` vertices if given, as (mask, neighborhood-mask, size) triples
+    sorted by size, each subset enumerated exactly once."""
     n = g.vertex_count
     masks = g.neighbor_masks
     out: Candidates = []
+    if most is None:
+        most = n
 
-    def grow(cur: int, nbr: int, banned: int) -> None:
-        # nbr is the neighbourhood of cur.
-        out.append((cur, nbr, cur.bit_count()))
+    def grow(cur: int, nbr: int, banned: int, size: int) -> None:
+        # nbr is the neighbourhood of cur, which has size vertices.
+        out.append((cur, nbr, size))
+        if size == most:
+            return
         ext = nbr & ~banned
         taken = banned
         while ext:
             low = ext & -ext
             ext ^= low
             new = cur | low
-            grow(new, (nbr | masks[low.bit_length() - 1]) & ~new, taken)
+            grow(new, (nbr | masks[low.bit_length() - 1]) & ~new, taken, size + 1)
             taken |= low
 
     for v in range(n):
         # Subsets whose minimum vertex is v: never grow below v.
-        grow(1 << v, masks[v], (1 << v) - 1)
+        grow(1 << v, masks[v], (1 << v) - 1, 1)
     out.sort(key=lambda t: (t[2], t[0]))
     return out
 

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -338,6 +339,18 @@ ATLAS = [build(x.number_of_nodes(), list(x.edges())) for x in nx.graph_atlas_g()
 class TestTreeCodes:
     """A graph's code, where it has one, is complete: equal codes iff
     isomorphic."""
+
+    def test_atlas_codes_match_the_golden_file(self):
+        # One line per atlas graph: its graph6, then its code or "-".  The
+        # file pins every code byte for byte, so a change to the peel or
+        # the encodings that moves a code, even one that keeps codes
+        # complete, shows here.
+        golden = Path(__file__).parent / "golden" / "codes_atlas7.txt"
+        lines = []
+        for g in ATLAS:
+            code = _code(g)
+            lines.append(f"{emit_graph6(g)} {'-' if code is None else code}\n")
+        assert "".join(lines) == golden.read_text()
 
     def test_all_graphs_of_at_most_seven_vertices(self):
         # 659 of the 1253 graphs are coded: each component of their 2-core

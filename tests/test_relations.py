@@ -596,6 +596,16 @@ class TestMinor:
             sizes = [size for _, _, size in subsets]
             assert sizes == sorted(sizes)
 
+    def test_connected_subsets_stop_at_their_bound(self):
+        # A bound drops the subsets above it and no other.
+        rng = random.Random(38)
+        pool = [dog(6, [4, 4]), h_tree(3)] + [random_graph(rng, 8) for _ in range(20)]
+        for g in pool:
+            subsets = _connected_subsets(g)
+            for most in range(1, g.vertex_count + 1):
+                want = [t for t in subsets if t[2] <= most]
+                assert _connected_subsets(g, most) == want
+
 
 class TestClosure:
     def test_closure_of_p3_is_its_subgraphs(self):

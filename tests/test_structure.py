@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -71,6 +72,20 @@ class TestAgainstNetworkx:
             assert is_k_connected(g, k, "standard") == want
 
     @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=10))
+    def test_paper_k_connectivity(self, g):
+        # Every deletion of at most k - 1 vertices, none included, leaves
+        # exactly one component.
+        G = to_networkx(g)
+        for k in (1, 2, 3):
+            want = all(
+                nx.number_connected_components(G.subgraph(set(G) - set(removed))) == 1
+                for size in range(k)
+                for removed in combinations(G, size)
+            )
+            assert is_k_connected(g, k, "paper") == want
+
+    @settings(max_examples=150, deadline=None)
     @given(graphs(max_vertices=10), st.randoms(use_true_random=False))
     def test_nonseparating(self, g, rng):
         # Whether deleting a vertex set separates the graph: the components
@@ -128,6 +143,25 @@ class TestKConnectivity:
 
     def test_k1_is_not_two_connected(self):
         assert not is_k_connected(build(1, []), 2, "paper")
+
+    @pytest.mark.parametrize(
+        "g, k, want",
+        [
+            (build(2, [(0, 1)]), 2, True),
+            (build(1, []), 2, False),
+            (build(1, []), 1, True),
+            (build(0, []), 1, False),
+            (build(0, []), 2, False),
+            (build(4, [(0, 1), (0, 2), (0, 3)]), 2, False),
+            (build(4, list(combinations(range(4), 2))), 3, True),
+            (build(4, list(combinations(range(4), 2))[1:]), 3, False),
+        ],
+        ids=["K2-k2", "K1-k2", "K1-k1", "K0-k1", "K0-k2", "K13-k2", "K4-k3", "K4-e-k3"],
+    )
+    def test_paper_reading_at_the_degree_test_edges(self, g, k, want):
+        # A vertex of degree below k decides the answer only when the graph
+        # has more than k vertices.
+        assert is_k_connected(g, k, "paper") == want
 
     def test_dogs_are_two_connected(self):
         for d in (dog(5, [3, 3]), dog(6, [4, 4]), dog(8, [4, 4])):
