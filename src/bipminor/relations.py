@@ -18,9 +18,11 @@ labelled representative and, once the core is expanded, to its distinct
 child cores, so each core is expanded and its children labelled once per
 process, whichever search reached it first (McKay, *Isomorph-free
 exhaustive generation*, 1998); a graph with isolated vertices is never
-labelled or expanded.  ``_moves`` makes each child on neighbour masks,
-stripping the ends an edge deletion isolates, and ``canonical_form``
-names it; a ``Step`` is made only for a step the replay names.  One
+labelled or expanded.  ``_moves`` takes the contractions straight from
+``_middle_map`` and makes each child on neighbour masks, stripping the
+ends an edge deletion isolates, and ``canonical_form`` names it; a
+``Step`` is made only for a step the replay names.  A core's children
+are stored in canonical order, sorted once when it is expanded.  One
 depth-first loop, ``_walk``, serves both searches.  It pushes the states
 first reached from each state in reverse canonical order, so the least
 is expanded next and its parent links do not depend on what earlier
@@ -217,10 +219,6 @@ class OpTrace:
 # bipartite-minor decision search
 
 
-def _cycle_rank(g: Graph) -> int:
-    return g.edge_count - g.vertex_count + component_count(g)
-
-
 # A move of a core: the contraction of u and v through w, or the deletion
 # of the edge uv when w is None; then the child's core and how many
 # vertices the move isolated.
@@ -230,10 +228,13 @@ Move = tuple[int, int, int | None, Graph, int]
 def _moves(g: Graph) -> Iterator[Move]:
     """Single-operation successors of the core ``g`` in a fixed order: every
     admissible contraction, with the least ``w``, then every edge deletion,
-    each in sorted order.  Each child is made on the masks: a contraction
-    is ``graph_core._merged``, the pair merge that ``contract_set`` folds
-    over a set, and isolates no vertex, as u and v keep w; an edge deletion
-    clears two bits and strips an end it left with no neighbours, as
+    each in sorted order; the contractions come straight from
+    ``_middle_map``.  Each child is made on the masks: a contraction is
+    ``graph_core._merged``, the pair merge that ``contract_set`` folds over
+    a set, and isolates no vertex, as u and v keep w.  An edge deletion
+    reads from the parent's masks which ends it isolates, those whose one
+    neighbour is the other end, and either drops them, which takes their
+    edge along, or clears the edge's two bits in a copy, as
     ``delete_edge`` then ``strip_isolated`` would.
 
     No move uses an isolated vertex except to delete it, so the searches
@@ -242,20 +243,24 @@ def _moves(g: Graph) -> Iterator[Move]:
     first, through graphs that are themselves reachable, and then the
     isolated vertex, so no search loses a state."""
     n, masks = g.vertex_count, g.neighbor_masks
-    for p in admissible_pairs(g):
-        yield p.u, p.v, p.w, _derived(n - 1, _merged(masks, p.u, p.v)), 0
+    for (u, v), middles in sorted(_middle_map(g).items()):
+        yield u, v, min(middles), _derived(n - 1, _merged(masks, u, v)), 0
     for u, mu in enumerate(masks):
+        bu = 1 << u
         ends = mu >> (u + 1) << (u + 1)
         while ends:
             bv = ends & -ends
             ends ^= bv
             v = bv.bit_length() - 1
-            out = list(masks)
-            out[u] ^= bv
-            out[v] ^= 1 << u
-            lone = (0 if out[u] else 1 << u) | (0 if out[v] else bv)
-            i = lone.bit_count()
-            yield u, v, None, _derived(n - i, _drop(out, lone) if lone else tuple(out)), i
+            lone = (0 if mu ^ bv else bu) | (0 if masks[v] ^ bu else bv)
+            if lone:
+                i = lone.bit_count()
+                yield u, v, None, _derived(n - i, _drop(masks, lone)), i
+            else:
+                out = list(masks)
+                out[u] ^= bv
+                out[v] ^= bu
+                yield u, v, None, _derived(n, tuple(out)), 0
 
 
 def bipartite_minor_trace(h: Graph, g: Graph) -> OpTrace | None:
@@ -263,20 +268,24 @@ def bipartite_minor_trace(h: Graph, g: Graph) -> OpTrace | None:
     ``None``.  The search is exhaustive within the cap, so ``None`` is a
     definite negative."""
     check_size_cap(g)
-    if h.vertex_count > g.vertex_count or h.edge_count > g.edge_count:
+    h_vertices, h_edges = h.vertex_count, h.edge_count
+    if h_vertices > g.vertex_count or h_edges > g.edge_count:
         return None
     core, isolated = strip_isolated(h)
     target = canonical_form(core)
-    rank_floor = _cycle_rank(h)
+    rank_floor = h_edges - h_vertices + component_count(h)
 
     def keep(x: Graph, j: int) -> bool:
         # The state is the core x with j isolated vertices beside it, which
-        # change neither |E| nor the cycle rank.  As j is capped at the
-        # target's isolated vertices, x is never smaller than its core.
+        # change neither |E| nor the cycle rank |E|-|V|+(components).  As j
+        # is capped at the target's isolated vertices, x is never smaller
+        # than its core.
+        if x.vertex_count + j < h_vertices:
+            return False
+        edges = x.edge_count
         return (
-            x.vertex_count + j >= h.vertex_count
-            and x.edge_count >= h.edge_count
-            and _cycle_rank(x) >= rank_floor
+            edges >= h_edges
+            and edges - x.vertex_count + component_count(x) >= rank_floor
         )
 
     reached = _walk(g, isolated, keep, target)
@@ -345,7 +354,8 @@ def clear_caches() -> None:
 
 def _children(cf: CanonicalForm) -> Children:
     """The distinct cores one move from the core ``cf``, each with the
-    number of vertices a move to it isolates, expanding ``cf`` on first use.
+    number of vertices a move to it isolates, in canonical order, expanding
+    ``cf`` on first use: the children are sorted once, then, and stored.
 
     Count lemma: every move from a core X to one child core isolates the
     same number of vertices.  A contraction of u and v isolates none and
@@ -361,7 +371,7 @@ def _children(cf: CanonicalForm) -> Children:
     cf, g, kids = _store[cf]
     if kids is None:
         found = {_stored(child): i for *_, child, i in _moves(g)}
-        kids = tuple(found.items())
+        kids = tuple(sorted(found.items()))
         _store[cf] = (cf, g, kids)
     return kids
 
@@ -393,8 +403,9 @@ def _walk(
     reached from (``None`` for the start); stops as soon as ``target`` is
     generated as a child, and ``keep`` must accept the target's core only
     with ``most`` beside it.  The states first reached from a state are
-    pushed so that the least in canonical order is expanded next; a
-    trace's path is therefore not always the shortest."""
+    pushed in reverse canonical order, the order ``_children`` stores them
+    in read backwards, so that the least is expanded next; a trace's path
+    is therefore not always the shortest."""
     if len(_store) > canonical.STORE_LIMIT:
         _store.clear()
     core, isolated = strip_isolated(g)
@@ -409,8 +420,11 @@ def _walk(
             continue
         new: list[tuple[CanonicalForm, int]] = []
         for ccf, i in _children(cf):
-            jj = min(j + i, most)
-            if jj <= reached.get(ccf, (-1, None))[0] or (
+            jj = j + i
+            if jj > most:
+                jj = most
+            seen = reached.get(ccf)
+            if (seen is not None and jj <= seen[0]) or (
                 keep is not None and not keep(_store[ccf][1], jj)
             ):
                 continue
@@ -418,9 +432,11 @@ def _walk(
             if ccf == target:
                 return reached
             new.append((ccf, jj))
-        # Canonical order keeps the parent links, and so a trace's witness,
-        # independent of the order in which earlier calls filled the store.
-        new.sort(reverse=True)
+        # The children come in canonical order, so the least is pushed last
+        # and expanded next.  That keeps the parent links, and so a trace's
+        # witness, independent of the order in which earlier calls filled
+        # the store.
+        new.reverse()
         stack += new
     return reached
 

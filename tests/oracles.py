@@ -100,6 +100,23 @@ def strip_isolated(g: Graph) -> tuple[Graph, int]:
     return g, len(lone)
 
 
+def from_upper_bits_by_columns(vertex_count: int, bits: int) -> Graph:
+    """The graph on ``vertex_count`` vertices with these upper-triangle
+    bits (x01, x02, x12, x03, ..., first pair most significant), decoded
+    column by column from the last: every position of each column is read,
+    set or not."""
+    n = vertex_count
+    edges = []
+    for j in range(n - 1, 0, -1):
+        for i in range(j - 1, -1, -1):
+            if bits & 1:
+                edges.append((i, j))
+            bits >>= 1
+    if bits:
+        raise GraphError(f"bits beyond the upper triangle on {n} vertices")
+    return build(n, edges)
+
+
 @st.composite
 def graphs(draw, max_vertices=8):
     n = draw(st.integers(0, max_vertices))

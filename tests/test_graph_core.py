@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipminor import graph_core
 from bipminor.canonical import are_isomorphic
+from bipminor.cli.serialize import emit_graph6, parse_graph6
 from bipminor.families import bull, cycle, path
 from bipminor.graph_core import (
     Graph,
     GraphError,
+    _drop,
     build,
     contract_set,
     delete_edge,
@@ -129,6 +132,8 @@ class TestMasks:
         h = from_upper_bits(n, upper_bits(g))
         # from_upper_bits skips the constructor's checks too.
         assert h == g and Graph(n, h.neighbor_masks) == h
+        assert oracles.from_upper_bits_by_columns(n, upper_bits(g)) == g
+        assert parse_graph6(emit_graph6(g)) == g
 
     def test_upper_bits_reads_a_column_per_vertex(self):
         # upper_bits walks the set bits of each vertex's column, the mirror
@@ -148,6 +153,56 @@ class TestMasks:
     def test_bits_outside_the_triangle_rejected(self, n, bits):
         with pytest.raises(GraphError, match="upper triangle"):
             from_upper_bits(n, bits)
+
+
+class TestDecode:
+    """``from_upper_bits`` walks the set bits and names each pair from one
+    table that grows on demand; the reference reads every position of
+    every column."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 14, 62])
+    def test_round_trips_at_each_size(self, n):
+        rng = random.Random(3100 + n)
+        cases = [build(n, []), random_graph(rng, n, n)]
+        cases.append(build(n, [(i, j) for j in range(n) for i in range(j)]))
+        if n > 2:
+            cases += [path(n), cycle(n)]
+        for g in cases:
+            bits = upper_bits(g)
+            assert g.vertex_count == n
+            assert from_upper_bits(n, bits) == g
+            assert oracles.from_upper_bits_by_columns(n, bits) == g
+            assert parse_graph6(emit_graph6(g)) == g
+
+    def test_table_grows_on_demand(self, monkeypatch):
+        # A large graph, then a small one read from the same table, then a
+        # larger one, which grows it again; the table holds the pairs of
+        # the largest vertex count decoded, in position order.
+        monkeypatch.setattr(graph_core, "_PAIRS", [])
+        rng = random.Random(3101)
+        for n in (30, 5, 30, 62, 14):
+            for g in (random_graph(rng, n, n), build(n, [(i, n - 1) for i in range(n - 1)])):
+                bits = upper_bits(g)
+                assert from_upper_bits(n, bits) == oracles.from_upper_bits_by_columns(n, bits)
+        table = graph_core._PAIRS
+        assert len(table) == 62 * 61 // 2
+        assert [(i, j) for i, j, _, _ in table] == [(i, j) for j in range(62) for i in range(j)]
+        assert all(bi == 1 << i and bj == 1 << j for i, j, bi, bj in table)
+
+
+class TestDrop:
+    def test_one_vertex_matches_the_multi_vertex_path_and_delete_vertex(self):
+        # An isolated vertex appended at the end is in no mask, so dropping
+        # it with v takes the cut-by-cut path to the same masks.
+        rng = random.Random(3102)
+        for _ in range(300):
+            g = random_graph(rng, 14, 1)
+            n, masks = g.vertex_count, g.neighbor_masks
+            for v in sorted({0, n // 2, n - 1}):
+                got = _drop(masks, 1 << v)
+                assert got == _drop(masks + (0,), (1 << v) | (1 << n))
+                assert got == delete_vertex(g, v).neighbor_masks
+                assert got == oracles.delete_vertex(g, v).neighbor_masks
 
 
 class TestDeleteVertex:

@@ -637,6 +637,16 @@ class TestClosure:
         }
         assert std == {canonical_form(cycle(k)) for k in (4, 6, 8)}
 
+    def test_members_decode_as_the_column_reference(self):
+        # Every member's graph comes from ``from_upper_bits``, which walks
+        # the set bits; the reference reads every position of every column.
+        for host in (cycle(10), dog(6, [4])):
+            closure = bipartite_minor_closure(host)
+            assert len(closure) > 150
+            for cf in closure:
+                want = oracles.from_upper_bits_by_columns(cf.vertex_count, cf.canonical_bits)
+                assert cf.to_graph() == want
+
     def test_closure_members_of_bipartite_host_are_bipartite(self):
         rng = random.Random(37)
         for _ in range(25):
@@ -792,6 +802,18 @@ class TestClosureStore:
             for b in block_graphs:
                 bipartite_minor_closure(b)
             assert labelled == block_graphs
+
+    def test_children_are_stored_in_form_order(self, monkeypatch):
+        # _children sorts a core's children once, when it expands the core,
+        # and _walk pushes them in reverse without sorting again.
+        monkeypatch.setattr(relations, "_store", {})
+        for g in _move_hosts():
+            bipartite_minor_closure(g)
+        expanded = [kids for *_, kids in relations._store.values() if kids is not None]
+        assert len(expanded) > 100
+        for kids in expanded:
+            forms = [ccf for ccf, _ in kids]
+            assert all(a < b for a, b in zip(forms, forms[1:]))
 
     def test_child_tuples_share_the_store_forms(self, monkeypatch):
         # Each entry carries the form object it is keyed by, and every
