@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -169,32 +168,35 @@ def upper_bits(g: Graph) -> int:
     return bits
 
 
-# The pair (i, j) at each position of the upper triangle, counted from its
-# most significant bit, with the bits 1 << i and 1 << j, for every vertex
-# count decoded so far.
-_PAIRS: list[tuple[int, int, int, int]] = []
+def _pair_table(vertex_count: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The pair (i, j) at each position of the upper triangle on
+    ``vertex_count`` vertices, counted from its most significant bit, with
+    the bits 1 << i and 1 << j.  Position k holds the pair with
+    k = j(j-1)/2 + i, the same at every vertex count."""
+    ones = [1 << v for v in range(vertex_count)]
+    return tuple(
+        (i, j, ones[i], ones[j]) for j in range(vertex_count) for i in range(j)
+    )
+
+
+# The pairs of every triangle up to graph6's limit of 62 vertices, far past
+# the default size cap of 14: 1,891 entries.
+_PAIRS = _pair_table(62)
 
 
 def from_upper_bits(vertex_count: int, bits: int) -> Graph:
     """The graph on ``vertex_count`` vertices with these ``upper_bits``.
 
     The decode walks the set bits alone, one edge each, most significant
-    first.  Position k of the triangle, counted from its most significant
-    bit, is the pair (i, j) with k = j(j-1)/2 + i at every vertex count,
-    so one table, ``_PAIRS``, names the pair at each position.  It grows on
-    demand and never shrinks, so it holds n(n-1)/2 pairs for the largest n
-    decoded, about 90 bytes each (CPython 3.11, 64-bit): 91 pairs (8 KB)
-    at the search cap of 14 vertices, 1,891 (170 KB) at graph6's 62."""
+    first, and names the pair at each position from ``_pair_table``: the
+    fixed table ``_PAIRS`` up to 62 vertices, about 150 KB, built once at
+    import; a larger graph builds its own table for the call, n(n-1)/2
+    entries, and keeps none of it."""
     n = vertex_count
     top = n * (n - 1) // 2
     if n < 0 or bits < 0 or bits >> top:
         raise GraphError(f"{bits} is not an upper triangle on {n} vertices")
-    pairs = _PAIRS
-    if len(pairs) < top:
-        # The new pairs share one int per vertex and one per bit.
-        ids, ones = list(range(n)), [1 << v for v in range(n)]
-        for j in range(pairs[-1][1] + 1 if pairs else 1, n):
-            pairs += zip(ids[:j], repeat(ids[j]), ones[:j], repeat(ones[j]))
+    pairs = _PAIRS if top <= len(_PAIRS) else _pair_table(n)
     masks = [0] * n
     while bits:
         b = bits.bit_length()
@@ -220,31 +222,18 @@ def _derived(vertex_count: int, masks: tuple[int, ...]) -> Graph:
 
 
 def _drop(masks: Sequence[int], removed: int) -> tuple[int, ...]:
-    """The masks of the vertices outside ``removed``, a nonzero mask, with
-    those vertices taken out and the rest relabelled compactly in their
-    old order."""
-    if not removed & (removed - 1):
-        # One vertex x, the most common strip: one cut of every mask, then
-        # x's own mask goes.
-        below, above = removed - 1, -removed
-        out = [(m & below) | ((m >> 1) & above) for m in masks]
-        del out[removed.bit_length() - 1]
-        return tuple(out)
-    # One cut per removed vertex, highest first, so that the positions
-    # still to cut stay put: a cut keeps the bits below it and shifts the
-    # bits above it down by one.
-    cuts = []
-    r = removed
-    while r:
-        top = r.bit_length() - 1
-        cuts.append((1 << top) - 1)
-        r ^= 1 << top
-    out = []
-    for x, m in enumerate(masks):
-        if not (removed >> x) & 1:
-            for below in cuts:
-                m = (m & below) | ((m >> 1) & ~below)
-            out.append(m)
+    """The masks of the vertices outside ``removed``, with those vertices
+    taken out and the rest relabelled compactly in their old order."""
+    # One cut per removed vertex x, highest first, so that the positions
+    # still to cut stay put: a cut keeps the bits below x and shifts the
+    # bits above it down by one, then x's own mask goes.
+    out = masks
+    while removed:
+        x = removed.bit_length() - 1
+        removed ^= 1 << x
+        below, above = (1 << x) - 1, -1 << x
+        out = [(m & below) | ((m >> 1) & above) for m in out]
+        del out[x]
     return tuple(out)
 
 

@@ -18,10 +18,11 @@ labelled representative and, once the core is expanded, to its distinct
 child cores, so each core is expanded and its children labelled once per
 process, whichever search reached it first (McKay, *Isomorph-free
 exhaustive generation*, 1998); a graph with isolated vertices is never
-labelled or expanded.  ``_moves`` takes the contractions straight from
-``_middle_map`` and makes each child on neighbour masks, stripping the
-ends an edge deletion isolates, and ``canonical_form`` names it; a
-``Step`` is made only for a step the replay names.  A core's children
+labelled or expanded.  ``_moves`` takes the contractions from
+``_middle_map`` through ``_contractions``, the enumeration that
+``admissible_pairs`` wraps, and makes each child on neighbour masks,
+stripping the ends an edge deletion isolates, and ``canonical_form``
+names it; a ``Step`` is made only for a step the replay names.  A core's children
 are stored in canonical order, sorted once when it is expanded.  One
 depth-first loop, ``_walk``, serves both searches.  It pushes the states
 first reached from each state in reverse canonical order, so the least
@@ -109,11 +110,9 @@ class AdmissiblePair:
 def admissible_pairs(g: Graph) -> tuple[AdmissiblePair, ...]:
     """All unordered pairs admitting an admissible contraction, one witness
     each (smallest w, then smallest cycle), sorted by pair."""
-    pairs = []
-    for (u, v), middles in sorted(_middle_map(g).items()):
-        w = min(middles)
-        pairs.append(AdmissiblePair(u, v, w, middles[w]))
-    return tuple(pairs)
+    return tuple(
+        AdmissiblePair(u, v, w, middles[w]) for u, v, w, middles in _contractions(g)
+    )
 
 
 def admissible_contract(g: Graph, u: int, v: int) -> Graph:
@@ -144,6 +143,14 @@ def _middle_map(g: Graph) -> dict[tuple[int, int], dict[int, Cycle]]:
             u, w, v = cyc[i - 1], cyc[i], cyc[(i + 1) % m]
             out.setdefault(normalize_edge(u, v), {}).setdefault(w, cyc)
     return out
+
+
+def _contractions(g: Graph) -> Iterator[tuple[int, int, int, dict[int, Cycle]]]:
+    """Each admissible pair u < v of ``g`` in sorted order, with its least
+    w and its ``_middle_map`` entry: the witness of ``admissible_pairs``
+    and of the search's contraction moves alike."""
+    for (u, v), middles in sorted(_middle_map(g).items()):
+        yield u, v, min(middles), middles
 
 
 def _middles(g: Graph, u: int, v: int) -> set[int]:
@@ -228,8 +235,9 @@ Move = tuple[int, int, int | None, Graph, int]
 def _moves(g: Graph) -> Iterator[Move]:
     """Single-operation successors of the core ``g`` in a fixed order: every
     admissible contraction, with the least ``w``, then every edge deletion,
-    each in sorted order; the contractions come straight from
-    ``_middle_map``.  Each child is made on the masks: a contraction is
+    each in sorted order; the contractions come from ``_middle_map``
+    through ``_contractions``, as ``admissible_pairs``' do, without a
+    pair object each.  Each child is made on the masks: a contraction is
     ``graph_core._merged``, the pair merge that ``contract_set`` folds over
     a set, and isolates no vertex, as u and v keep w.  An edge deletion
     reads from the parent's masks which ends it isolates, those whose one
@@ -243,8 +251,8 @@ def _moves(g: Graph) -> Iterator[Move]:
     first, through graphs that are themselves reachable, and then the
     isolated vertex, so no search loses a state."""
     n, masks = g.vertex_count, g.neighbor_masks
-    for (u, v), middles in sorted(_middle_map(g).items()):
-        yield u, v, min(middles), _derived(n - 1, _merged(masks, u, v)), 0
+    for u, v, w, _ in _contractions(g):
+        yield u, v, w, _derived(n - 1, _merged(masks, u, v)), 0
     for u, mu in enumerate(masks):
         bu = 1 << u
         ends = mu >> (u + 1) << (u + 1)

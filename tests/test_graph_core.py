@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bipminor import graph_core
 from bipminor.canonical import are_isomorphic
-from bipminor.cli.serialize import emit_graph6, parse_graph6
+from bipminor.cli.serialize import GRAPH6_MAX, emit_graph6, parse_graph6
 from bipminor.families import bull, cycle, path
 from bipminor.graph_core import (
     Graph,
@@ -138,9 +138,17 @@ class TestMasks:
     def test_upper_bits_reads_a_column_per_vertex(self):
         # upper_bits walks the set bits of each vertex's column, the mirror
         # of from_upper_bits: the two invert each other on seeded graphs of
-        # every density and on a path of 1050 vertices.
+        # every density, on graphs of 0, 1, 2, 14 and 62 vertices (graph6's
+        # limit) and on a path of 1050 vertices.  Up to 62 vertices they
+        # also agree with graph6 and with the reference that reads every
+        # position of every column.
         rng = random.Random(126)
         cases = [random_graph(rng, 16) for _ in range(200)] + [path(1050)]
+        for n in (0, 1, 2, 14, 62):
+            complete = build(n, [(i, j) for j in range(n) for i in range(j)])
+            cases += [build(n, []), random_graph(rng, n, n), complete]
+            if n > 2:
+                cases += [path(n), cycle(n)]
         for g in cases:
             n = g.vertex_count
             bits = upper_bits(g)
@@ -148,6 +156,23 @@ class TestMasks:
             assert bits.bit_count() == g.edge_count
             assert from_upper_bits(n, bits) == g
             assert upper_bits(from_upper_bits(n, bits)) == bits
+            if n <= GRAPH6_MAX:
+                assert oracles.from_upper_bits_by_columns(n, bits) == g
+                assert parse_graph6(emit_graph6(g)) == g
+
+    def test_decodes_past_the_table_keep_it_fixed(self):
+        # Past 62 vertices a decode builds its own pairs: a large graph
+        # decodes alike before and after small ones, and the shared table
+        # still holds the pairs of 62 vertices in position order.
+        table = graph_core._PAIRS
+        rng = random.Random(3101)
+        for n in (70, 5, 70, 62, 14):
+            for g in (random_graph(rng, n, n), build(n, [(i, n - 1) for i in range(n - 1)])):
+                bits = upper_bits(g)
+                assert from_upper_bits(n, bits) == oracles.from_upper_bits_by_columns(n, bits)
+        assert graph_core._PAIRS is table
+        assert [(i, j) for i, j, _, _ in table] == [(i, j) for j in range(62) for i in range(j)]
+        assert all(bi == 1 << i and bj == 1 << j for i, j, bi, bj in table)
 
     @pytest.mark.parametrize("n, bits", [(-1, 0), (3, -1), (3, 0b1000), (0, 1), (1, 1)])
     def test_bits_outside_the_triangle_rejected(self, n, bits):
@@ -155,45 +180,10 @@ class TestMasks:
             from_upper_bits(n, bits)
 
 
-class TestDecode:
-    """``from_upper_bits`` walks the set bits and names each pair from one
-    table that grows on demand; the reference reads every position of
-    every column."""
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 14, 62])
-    def test_round_trips_at_each_size(self, n):
-        rng = random.Random(3100 + n)
-        cases = [build(n, []), random_graph(rng, n, n)]
-        cases.append(build(n, [(i, j) for j in range(n) for i in range(j)]))
-        if n > 2:
-            cases += [path(n), cycle(n)]
-        for g in cases:
-            bits = upper_bits(g)
-            assert g.vertex_count == n
-            assert from_upper_bits(n, bits) == g
-            assert oracles.from_upper_bits_by_columns(n, bits) == g
-            assert parse_graph6(emit_graph6(g)) == g
-
-    def test_table_grows_on_demand(self, monkeypatch):
-        # A large graph, then a small one read from the same table, then a
-        # larger one, which grows it again; the table holds the pairs of
-        # the largest vertex count decoded, in position order.
-        monkeypatch.setattr(graph_core, "_PAIRS", [])
-        rng = random.Random(3101)
-        for n in (30, 5, 30, 62, 14):
-            for g in (random_graph(rng, n, n), build(n, [(i, n - 1) for i in range(n - 1)])):
-                bits = upper_bits(g)
-                assert from_upper_bits(n, bits) == oracles.from_upper_bits_by_columns(n, bits)
-        table = graph_core._PAIRS
-        assert len(table) == 62 * 61 // 2
-        assert [(i, j) for i, j, _, _ in table] == [(i, j) for j in range(62) for i in range(j)]
-        assert all(bi == 1 << i and bj == 1 << j for i, j, bi, bj in table)
-
-
 class TestDrop:
     def test_one_vertex_matches_the_multi_vertex_path_and_delete_vertex(self):
         # An isolated vertex appended at the end is in no mask, so dropping
-        # it with v takes the cut-by-cut path to the same masks.
+        # it with v, one more cut, gives the same masks.
         rng = random.Random(3102)
         for _ in range(300):
             g = random_graph(rng, 14, 1)
